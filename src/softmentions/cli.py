@@ -22,10 +22,11 @@ from . import clustering, evaluation, graph, ingest, linking, synonyms
 from .config import PipelineConfig, apply_settings, load_config
 from .errors import (
     ExternalServiceError,
+    FormatError,
     SoftMentionsError,
     ValidationError,
 )
-from .fileio import open_text, read_lines, write_text, write_tsv, iter_tsv_rows
+from .fileio import open_text, read_lines, read_tsv, write_text, write_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -34,6 +35,7 @@ FREQUENCIES = "frequencies.tsv"
 SYNONYMS = "synonyms.tsv"
 DISAMBIGUATED = "disambiguated.tsv"
 CLUSTERS = "clusters.tsv"
+CLUSTERS_HEADER = ("cluster", "name_id", "name", "member_id", "member")
 MATRIX = "matrix.tsv"
 METADATA = "metadata.tsv"
 LINK_REPORT = "link_report.tsv"
@@ -180,7 +182,7 @@ def stage_cluster(cfg: PipelineConfig) -> dict:
         for idx, c in enumerate(result.clusters)
         for member in c.members
     ]
-    write_tsv(out / CLUSTERS, ("cluster", "name_id", "name", "member_id", "member"), cluster_rows)
+    write_tsv(out / CLUSTERS, CLUSTERS_HEADER, cluster_rows)
     if cfg.write_matrix:
         graph.write_matrix_tsv(out / MATRIX, result.graph)
     acc = result.accounting
@@ -204,15 +206,15 @@ def stage_cluster(cfg: PipelineConfig) -> dict:
 
 
 def _read_clusters(path, reverse) -> list[clustering.Cluster]:
+    def row(fields: list[str]) -> tuple[int, int, int]:
+        name_id, member_id = int(fields[1]), int(fields[3])
+        if name_id not in reverse or member_id not in reverse:
+            raise KeyError(member_id if name_id in reverse else name_id)
+        return int(fields[0]), name_id, member_id
+
     grouped: dict[int, tuple[int, list[int]]] = {}
-    with open_text(path) as fh:
-        rows = iter_tsv_rows(fh)
-        next(rows)
-        for _, fields in rows:
-            if fields == [""]:
-                continue
-            idx, name_id, _, member_id = int(fields[0]), int(fields[1]), fields[2], int(fields[3])
-            grouped.setdefault(idx, (name_id, []))[1].append(member_id)
+    for idx, name_id, member_id in read_tsv(path, CLUSTERS_HEADER, row):
+        grouped.setdefault(idx, (name_id, []))[1].append(member_id)
     return [
         clustering.Cluster(
             members=tuple(sorted(members)), name_id=name_id, name=reverse[name_id]
@@ -281,20 +283,7 @@ def stage_link(cfg: PipelineConfig) -> dict:
         soft_errors=soft_errors,
         collect_raw=collected,
     )
-    result = clustering.DisambiguationResult(
-        clusters=clusters,
-        mention_to_cluster={
-            member: idx for idx, c in enumerate(clusters) for member in c.members
-        },
-        accounting=clustering.Accounting(0, 0, 0),
-        id_table=id_table,
-        reverse=reverse,
-        frequencies=ingest.FrequencyTable(),
-        graph=graph.SimilarityGraph(
-            mentions=[reverse[i] for i in range(len(reverse))], entries={}
-        ),
-    )
-    propagated = linking.propagate_links(result, links)
+    propagated = linking.propagate_links(clusters, reverse, links)
     linking.write_metadata_tsv(out / METADATA, propagated)
     linking.write_normalized_csvs(out / "normalized", propagated)
     linking.write_raw_csvs(out / "raw", collected)
@@ -317,17 +306,12 @@ def stage_link(cfg: PipelineConfig) -> dict:
 
 
 def _read_predicted_pairs(path) -> list[tuple[str, str]]:
-    pairs = []
+    """Pairs from the first two columns; the header may name further columns."""
     with open_text(path) as fh:
-        rows = iter_tsv_rows(fh)
-        _, header = next(rows)
-        if header[:2] not in (["mention", "synonym"], ["software_mention", "synonym"]):
-            raise SoftMentionsError(f"bad predicted pairs header: {header}")
-        for _, fields in rows:
-            if fields == [""]:
-                continue
-            pairs.append((fields[0], fields[1]))
-    return pairs
+        header = fh.readline().rstrip("\n").rstrip("\r").split("\t")
+    if header[:2] not in (["mention", "synonym"], ["software_mention", "synonym"]):
+        raise FormatError(f"{path}: line 1: bad predicted pairs header: {header}")
+    return read_tsv(path, header, lambda f: (f[0], f[1]))
 
 
 def stage_evaluate(cfg: PipelineConfig) -> dict:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import FormatError
-from .fileio import format_tsv, write_text
+from .fileio import write_tsv
 from .graph import (
     DEFAULT_STOPLIST,
     SimilarityGraph,
@@ -259,4 +259,4 @@ def write_disambiguated_tsv(
             cluster = result.clusters[cluster_idx]
             extra = [cluster.name, str(cluster.name_id)]
         rows.append(line.split("\t") + extra)
-    write_text(path, format_tsv(header, rows))
+    write_tsv(path, header, rows)

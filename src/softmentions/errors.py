@@ -12,8 +12,9 @@ class FormatError(SoftMentionsError):
 class RowError(SoftMentionsError):
     """A single data row is malformed; skippable under lenient parsing."""
 
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
+    def __init__(self, line_number: int, message: str, path=None):
+        where = f"line {line_number}" if path is None else f"{path}: line {line_number}"
+        super().__init__(f"{where}: {message}")
         self.line_number = line_number
 
 

@@ -247,16 +247,6 @@ def ratings_to_matrix(
     return matrix
 
 
-def merge_categories(
-    matrix: Sequence[Sequence[int]], groups: Sequence[Sequence[int]]
-) -> list[list[int]]:
-    """Sum category columns into groups (e.g. five subcategories into two)."""
-    return [
-        [sum(row[col] for col in group) for group in groups]
-        for row in matrix
-    ]
-
-
 LINK_LABELS = ("correct", "incorrect", "unclear")
 
 

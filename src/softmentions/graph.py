@@ -12,8 +12,8 @@ import unicodedata
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ConsistencyError, FormatError
-from .fileio import iter_tsv_rows, open_text, read_lines, write_tsv
+from .errors import ConsistencyError
+from .fileio import read_lines, write_tsv
 from .synonyms import SynonymPair, SynonymSource
 
 DEFAULT_STOPLIST = ("R package", "r package", "interface")
@@ -43,12 +43,6 @@ class SimilarityGraph:
     @property
     def n(self) -> int:
         return len(self.mentions)
-
-    def value(self, i: int, j: int) -> float | None:
-        if i > j:
-            i, j = j, i
-        entry = self.entries.get((i, j))
-        return entry[0] if entry else None
 
     def covered_vertices(self) -> set[int]:
         covered: set[int] = set()
@@ -206,18 +200,3 @@ def write_matrix_tsv(path, graph: SimilarityGraph) -> None:
         for (i, j), (value, source) in sorted(graph.entries.items())
     ]
     write_tsv(path, MATRIX_HEADER, rows)
-
-
-def read_matrix_tsv(path, mentions: Sequence[str], stoplist: Iterable[str] = ()) -> SimilarityGraph:
-    entries: dict[tuple[int, int], tuple[float, SynonymSource]] = {}
-    with open_text(path) as fh:
-        rows = iter_tsv_rows(fh)
-        _, header = next(rows)
-        if tuple(header) != MATRIX_HEADER:
-            raise FormatError(f"bad matrix header: {header}")
-        for _, fields in rows:
-            if fields == [""]:
-                continue
-            i, j = int(fields[0]), int(fields[1])
-            entries[(i, j)] = (float(fields[2]), SynonymSource(fields[3]))
-    return SimilarityGraph(mentions=mentions, entries=entries, stoplist=frozenset(stoplist))

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Mapping
 
 from .errors import FormatError, RowError
-from .fileio import format_tsv, iter_tsv_rows, open_text, write_tsv
+from .fileio import format_tsv, iter_tsv_rows, read_tsv, write_tsv
 
 CURATION_LABELS = ("software", "not_software", "unclear", "not_curated")
 
@@ -232,18 +232,7 @@ def write_id_table(path, id_table: Mapping[str, int]) -> None:
 
 
 def read_id_table(path) -> tuple[dict[str, int], dict[int, str]]:
-    id_table: dict[str, int] = {}
-    with open_text(path) as fh:
-        rows = iter_tsv_rows(fh)
-        _, header = next(rows)
-        if header != ["mention", "id"]:
-            raise FormatError(f"bad mention2id header: {header}")
-        for lineno, fields in rows:
-            if fields == [""]:
-                continue
-            if len(fields) != 2:
-                raise RowError(lineno, f"expected 2 columns, found {len(fields)}")
-            id_table[fields[0]] = int(fields[1])
+    id_table = dict(read_tsv(path, ("mention", "id"), lambda f: (f[0], int(f[1]))))
     reverse = {i: m for m, i in id_table.items()}
     return id_table, reverse
 
@@ -256,16 +245,5 @@ def write_frequencies(path, freq: FrequencyTable, reverse: Mapping[int, str]) ->
 
 
 def read_frequencies(path, id_table: Mapping[str, int]) -> FrequencyTable:
-    counts: dict[int, int] = {}
-    with open_text(path) as fh:
-        rows = iter_tsv_rows(fh)
-        _, header = next(rows)
-        if header != ["mention", "frequency"]:
-            raise FormatError(f"bad frequencies header: {header}")
-        for lineno, fields in rows:
-            if fields == [""]:
-                continue
-            if len(fields) != 2:
-                raise RowError(lineno, f"expected 2 columns, found {len(fields)}")
-            counts[id_table[fields[0]]] = int(fields[1])
-    return FrequencyTable(counts=counts)
+    rows = read_tsv(path, ("mention", "frequency"), lambda f: (id_table[f[0]], int(f[1])))
+    return FrequencyTable(counts=dict(rows))

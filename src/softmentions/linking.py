@@ -24,9 +24,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .clustering import DisambiguationResult
+from .clustering import Cluster
 from .errors import ExternalServiceError
-from .fileio import write_tsv
+from .fileio import write_text, write_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -280,7 +280,9 @@ class ApiSnapshot:
     """Per-name JSON documents, optionally backed by a live fetcher.
 
     Live responses are written back into the snapshot directory, so a live
-    run leaves behind the snapshot an offline rerun will read.
+    run leaves behind the snapshot an offline rerun will read. A name whose
+    snapshot file name would exceed the file system's 255-byte limit can
+    have no snapshot, so it is a miss both offline and live.
     """
 
     source: LinkSource
@@ -288,11 +290,14 @@ class ApiSnapshot:
     fetcher: Callable[[str], dict | None] | None = None
     limiter: RateLimiter | None = None
 
-    def _path(self, name: str) -> Path:
-        return Path(self.directory) / (urllib.parse.quote(name, safe="") + ".json")
+    def _path(self, name: str) -> Path | None:
+        file_name = urllib.parse.quote(name, safe="") + ".json"
+        return Path(self.directory) / file_name if len(file_name) <= 255 else None
 
     def lookup(self, name: str) -> dict | None:
         path = self._path(name)
+        if path is None:
+            return None
         if path.exists():
             try:
                 raw = json.loads(path.read_text(encoding="utf-8"))
@@ -303,11 +308,7 @@ class ApiSnapshot:
                 self.limiter.wait()
             raw = self.fetcher(name)
             if raw is not None:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(
-                    json.dumps(raw, ensure_ascii=False, sort_keys=True, indent=1),
-                    encoding="utf-8",
-                )
+                write_text(path, json.dumps(raw, ensure_ascii=False, sort_keys=True, indent=1))
         else:
             return None
         if raw is None:
@@ -400,7 +401,8 @@ def link_mentions(
 
 
 def propagate_links(
-    result: DisambiguationResult,
+    clusters: Iterable[Cluster],
+    reverse: Mapping[int, str],
     links: Mapping[int, LinkedMetadata],
 ) -> dict[int, LinkedMetadata]:
     """Give every cluster member its cluster name's link, with fallbacks.
@@ -411,7 +413,7 @@ def propagate_links(
     """
     propagated: dict[int, LinkedMetadata] = {}
     inherited: dict[int, LinkedMetadata] = {}
-    for cluster in result.clusters:
+    for cluster in clusters:
         name_link = links.get(cluster.name_id)
         if name_link is None:
             continue
@@ -419,7 +421,7 @@ def propagate_links(
             inherited[member] = replace(
                 name_link,
                 id=member,
-                software_mention=result.reverse[member],
+                software_mention=reverse[member],
                 mapped_to=list(name_link.mapped_to),
                 platform=list(name_link.platform),
                 description=list(name_link.description),
@@ -431,7 +433,7 @@ def propagate_links(
                 reference=list(name_link.reference),
                 scicrunch_synonyms=list(name_link.scicrunch_synonyms),
             )
-    for mention_id in range(len(result.reverse)):
+    for mention_id in range(len(reverse)):
         if mention_id in inherited:
             propagated[mention_id] = inherited[mention_id]
         elif mention_id in links:

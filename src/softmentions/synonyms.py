@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .errors import FormatError, RowError
-from .fileio import iter_tsv_rows, open_text, write_tsv
+from .fileio import read_tsv, write_tsv
 
 
 class SynonymSource(str, Enum):
@@ -187,22 +186,12 @@ def load_kb_synonyms(
 def read_kb_dict(path) -> dict[str, list[str]]:
     """Two-column TSV (key, synonym); values deduplicated, self-maps dropped."""
     kb: dict[str, list[str]] = {}
-    with open_text(path) as fh:
-        rows = iter_tsv_rows(fh)
-        _, header = next(rows)
-        if header != ["key", "synonym"]:
-            raise FormatError(f"bad KB dictionary header: {header}")
-        for lineno, fields in rows:
-            if fields == [""]:
-                continue
-            if len(fields) != 2:
-                raise RowError(lineno, f"expected 2 columns, found {len(fields)}")
-            key, syn = fields
-            if syn == key:
-                continue
-            bucket = kb.setdefault(key, [])
-            if syn not in bucket:
-                bucket.append(syn)
+    for key, syn in read_tsv(path, ("key", "synonym"), tuple):
+        if syn == key:
+            continue
+        bucket = kb.setdefault(key, [])
+        if syn not in bucket:
+            bucket.append(syn)
     return kb
 
 
@@ -361,21 +350,11 @@ def write_synonyms_tsv(path, pairs: Iterable[SynonymPair], reverse: Mapping[int,
     write_tsv(path, SYNONYMS_HEADER, rows)
 
 
+def _synonym_row(fields: list[str]) -> SynonymPair:
+    return SynonymPair.of(
+        int(fields[0]), int(fields[1]), float(fields[4]), SynonymSource(fields[5])
+    )
+
+
 def read_synonyms_tsv(path) -> list[SynonymPair]:
-    pairs: list[SynonymPair] = []
-    with open_text(path) as fh:
-        rows = iter_tsv_rows(fh)
-        _, header = next(rows)
-        if tuple(header) != SYNONYMS_HEADER:
-            raise FormatError(f"bad synonyms header: {header}")
-        for lineno, fields in rows:
-            if fields == [""]:
-                continue
-            if len(fields) != len(SYNONYMS_HEADER):
-                raise RowError(lineno, f"expected {len(SYNONYMS_HEADER)} columns")
-            pairs.append(
-                SynonymPair.of(
-                    int(fields[0]), int(fields[1]), float(fields[4]), SynonymSource(fields[5])
-                )
-            )
-    return pairs
+    return read_tsv(path, SYNONYMS_HEADER, _synonym_row)

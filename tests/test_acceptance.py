@@ -426,7 +426,7 @@ def test_criterion_linking(fixture_pipeline):
 
     _, result, _ = fixture_pipeline
     links = link_mentions(result.reverse.values(), result.id_table, sources)
-    propagated = propagate_links(result, links)
+    propagated = propagate_links(result.clusters, result.reverse, links)
     sk_url = "https://pypi.org/project/scikit-learn"
     assert propagated[result.id_table["sklearn"]].package_url == sk_url
     assert propagated[result.id_table["scikit-learn"]].package_url == sk_url

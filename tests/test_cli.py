@@ -175,6 +175,69 @@ def test_registry_page_details_enrich_linking(fixture_copy):
         pytest.fail("scikit-learn row missing from metadata.tsv")
 
 
+# Each case: the artifact, the stage that reads it, the 1-based line to
+# rewrite (None appends a line) and the new fields of that line.
+CORRUPT_ARTIFACTS = {
+    "non_integer_id": ("mention2id.tsv", "synonyms", 2, lambda f: [f[0], "seven"]),
+    "unknown_frequency_mention": (
+        "frequencies.tsv", "cluster", None, lambda f: ["NotAMention", "3"]
+    ),
+    "bad_synonym_conf": ("synonyms.tsv", "cluster", 3, lambda f: f[:4] + ["high", f[5]]),
+    "unknown_synonym_source": ("synonyms.tsv", "cluster", 3, lambda f: f[:5] + ["Oracle"]),
+    "clusters_wrong_header": ("clusters.tsv", "link", 1, lambda f: f[:4]),
+    "clusters_unknown_name_id": ("clusters.tsv", "link", 2, lambda f: [f[0], "9999", *f[2:]]),
+    "clusters_short_row": ("clusters.tsv", "link", None, lambda f: ["0"]),
+}
+
+
+@pytest.mark.parametrize(
+    "artifact, stage, lineno, edit", CORRUPT_ARTIFACTS.values(), ids=CORRUPT_ARTIFACTS.keys()
+)
+def test_corrupt_artifact_exits_2_naming_file_and_line(
+    fixture_copy, caplog, capsys, artifact, stage, lineno, edit
+):
+    assert run_stage(fixture_copy, "run-all") == 0
+    path = fixture_copy / "out" / artifact
+    lines = path.read_text(encoding="utf-8").splitlines()
+    if lineno is None:
+        lines.append("\t".join(edit(None)))
+        lineno = len(lines)
+    else:
+        lines[lineno - 1] = "\t".join(edit(lines[lineno - 1].split("\t")))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    caplog.clear()
+    assert run_stage(fixture_copy, stage) == 2
+    log = caplog.text + capsys.readouterr().err
+    assert f"{path}: line {lineno}:" in log
+    assert "Traceback" not in log
+
+
+def test_overlong_mentions_do_not_stop_linking(fixture_copy):
+    corpus = fixture_copy / "corpus.tsv"
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    header = lines[0].split("\t")
+    long_names = ["x" * 251, "\u00e9" * 50]
+    for name in long_names:
+        fields = lines[1].split("\t")
+        fields[header.index("software")] = name
+        lines.append("\t".join(fields))
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_stage(fixture_copy, "run-all") == 0
+    metadata = (fixture_copy / "out" / "metadata.tsv").read_text(encoding="utf-8")
+    linked = {line.split("\t")[1] for line in metadata.splitlines()[1:]}
+    assert linked and not linked & set(long_names)
+
+
+def test_tab_in_snapshot_field_is_a_data_error(fixture_copy, caplog):
+    snapshot = fixture_copy / "snapshots" / "kb" / "GraphPad.json"
+    doc = json.loads(snapshot.read_text(encoding="utf-8"))
+    doc["Resource ID Link"] = "https://scicrunch.org/resolver/\tSCR_002798"
+    snapshot.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_stage(fixture_copy, "run-all") == 2
+    assert "metadata.tsv" in caplog.text
+    assert "'package_url'" in caplog.text
+
+
 def test_matrix_dump_flag(fixture_copy):
     assert run_stage(fixture_copy, "ingest") == 0
     assert run_stage(fixture_copy, "synonyms") == 0

@@ -15,7 +15,6 @@ from softmentions.evaluation import (
     fleiss_kappa,
     krippendorff_alpha,
     link_eval_summary,
-    merge_categories,
     parse_curation_label,
     parse_verdict,
     precision_at_k,
@@ -271,7 +270,7 @@ def test_two_category_matrix_equals_summed_five_category_matrix():
     matrix5 = ratings_to_matrix(ratings5, five)
     ratings2 = [[collapse[v] for v in row] for row in ratings5]
     matrix2 = ratings_to_matrix(ratings2, ["software", "not_software"])
-    assert merge_categories(matrix5, [[0, 1], [2, 3, 4]]) == matrix2
+    assert [[row[0] + row[1], row[2] + row[3] + row[4]] for row in matrix5] == matrix2
 
 
 def test_link_eval_summary_reproduces_reference_sample():

@@ -1,0 +1,43 @@
+import pytest
+
+from softmentions.errors import ConsistencyError, FormatError, RowError
+from softmentions.fileio import format_tsv, read_tsv, write_text, write_tsv
+
+
+@pytest.mark.parametrize("name", ["out.tsv", "out.tsv.gz"])
+def test_failed_write_keeps_previous_file(tmp_path, name):
+    path = tmp_path / name
+    write_text(path, "old\n")
+    before = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        write_text(path, "new \ud800\n")  # a lone surrogate fails mid-write
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+def test_format_tsv_rejects_tabs_and_line_breaks(tmp_path):
+    assert format_tsv(("a", "b"), [("x", "y")]) == "a\tb\nx\ty\n"
+    for bad in ("y\tz", "y\nz", "y\rz"):
+        with pytest.raises(FormatError, match="line 3: column 'b'"):
+            format_tsv(("a", "b"), [("x", "y"), ("x", bad)])
+    with pytest.raises(FormatError, match="bad.tsv: line 2: column 'a'"):
+        write_tsv(tmp_path / "bad.tsv", ("a", "b"), [("x\ty", "z")])
+    assert not (tmp_path / "bad.tsv").exists()
+
+
+def test_read_tsv_contract(tmp_path):
+    path = tmp_path / "t.tsv"
+    ids = {"a": 0, "b": 1}
+    path.write_text("name\tn\na\t1\n\nb\t2\n", encoding="utf-8")
+    assert read_tsv(path, ("name", "n"), lambda f: (ids[f[0]], int(f[1]))) == [(0, 1), (1, 2)]
+    cases = [
+        ("", FormatError, "line 1: expected header"),
+        ("name\tcount\n", FormatError, "line 1: expected header"),
+        ("name\tn\na\t1\nb\n", RowError, "line 3: expected 2 columns, found 1"),
+        ("name\tn\na\tone\n", RowError, "line 2: invalid literal"),
+        ("name\tn\na\t1\nc\t2\n", ConsistencyError, "line 3: unknown mention 'c'"),
+    ]
+    for text, error, message in cases:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(error, match=f"t.tsv: {message}"):
+            read_tsv(path, ("name", "n"), lambda f: (ids[f[0]], int(f[1])))

@@ -9,7 +9,6 @@ from softmentions.graph import (
     build_matrix,
     connected_components,
     post_process,
-    read_matrix_tsv,
     read_stoplist,
     strip_for_comparison,
     write_matrix_tsv,
@@ -36,11 +35,11 @@ def test_matrix_law_examples():
         pair(4, 5, 0.95, SS),
     ]
     graph = build_matrix(pairs, mentions)
-    assert graph.value(0, 1) == 1.0
-    assert graph.value(2, 3) == 0.99
-    assert graph.value(4, 5) is None
+    assert graph.entries[(0, 1)][0] == 1.0
+    assert graph.entries[(2, 3)][0] == 0.99
+    assert (4, 5) not in graph.entries
     graph2 = build_matrix([pair(4, 5, 0.975, SS)], mentions)
-    assert graph2.value(4, 5) == 0.975
+    assert graph2.entries[(4, 5)][0] == 0.975
 
 
 def test_matrix_precedence_kb_over_keyword_over_string():
@@ -59,7 +58,7 @@ def test_matrix_precedence_kb_over_keyword_over_string():
 def test_matrix_keyword_kept_even_below_use_threshold():
     # keyword and KB pairs enter unconditionally; only string pairs are gated
     graph = build_matrix([pair(0, 1, 0.99, KW)], ["a", "b"], use_threshold=0.995)
-    assert graph.value(0, 1) == 0.99
+    assert graph.entries[(0, 1)][0] == 0.99
 
 
 def test_matrix_unknown_mention_id_fatal():
@@ -184,8 +183,11 @@ def test_matrix_dump_round_trip(tmp_path):
     mentions = ["a", "b", "c"]
     graph = build_matrix([pair(0, 1, 1.0, KB), pair(1, 2, 0.975, SS)], mentions)
     write_matrix_tsv(tmp_path / "m.tsv", graph)
-    back = read_matrix_tsv(tmp_path / "m.tsv", mentions)
-    assert back.entries == graph.entries
+    assert (tmp_path / "m.tsv").read_text(encoding="utf-8") == (
+        "i\tj\tvalue\tsource\n"
+        "0\t1\t1.0\tKnowledgeBase\n"
+        "1\t2\t0.975\tStringSimilarity\n"
+    )
 
 
 def test_read_stoplist(tmp_path):

@@ -2,10 +2,9 @@ import json
 
 import pytest
 
-from softmentions.clustering import Accounting, Cluster, DisambiguationResult
+from softmentions.clustering import Cluster
 from softmentions.errors import ExternalServiceError
-from softmentions.graph import SimilarityGraph
-from softmentions.ingest import FrequencyTable, assign_ids
+from softmentions.ingest import assign_ids
 from softmentions.linking import (
     ApiSnapshot,
     DEFAULT_PRECEDENCE,
@@ -111,6 +110,18 @@ def test_api_snapshot_live_fetch_writes_through(tmp_path):
     assert (tmp_path / "kb" / "Fiji.json").exists()
 
 
+def test_api_snapshot_overlong_name_is_a_miss(tmp_path):
+    calls = []
+    snap = ApiSnapshot(
+        source=LinkSource.KNOWLEDGE_BASE, directory=tmp_path / "kb",
+        fetcher=lambda name: calls.append(name) or {"Resource ID Link": "u"},
+    )
+    for name in ("x" * 251, "\u00e9" * 50):
+        assert snap.lookup(name) is None
+    assert calls == []
+    assert not (tmp_path / "kb").exists()
+
+
 def test_lookup_soft_errors_keep_other_sources_running(tmp_path):
     class Failing:
         def lookup(self, name):
@@ -163,59 +174,51 @@ def test_link_mentions_precedence_and_mapped_to_aggregation(tmp_path):
     assert len(collected[LinkSource.PKG_INDEX_PY]) == 2
 
 
-def _result_with_cluster(names, cluster_members, name_of_cluster):
+def _one_cluster(names, cluster_members, name_of_cluster):
     id_table, reverse = assign_ids(names)
     members = tuple(sorted(id_table[m] for m in cluster_members))
     cluster = Cluster(members=members, name_id=id_table[name_of_cluster], name=name_of_cluster)
-    return DisambiguationResult(
-        clusters=[cluster],
-        mention_to_cluster={m: 0 for m in members},
-        accounting=Accounting(0, 0, len(members)),
-        id_table=id_table,
-        reverse=reverse,
-        frequencies=FrequencyTable(),
-        graph=SimilarityGraph(mentions=[reverse[i] for i in range(len(reverse))], entries={}),
-    )
+    return [cluster], id_table, reverse
 
 
 def test_propagate_links_cluster_members_inherit_name_link():
-    result = _result_with_cluster(
+    clusters, id_table, reverse = _one_cluster(
         ["scikit-learn", "sklearn", "loner", "selflink"],
         ["scikit-learn", "sklearn"],
         "scikit-learn",
     )
     url = "https://pypi.org/project/scikit-learn"
     links = {
-        result.id_table["scikit-learn"]: LinkedMetadata(
-            id=result.id_table["scikit-learn"], software_mention="scikit-learn",
+        id_table["scikit-learn"]: LinkedMetadata(
+            id=id_table["scikit-learn"], software_mention="scikit-learn",
             source="PkgIndexPy", package_url=url,
         ),
-        result.id_table["selflink"]: LinkedMetadata(
-            id=result.id_table["selflink"], software_mention="selflink",
+        id_table["selflink"]: LinkedMetadata(
+            id=id_table["selflink"], software_mention="selflink",
             source="CodeHostAPI", package_url="https://github.com/x/selflink",
         ),
     }
-    propagated = propagate_links(result, links)
-    sklearn = propagated[result.id_table["sklearn"]]
+    propagated = propagate_links(clusters, reverse, links)
+    sklearn = propagated[id_table["sklearn"]]
     assert sklearn.package_url == url
     assert sklearn.software_mention == "sklearn"
-    assert sklearn.id == result.id_table["sklearn"]
+    assert sklearn.id == id_table["sklearn"]
     # unclustered mention keeps its own link, unknown mention stays unlinked
-    assert propagated[result.id_table["selflink"]].package_url.endswith("selflink")
-    assert result.id_table["loner"] not in propagated
+    assert propagated[id_table["selflink"]].package_url.endswith("selflink")
+    assert id_table["loner"] not in propagated
 
 
 def test_propagate_links_fallback_to_own_link_when_name_unlinked():
-    result = _result_with_cluster(["alpha", "beta"], ["alpha", "beta"], "alpha")
+    clusters, id_table, reverse = _one_cluster(["alpha", "beta"], ["alpha", "beta"], "alpha")
     links = {
-        result.id_table["beta"]: LinkedMetadata(
-            id=result.id_table["beta"], software_mention="beta",
+        id_table["beta"]: LinkedMetadata(
+            id=id_table["beta"], software_mention="beta",
             source="CodeHostAPI", package_url="https://github.com/x/beta",
         )
     }
-    propagated = propagate_links(result, links)
-    assert result.id_table["alpha"] not in propagated
-    assert propagated[result.id_table["beta"]].package_url.endswith("beta")
+    propagated = propagate_links(clusters, reverse, links)
+    assert id_table["alpha"] not in propagated
+    assert propagated[id_table["beta"]].package_url.endswith("beta")
 
 
 def test_link_report_counts_and_percentages():

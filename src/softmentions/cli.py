@@ -26,7 +26,7 @@ from .errors import (
     SoftMentionsError,
     ValidationError,
 )
-from .fileio import open_text, read_lines, read_tsv, write_text, write_tsv
+from .fileio import decode_errors, open_text, read_lines, read_tsv, write_text, write_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -223,6 +223,17 @@ def _read_clusters(path, reverse) -> list[clustering.Cluster]:
     ]
 
 
+def _read_registry_details(path: Path) -> dict[str, dict]:
+    """Registry page details: a JSON object mapping entry names to objects."""
+    try:
+        details = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise FormatError(f"{path}: not a JSON document: {err}") from None
+    if not isinstance(details, dict) or not all(isinstance(v, dict) for v in details.values()):
+        raise FormatError(f"{path}: expected a JSON object of objects")
+    return details
+
+
 def build_link_sources(cfg: PipelineConfig) -> linking.LinkSources:
     sources = linking.LinkSources(
         precedence=tuple(linking.LinkSource(name) for name in cfg.precedence)
@@ -238,7 +249,7 @@ def build_link_sources(cfg: PipelineConfig) -> linking.LinkSources:
             if cfg.registry_details:
                 details_path = Path(cfg.registry_details) / f"{source.value}.json"
                 if details_path.exists():
-                    details = json.loads(details_path.read_text(encoding="utf-8"))
+                    details = _read_registry_details(details_path)
             sources.registries[source] = linking.RegistrySnapshot(
                 source=source,
                 names=set(read_lines(_require(path, f"{source.value} name list"))),
@@ -307,7 +318,7 @@ def stage_link(cfg: PipelineConfig) -> dict:
 
 def _read_predicted_pairs(path) -> list[tuple[str, str]]:
     """Pairs from the first two columns; the header may name further columns."""
-    with open_text(path) as fh:
+    with open_text(path) as fh, decode_errors(path):
         header = fh.readline().rstrip("\n").rstrip("\r").split("\t")
     if header[:2] not in (["mention", "synonym"], ["software_mention", "synonym"]):
         raise FormatError(f"{path}: line 1: bad predicted pairs header: {header}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import FormatError
 from .fileio import write_tsv
 from .graph import (
     DEFAULT_STOPLIST,
@@ -21,12 +20,11 @@ from .graph import (
     post_process,
 )
 from .ingest import (
-    CORPUS_FIELDS,
     FrequencyTable,
     MentionRecord,
     assign_ids,
     compute_frequencies,
-    serialize_mentions,
+    corpus_rows,
 )
 from .synonyms import (
     KbSynonymDict,
@@ -244,19 +242,12 @@ def write_disambiguated_tsv(
     result: DisambiguationResult,
 ) -> None:
     """Raw corpus rows plus mapped_to_software / mapped_to_software_ID."""
-    fields = CORPUS_FIELDS.get(corpus_kind)
-    if fields is None:
-        raise FormatError(f"unknown corpus kind: {corpus_kind!r}")
-    base = serialize_mentions(records, corpus_kind).splitlines()
-    header = base[0].split("\t") + ["mapped_to_software", "mapped_to_software_ID"]
-    rows = []
-    for record, line in zip(records, base[1:]):
-        mention_id = result.id_table[record.software]
-        cluster_idx = result.mention_to_cluster.get(mention_id)
+    header, rows = corpus_rows(records, corpus_kind)
+    for record, row in zip(records, rows):
+        cluster_idx = result.mention_to_cluster.get(result.id_table[record.software])
         if cluster_idx is None:
-            extra = ["", ""]
+            row += ("", "")
         else:
             cluster = result.clusters[cluster_idx]
-            extra = [cluster.name, str(cluster.name_id)]
-        rows.append(line.split("\t") + extra)
-    write_tsv(path, header, rows)
+            row += (cluster.name, str(cluster.name_id))
+    write_tsv(path, (*header, "mapped_to_software", "mapped_to_software_ID"), rows)

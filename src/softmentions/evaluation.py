@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Hashable, Iterable, Sequence
 
-from .errors import FormatError
-from .fileio import open_text
+from .errors import FormatError, RowError
+from .fileio import decode_errors, open_text
 
 
 class SynonymVerdict(str, Enum):
@@ -287,49 +287,57 @@ def _pick_column(fieldnames: Sequence[str], candidates: Sequence[str], what: str
     raise FormatError(f"no {what} column among {fieldnames}")
 
 
+def _read_csv(path) -> tuple[list[str], list[dict[str, str]]]:
+    """The header of a headed CSV and its rows, each keyed by column name.
+
+    A missing header, a row with fewer fields than the header and bytes
+    that are not UTF-8 are errors naming the file and the line. Blank lines
+    are skipped and fields past the header's width are ignored.
+    """
+    with open_text(path) as fh, decode_errors(path):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise FormatError(f"{path}: line 1: empty CSV, header missing")
+        rows = []
+        for fields in filter(None, reader):
+            if len(fields) < len(header):
+                message = f"expected {len(header)} columns, found {len(fields)}"
+                raise RowError(reader.line_num, message, path)
+            rows.append(dict(zip(header, fields)))
+    return header, rows
+
+
 def read_synonym_labels(path) -> list[SynonymLabel]:
     """Curated synonym pairs from the disambiguation evaluation CSV."""
-    with open_text(path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise FormatError("empty CSV")
-        mention_col = _pick_column(
-            reader.fieldnames, ("software_mention", "link_label", "mention"), "mention"
+    header, rows = _read_csv(path)
+    mention_col = _pick_column(header, ("software_mention", "link_label", "mention"), "mention")
+    synonym_col = _pick_column(header, ("synonym",), "synonym")
+    label_col = _pick_column(header, ("synonym_label", "label"), "label")
+    return [
+        SynonymLabel(
+            mention=row[mention_col],
+            synonym=row[synonym_col],
+            label=parse_verdict(row[label_col]),
         )
-        synonym_col = _pick_column(reader.fieldnames, ("synonym",), "synonym")
-        label_col = _pick_column(reader.fieldnames, ("synonym_label", "label"), "label")
-        return [
-            SynonymLabel(
-                mention=row[mention_col],
-                synonym=row[synonym_col],
-                label=parse_verdict(row[label_col]),
-            )
-            for row in reader
-        ]
+        for row in rows
+    ]
 
 
 def read_curation_rows(path) -> list[CurationLabelRow]:
     """Curated mentions, preserving file order (most frequent first)."""
-    with open_text(path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise FormatError("empty CSV")
-        mention_col = _pick_column(
-            reader.fieldnames, ("software_mention", "mention"), "mention"
+    header, rows = _read_csv(path)
+    mention_col = _pick_column(header, ("software_mention", "mention"), "mention")
+    label_col = _pick_column(header, ("label",), "label")
+    multi_col = "multi_label" if "multi_label" in header else None
+    return [
+        CurationLabelRow(
+            mention=row[mention_col],
+            label=parse_curation_label(row[label_col]),
+            multi_label=row[multi_col].strip().lower() if multi_col and row[multi_col] else None,
         )
-        label_col = _pick_column(reader.fieldnames, ("label",), "label")
-        multi_col = "multi_label" if "multi_label" in reader.fieldnames else None
-        rows = []
-        for row in reader:
-            multi = row[multi_col].strip().lower() if multi_col and row[multi_col] else None
-            rows.append(
-                CurationLabelRow(
-                    mention=row[mention_col],
-                    label=parse_curation_label(row[label_col]),
-                    multi_label=multi,
-                )
-            )
-        return rows
+        for row in rows
+    ]
 
 
 _SOURCE_ALIASES = {
@@ -352,32 +360,22 @@ def normalize_source_name(text: str) -> str:
 
 def read_link_eval(path) -> list[tuple[str, str]]:
     """(source, label) rows from the linking evaluation CSV."""
-    with open_text(path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise FormatError("empty CSV")
-        source_col = _pick_column(reader.fieldnames, ("source",), "source")
-        label_col = _pick_column(
-            reader.fieldnames, ("link_label", "evaluation_label", "label"), "label"
-        )
-        return [
-            (normalize_source_name(row[source_col]), row[label_col].strip().lower())
-            for row in reader
-        ]
+    header, rows = _read_csv(path)
+    source_col = _pick_column(header, ("source",), "source")
+    label_col = _pick_column(header, ("link_label", "evaluation_label", "label"), "label")
+    return [
+        (normalize_source_name(row[source_col]), row[label_col].strip().lower())
+        for row in rows
+    ]
 
 
 def read_ratings_csv(path) -> list[list[str | None]]:
     """Long-format (item, rater, label) CSV into a raters-by-items grid."""
-    triples: list[tuple[str, str, str]] = []
-    with open_text(path) as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise FormatError("empty CSV")
-        for col in ("item", "rater", "label"):
-            if col not in reader.fieldnames:
-                raise FormatError(f"ratings CSV needs an {col!r} column")
-        for row in reader:
-            triples.append((row["item"], row["rater"], row["label"]))
+    header, rows = _read_csv(path)
+    for col in ("item", "rater", "label"):
+        if col not in header:
+            raise FormatError(f"ratings CSV needs an {col!r} column")
+    triples = [(row["item"], row["rater"], row["label"]) for row in rows]
     items = sorted({t[0] for t in triples})
     raters = sorted({t[1] for t in triples})
     item_idx = {v: i for i, v in enumerate(items)}

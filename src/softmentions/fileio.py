@@ -10,6 +10,7 @@ from __future__ import annotations
 import gzip
 import io
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -20,14 +21,16 @@ T = TypeVar("T")
 GZIP_MAGIC = b"\x1f\x8b"
 
 
-def open_text(path: str | os.PathLike[str]) -> IO[str]:
-    """Open a plain or gzipped file as UTF-8 text, sniffing the magic bytes."""
-    path = Path(path)
+def _open_bytes(path: str | os.PathLike[str]) -> IO[bytes]:
+    """Open a plain or gzipped file's content, sniffing the magic bytes."""
     with open(path, "rb") as probe:
         magic = probe.read(2)
-    if magic == GZIP_MAGIC:
-        return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8", newline="")
-    return open(path, "r", encoding="utf-8", newline="")
+    return gzip.open(path, "rb") if magic == GZIP_MAGIC else open(path, "rb")
+
+
+def open_text(path: str | os.PathLike[str]) -> IO[str]:
+    """Open a plain or gzipped file as UTF-8 text."""
+    return io.TextIOWrapper(_open_bytes(path), encoding="utf-8", newline="")
 
 
 def write_text(path: str | os.PathLike[str], data: str) -> None:
@@ -56,45 +59,76 @@ def write_text(path: str | os.PathLike[str], data: str) -> None:
         raise
 
 
-def iter_tsv_rows(stream: IO[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield (line_number, fields) pairs. Tabs separate, no quote handling."""
-    for lineno, line in enumerate(stream, start=1):
-        line = line.rstrip("\n").rstrip("\r")
-        yield lineno, line.split("\t")
+@contextmanager
+def decode_errors(path: str | os.PathLike[str] | None) -> Iterator[None]:
+    """Turn bytes in ``path`` that are not UTF-8 into a RowError at their line.
+
+    The text decoder fails a whole chunk ahead of the lines it has handed
+    out, so only this error path reads the raw bytes again to find the line.
+    """
+    try:
+        yield
+    except UnicodeDecodeError:
+        if path is None:
+            raise
+        with _open_bytes(path) as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+            start = len(data)
+        except UnicodeDecodeError as err:
+            start = err.start
+        raise RowError(data.count(b"\n", 0, start) + 1, "not valid UTF-8", path) from None
+
+
+def iter_tsv(
+    stream: IO[str],
+    header: Sequence[str],
+    row: Callable[[list[str]], T],
+    skipped: list[RowError] | None = None,
+) -> Iterator[T]:
+    """Convert each data row of a headed TSV stream with ``row(fields)``.
+
+    The first line must equal ``header`` exactly, blank lines are skipped
+    and every other line must have one field per header column. A
+    ValueError raised by ``row`` becomes a RowError (appended to
+    ``skipped`` instead, when given), a KeyError (an unknown mention) a
+    ConsistencyError; each names the stream's file, if any, and the line.
+    """
+    name = getattr(stream, "name", None)
+    where = "line" if name is None else f"{name}: line"
+    header = list(header)
+    width = len(header)
+    with decode_errors(name):
+        first = stream.readline()
+        found = first.rstrip("\n").rstrip("\r").split("\t") if first else None
+        if found != header:
+            raise FormatError(f"{where} 1: expected header {header}, found {found}")
+        for lineno, line in enumerate(stream, start=2):
+            fields = line.rstrip("\n").rstrip("\r").split("\t")
+            if fields == [""]:
+                continue
+            try:
+                if len(fields) != width:
+                    raise ValueError(f"expected {width} columns, found {len(fields)}")
+                item = row(fields)
+            except ValueError as err:
+                if skipped is None:
+                    raise RowError(lineno, str(err), name) from None
+                skipped.append(RowError(lineno, str(err), name))
+                continue
+            except KeyError as err:
+                message = f"{where} {lineno}: unknown mention {err.args[0]!r}"
+                raise ConsistencyError(message) from None
+            yield item
 
 
 def read_tsv(
     path: str | os.PathLike[str], header: Sequence[str], row: Callable[[list[str]], T]
 ) -> list[T]:
-    """Read a headed TSV artifact, converting each data row with ``row(fields)``.
-
-    The first line must equal ``header`` exactly, blank lines are skipped
-    and every other line must have one field per header column. A
-    ValueError raised by ``row`` becomes a RowError, a KeyError (an unknown
-    mention) a ConsistencyError; every error names the file and the line.
-    """
-    header = list(header)
-    width = len(header)
-    out = []
+    """Read a headed TSV artifact: every row ``iter_tsv`` converts from it."""
     with open_text(path) as fh:
-        rows = iter_tsv_rows(fh)
-        found = next(rows, (1, None))[1]
-        if found != header:
-            raise FormatError(f"{path}: line 1: expected header {header}, found {found}")
-        for lineno, fields in rows:
-            if fields == [""]:
-                continue
-            if len(fields) != width:
-                raise RowError(lineno, f"expected {width} columns, found {len(fields)}", path)
-            try:
-                out.append(row(fields))
-            except ValueError as err:
-                raise RowError(lineno, str(err), path) from None
-            except KeyError as err:
-                raise ConsistencyError(
-                    f"{path}: line {lineno}: unknown mention {err.args[0]!r}"
-                ) from None
-    return out
+        return list(iter_tsv(fh, header, row))
 
 
 def format_tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
@@ -130,7 +164,7 @@ def write_tsv(path: str | os.PathLike[str], header: Sequence[str], rows: Iterabl
 def read_lines(path: str | os.PathLike[str]) -> list[str]:
     """Newline-delimited values; blank lines and '#' comments dropped."""
     out = []
-    with open_text(path) as fh:
+    with open_text(path) as fh, decode_errors(path):
         for line in fh:
             line = line.rstrip("\n").rstrip("\r")
             if line and not line.startswith("#"):

@@ -8,10 +8,11 @@ one header row, and embedded quote characters are literal content.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import IO, Iterable, Iterator, Mapping
 
 from .errors import FormatError, RowError
-from .fileio import format_tsv, iter_tsv_rows, read_tsv, write_tsv
+from .fileio import format_tsv, iter_tsv, read_tsv, write_tsv
 
 CURATION_LABELS = ("software", "not_software", "unclear", "not_curated")
 
@@ -83,43 +84,34 @@ class FrequencyTable:
         return self.counts.get(mention_id, 0)
 
 
-def _parse_int(value: str, what: str, lineno: int) -> int:
+def _corpus_layout(corpus_kind: str) -> tuple[tuple[str, ...], list[str]]:
+    """The corpus kind's header and the MentionRecord attribute of each column.
+
+    Every column is named after its attribute, ID after id.
+    """
     try:
-        return int(value)
-    except ValueError:
-        raise RowError(lineno, f"{what} is not an integer: {value!r}") from None
+        header = CORPUS_FIELDS[corpus_kind]
+    except KeyError:
+        raise FormatError(f"unknown corpus kind: {corpus_kind!r}") from None
+    return header, [name.lower() for name in header]
 
 
-def _record_from_fields(fields: Mapping[str, str], lineno: int) -> MentionRecord:
-    software = fields.get("software", "")
-    if not software.strip():
-        raise RowError(lineno, "empty software mention")
-    pubdate_raw = fields.get("pubdate", "")
-    pubdate = _parse_int(pubdate_raw, "pubdate", lineno) if pubdate_raw else None
-    number_raw = fields.get("number", "")
-    number = _parse_int(number_raw, "number", lineno) if number_raw else 0
-    if number < 0:
-        raise RowError(lineno, f"negative number field: {number}")
-    id_raw = fields.get("ID", "")
-    mention_id = _parse_int(id_raw, "ID", lineno) if id_raw else None
-    label = fields.get("curation_label", "") or "not_curated"
-    if label not in CURATION_LABELS:
-        raise RowError(lineno, f"unknown curation_label: {label!r}")
-    return MentionRecord(
-        software=software,
-        text=fields.get("text", ""),
-        license=fields.get("license", ""),
-        location=fields.get("location", ""),
-        pmcid=fields.get("pmcid", ""),
-        pmid=fields.get("pmid", ""),
-        doi=fields.get("doi", ""),
-        pubdate=pubdate,
-        source=fields.get("source", ""),
-        number=number,
-        version=fields.get("version", ""),
-        id=mention_id,
-        curation_label=label,
-    )
+def _record_from_fields(fields: dict[str, str]) -> MentionRecord:
+    """A record from one row's values keyed by attribute; bad values raise ValueError."""
+    if not fields["software"].strip():
+        raise ValueError("empty software mention")
+    for name, default in (("pubdate", None), ("number", 0), ("id", None)):
+        value = fields[name]
+        try:
+            fields[name] = int(value) if value else default
+        except ValueError:
+            raise ValueError(f"{name} is not an integer: {value!r}") from None
+    if fields["number"] < 0:
+        raise ValueError(f"negative number field: {fields['number']}")
+    fields["curation_label"] = fields["curation_label"] or "not_curated"
+    if fields["curation_label"] not in CURATION_LABELS:
+        raise ValueError(f"unknown curation_label: {fields['curation_label']!r}")
+    return MentionRecord(**fields)
 
 
 def parse_mentions(
@@ -130,62 +122,34 @@ def parse_mentions(
 ) -> Iterator[MentionRecord]:
     """Parse a raw mention TSV stream into MentionRecords.
 
-    The header row must match the corpus kind's field list exactly; a
-    missing or wrong header is fatal. Malformed data rows raise RowError,
-    or are skipped (and appended to ``errors``) when ``lenient`` is set.
+    The stream follows the TSV contract of ``fileio.iter_tsv`` with the
+    corpus kind's field list as its header. Malformed data rows raise
+    RowError, or are skipped (and appended to ``errors``) when ``lenient``
+    is set.
     """
-    expected = CORPUS_FIELDS.get(corpus_kind)
-    if expected is None:
-        raise FormatError(f"unknown corpus kind: {corpus_kind!r}")
-    rows = iter_tsv_rows(stream)
-    try:
-        _, header = next(rows)
-    except StopIteration:
-        raise FormatError("empty stream, header row missing") from None
-    if tuple(header) != expected:
-        raise FormatError(
-            f"header does not match the {corpus_kind} field list: {header}"
-        )
-    for lineno, fields in rows:
-        if fields == [""]:
-            continue
-        try:
-            if len(fields) != len(expected):
-                raise RowError(
-                    lineno, f"expected {len(expected)} columns, found {len(fields)}"
-                )
-            yield _record_from_fields(dict(zip(expected, fields)), lineno)
-        except RowError as err:
-            if not lenient:
-                raise
-            if errors is not None:
-                errors.append(err)
+    header, attrs = _corpus_layout(corpus_kind)
+    if lenient and errors is None:
+        errors = []
+    return iter_tsv(
+        stream,
+        header,
+        lambda fields: _record_from_fields(dict(zip(attrs, fields))),
+        errors if lenient else None,
+    )
+
+
+def corpus_rows(
+    records: Iterable[MentionRecord], corpus_kind: str
+) -> tuple[tuple[str, ...], list[list[str]]]:
+    """The corpus kind's header and every record's fields in its column order."""
+    header, attrs = _corpus_layout(corpus_kind)
+    values = attrgetter(*attrs)
+    return header, [["" if v is None else str(v) for v in values(rec)] for rec in records]
 
 
 def serialize_mentions(records: Iterable[MentionRecord], corpus_kind: str) -> str:
     """Inverse of parse_mentions for well-formed data (round-trips byte-exactly)."""
-    expected = CORPUS_FIELDS.get(corpus_kind)
-    if expected is None:
-        raise FormatError(f"unknown corpus kind: {corpus_kind!r}")
-    rows = []
-    for rec in records:
-        values = {
-            "license": rec.license,
-            "location": rec.location,
-            "pmcid": rec.pmcid,
-            "pmid": rec.pmid,
-            "doi": rec.doi,
-            "pubdate": "" if rec.pubdate is None else str(rec.pubdate),
-            "source": rec.source,
-            "number": str(rec.number),
-            "text": rec.text,
-            "software": rec.software,
-            "version": rec.version,
-            "ID": "" if rec.id is None else str(rec.id),
-            "curation_label": rec.curation_label,
-        }
-        rows.append([values[name] for name in expected])
-    return format_tsv(expected, rows)
+    return format_tsv(*corpus_rows(records, corpus_kind))
 
 
 def assign_ids(mentions: Iterable[str]) -> tuple[dict[str, int], dict[int, str]]:

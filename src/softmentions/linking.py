@@ -13,6 +13,8 @@ dropped with a warning.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
 import logging
 import time
@@ -301,7 +303,7 @@ class ApiSnapshot:
         if path.exists():
             try:
                 raw = json.loads(path.read_text(encoding="utf-8"))
-            except json.JSONDecodeError as err:
+            except (UnicodeDecodeError, json.JSONDecodeError) as err:
                 raise ExternalServiceError(self.source.value, f"bad snapshot {path.name}: {err}")
         elif self.fetcher is not None:
             if self.limiter is not None:
@@ -510,9 +512,16 @@ def write_metadata_tsv(path, linked: Mapping[int, LinkedMetadata]) -> None:
     write_tsv(path, MASTER_HEADER, rows)
 
 
-def write_normalized_csvs(directory, linked: Mapping[int, LinkedMetadata]) -> None:
-    import csv
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """csv-module text, written through write_text so a crash leaves no torn file."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text(path, text.getvalue())
 
+
+def write_normalized_csvs(directory, linked: Mapping[int, LinkedMetadata]) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     by_source: dict[str, list[LinkedMetadata]] = {}
@@ -520,29 +529,21 @@ def write_normalized_csvs(directory, linked: Mapping[int, LinkedMetadata]) -> No
         meta = linked[mention_id]
         by_source.setdefault(meta.source, []).append(meta)
     for source, rows in sorted(by_source.items()):
-        out = directory / f"{source}.csv"
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(MASTER_HEADER)
-            for meta in rows:
-                writer.writerow(metadata_row(meta))
+        _write_csv(directory / f"{source}.csv", MASTER_HEADER, map(metadata_row, rows))
 
 
 def write_raw_csvs(directory, collected: Mapping[LinkSource, Sequence[Mapping]]) -> None:
     """Dump raw per-source candidate records, columns = union of raw fields."""
-    import csv
-
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for source in sorted(collected, key=lambda s: s.value):
         rows = collected[source]
         columns = sorted({key for row in rows for key in row})
-        out = directory / f"{source.value}.csv"
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_csv_cell(row.get(col)) for col in columns])
+        _write_csv(
+            directory / f"{source.value}.csv",
+            columns,
+            ([_csv_cell(row.get(col)) for col in columns] for row in rows),
+        )
 
 
 def _csv_cell(value) -> str:

@@ -1,3 +1,4 @@
+import gzip
 import json
 import shutil
 from pathlib import Path
@@ -187,6 +188,9 @@ CORRUPT_ARTIFACTS = {
     "clusters_wrong_header": ("clusters.tsv", "link", 1, lambda f: f[:4]),
     "clusters_unknown_name_id": ("clusters.tsv", "link", 2, lambda f: [f[0], "9999", *f[2:]]),
     "clusters_short_row": ("clusters.tsv", "link", None, lambda f: ["0"]),
+    # Lone surrogates are written as the raw bytes they escape.
+    "non_utf8_mention": ("mention2id.tsv", "synonyms", None, lambda f: ["caf\udce9", "9999"]),
+    "non_utf8_synonym": ("synonyms.tsv", "cluster", 3, lambda f: f[:3] + ["\udcff", *f[4:]]),
 }
 
 
@@ -204,12 +208,73 @@ def test_corrupt_artifact_exits_2_naming_file_and_line(
         lineno = len(lines)
     else:
         lines[lineno - 1] = "\t".join(edit(lines[lineno - 1].split("\t")))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     caplog.clear()
     assert run_stage(fixture_copy, stage) == 2
     log = caplog.text + capsys.readouterr().err
     assert f"{path}: line {lineno}:" in log
     assert "Traceback" not in log
+
+
+def assert_data_error_names(log: str, where: str) -> None:
+    assert where in log
+    assert "Traceback" not in log
+
+
+def test_bad_corpus_row_names_file_and_line(fixture_copy, caplog, capsys):
+    corpus = fixture_copy / "corpus.tsv"
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    fields = lines[2].split("\t")
+    fields[lines[0].split("\t").index("number")] = "three"
+    lines[2] = "\t".join(fields)
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run_stage(fixture_copy, "ingest") == 2
+    where = f"{corpus}: line 3: number is not an integer: 'three'"
+    assert_data_error_names(caplog.text + capsys.readouterr().err, where)
+    caplog.clear()
+    assert run_stage(fixture_copy, "ingest", "--lenient") == 0
+    assert f"skipped row: {corpus}: line 3: number" in caplog.text
+
+
+@pytest.mark.parametrize("name", ["corpus.tsv", "corpus.tsv.gz"])
+def test_non_utf8_corpus_names_file_and_line(fixture_copy, caplog, capsys, name):
+    lines = (fixture_copy / "corpus.tsv").read_bytes().split(b"\n")
+    lines[4] = lines[4].replace(b"\t", b"\xe9\t", 1)
+    data = b"\n".join(lines)
+    corpus = fixture_copy / name
+    corpus.write_bytes(gzip.compress(data, mtime=0) if name.endswith(".gz") else data)
+    assert run_stage(fixture_copy, "ingest", "--set", f"paths.corpus={corpus}") == 2
+    log = caplog.text + capsys.readouterr().err
+    assert_data_error_names(log, f"{corpus}: line 5: not valid UTF-8")
+
+
+BAD_EVALUATION_CSVS = {
+    "empty": (b"", 1),
+    "short_row": (b"source,link_label\nPyPI,correct\nCRAN\n", 3),
+    "non_utf8": (b"source,link_label\nPyPI,caf\xe9\n", 2),
+}
+
+
+@pytest.mark.parametrize(
+    "text, lineno", BAD_EVALUATION_CSVS.values(), ids=BAD_EVALUATION_CSVS.keys()
+)
+def test_bad_evaluation_csv_names_file_and_line(
+    fixture_copy, tmp_path, caplog, capsys, text, lineno
+):
+    links = tmp_path / "links.csv"
+    links.write_bytes(text)
+    assert run_stage(fixture_copy, "evaluate", "--set", f"eval.linking={links}") == 2
+    assert_data_error_names(caplog.text + capsys.readouterr().err, f"{links}: line {lineno}:")
+
+
+@pytest.mark.parametrize("content", ['{"limma": ', '{"limma": "Bioconductor"}', "[]"])
+def test_bad_registry_details_names_file(fixture_copy, caplog, capsys, content):
+    details = fixture_copy / "details"
+    details.mkdir()
+    (details / "PkgIndexBioc.json").write_text(content, encoding="utf-8")
+    assert run_stage(fixture_copy, "run-all", "--set", f"paths.registry_details={details}") == 2
+    log = caplog.text + capsys.readouterr().err
+    assert_data_error_names(log, f"{details / 'PkgIndexBioc.json'}: ")
 
 
 def test_overlong_mentions_do_not_stop_linking(fixture_copy):

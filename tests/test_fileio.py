@@ -1,7 +1,17 @@
+import gzip
+import io
+
 import pytest
 
 from softmentions.errors import ConsistencyError, FormatError, RowError
-from softmentions.fileio import format_tsv, read_tsv, write_text, write_tsv
+from softmentions.fileio import (
+    format_tsv,
+    iter_tsv,
+    open_text,
+    read_tsv,
+    write_text,
+    write_tsv,
+)
 
 
 @pytest.mark.parametrize("name", ["out.tsv", "out.tsv.gz"])
@@ -41,3 +51,31 @@ def test_read_tsv_contract(tmp_path):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(error, match=f"t.tsv: {message}"):
             read_tsv(path, ("name", "n"), lambda f: (ids[f[0]], int(f[1])))
+
+
+def test_iter_tsv_lenient_rows_name_the_stream_file(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("name\tn\na\t1\nb\n\nc\tx\nd\t4\n", encoding="utf-8")
+    skipped = []
+    with open_text(path) as fh:
+        rows = list(iter_tsv(fh, ("name", "n"), lambda f: (f[0], int(f[1])), skipped))
+    assert rows == [("a", 1), ("d", 4)]
+    assert [err.line_number for err in skipped] == [3, 5]
+    assert str(skipped[0]) == f"{path}: line 3: expected 2 columns, found 1"
+    with pytest.raises(RowError, match=r"^line 3: expected 2 columns"):
+        list(iter_tsv(io.StringIO("name\tn\na\t1\nb\n"), ("name", "n"), tuple))
+
+
+@pytest.mark.parametrize("name", ["big.tsv", "big.tsv.gz"])
+def test_read_tsv_names_first_line_that_is_not_utf8(tmp_path, name):
+    # The bad byte sits far past the decoder's first chunk and its line.
+    lines = ["name\tn"] + [f"m{i}\t{i}" for i in range(5000)]
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    bad = data.replace(b"m2999\t", b"caf\xe9\t").replace(b"m4000\t", b"\xff\t")
+    path = tmp_path / name
+    path.write_bytes(gzip.compress(bad) if name.endswith(".gz") else bad)
+    with pytest.raises(RowError, match=f"{name}: line 3001: not valid UTF-8"):
+        read_tsv(path, ("name", "n"), lambda f: (f[0], int(f[1])))
+    path.write_bytes(b"name\tn\xe9\n")
+    with pytest.raises(RowError, match=f"{name}: line 1: not valid UTF-8"):
+        read_tsv(path, ("name", "n"), tuple)

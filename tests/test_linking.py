@@ -122,6 +122,19 @@ def test_api_snapshot_overlong_name_is_a_miss(tmp_path):
     assert not (tmp_path / "kb").exists()
 
 
+@pytest.mark.parametrize("content", [b'{"Resource ID Link": ', b'{"Resource ID Link": "caf\xe9"}'])
+def test_api_snapshot_unreadable_document_is_a_soft_error(tmp_path, content):
+    (tmp_path / "GraphPad.json").write_bytes(content)
+    snap = ApiSnapshot(source=LinkSource.KNOWLEDGE_BASE, directory=tmp_path)
+    with pytest.raises(ExternalServiceError, match="bad snapshot GraphPad.json"):
+        snap.lookup("GraphPad")
+    sources = LinkSources()
+    sources.apis[LinkSource.KNOWLEDGE_BASE] = snap
+    soft = []
+    assert exact_match_lookup("GraphPad", sources, soft_errors=soft) == []
+    assert len(soft) == 1
+
+
 def test_lookup_soft_errors_keep_other_sources_running(tmp_path):
     class Failing:
         def lookup(self, name):
@@ -338,3 +351,31 @@ def test_code_host_fetcher_keeps_exact_name_only(monkeypatch):
 
     monkeypatch.setattr(linking_mod, "fetch_json", lambda *a, **k: {"items": []})
     assert linking_mod.code_host_fetcher()("bowtie") is None
+
+
+def test_csv_writes_keep_previous_file_when_replace_fails(tmp_path, monkeypatch):
+    import softmentions.fileio
+
+    meta = LinkedMetadata(
+        id=1, software_mention="x", source="PkgIndexPy", package_url="u", mapped_to=["x"]
+    )
+    write_normalized_csvs(tmp_path / "norm", {1: meta})
+    write_raw_csvs(tmp_path / "raw", {LinkSource.PKG_INDEX_PY: [{"pypi package": "x"}]})
+    norm, raw = tmp_path / "norm" / "PkgIndexPy.csv", tmp_path / "raw" / "PkgIndexPy.csv"
+    before = norm.read_bytes(), raw.read_bytes()
+    assert before[1] == b"pypi package\r\nx\r\n"
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(softmentions.fileio.os, "replace", failing_replace)
+    changed = LinkedMetadata(
+        id=1, software_mention="y", source="PkgIndexPy", package_url="v", mapped_to=["y"]
+    )
+    with pytest.raises(OSError, match="disk full"):
+        write_normalized_csvs(tmp_path / "norm", {1: changed})
+    with pytest.raises(OSError, match="disk full"):
+        write_raw_csvs(tmp_path / "raw", {LinkSource.PKG_INDEX_PY: [{"pypi package": "y"}]})
+    assert (norm.read_bytes(), raw.read_bytes()) == before
+    assert [p.name for p in norm.parent.iterdir()] == [norm.name]
+    assert [p.name for p in raw.parent.iterdir()] == [raw.name]

@@ -10,10 +10,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 from .errors import FormatError, RowError
 from .fileio import decode_errors, open_text
+
+T = TypeVar("T")
 
 
 class SynonymVerdict(str, Enum):
@@ -250,6 +252,13 @@ def ratings_to_matrix(
 LINK_LABELS = ("correct", "incorrect", "unclear")
 
 
+def parse_link_label(text: str) -> str:
+    label = text.strip().lower()
+    if label not in LINK_LABELS:
+        raise FormatError(f"unknown link label: {text!r}")
+    return label
+
+
 @dataclass
 class LinkEvalSummary:
     overall: dict[str, tuple[int, float]]
@@ -287,8 +296,8 @@ def _pick_column(fieldnames: Sequence[str], candidates: Sequence[str], what: str
     raise FormatError(f"no {what} column among {fieldnames}")
 
 
-def _read_csv(path) -> tuple[list[str], list[dict[str, str]]]:
-    """The header of a headed CSV and its rows, each keyed by column name.
+def _read_csv(path) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
+    """The header of a headed CSV and its rows as (line, row keyed by column).
 
     A missing header, a row with fewer fields than the header and bytes
     that are not UTF-8 are errors naming the file and the line. Blank lines
@@ -304,8 +313,21 @@ def _read_csv(path) -> tuple[list[str], list[dict[str, str]]]:
             if len(fields) < len(header):
                 message = f"expected {len(header)} columns, found {len(fields)}"
                 raise RowError(reader.line_num, message, path)
-            rows.append(dict(zip(header, fields)))
+            rows.append((reader.line_num, dict(zip(header, fields))))
     return header, rows
+
+
+def _convert_rows(
+    path, rows: Sequence[tuple[int, dict[str, str]]], convert: Callable[[dict[str, str]], T]
+) -> list[T]:
+    """``convert(row)`` for every row; a bad value is a RowError naming the file and line."""
+    out = []
+    for lineno, row in rows:
+        try:
+            out.append(convert(row))
+        except (FormatError, ValueError) as err:
+            raise RowError(lineno, str(err), path) from None
+    return out
 
 
 def read_synonym_labels(path) -> list[SynonymLabel]:
@@ -314,14 +336,11 @@ def read_synonym_labels(path) -> list[SynonymLabel]:
     mention_col = _pick_column(header, ("software_mention", "link_label", "mention"), "mention")
     synonym_col = _pick_column(header, ("synonym",), "synonym")
     label_col = _pick_column(header, ("synonym_label", "label"), "label")
-    return [
-        SynonymLabel(
-            mention=row[mention_col],
-            synonym=row[synonym_col],
-            label=parse_verdict(row[label_col]),
-        )
-        for row in rows
-    ]
+    return _convert_rows(path, rows, lambda row: SynonymLabel(
+        mention=row[mention_col],
+        synonym=row[synonym_col],
+        label=parse_verdict(row[label_col]),
+    ))
 
 
 def read_curation_rows(path) -> list[CurationLabelRow]:
@@ -330,14 +349,11 @@ def read_curation_rows(path) -> list[CurationLabelRow]:
     mention_col = _pick_column(header, ("software_mention", "mention"), "mention")
     label_col = _pick_column(header, ("label",), "label")
     multi_col = "multi_label" if "multi_label" in header else None
-    return [
-        CurationLabelRow(
-            mention=row[mention_col],
-            label=parse_curation_label(row[label_col]),
-            multi_label=row[multi_col].strip().lower() if multi_col and row[multi_col] else None,
-        )
-        for row in rows
-    ]
+    return _convert_rows(path, rows, lambda row: CurationLabelRow(
+        mention=row[mention_col],
+        label=parse_curation_label(row[label_col]),
+        multi_label=row[multi_col].strip().lower() if multi_col and row[multi_col] else None,
+    ))
 
 
 _SOURCE_ALIASES = {
@@ -363,10 +379,9 @@ def read_link_eval(path) -> list[tuple[str, str]]:
     header, rows = _read_csv(path)
     source_col = _pick_column(header, ("source",), "source")
     label_col = _pick_column(header, ("link_label", "evaluation_label", "label"), "label")
-    return [
-        (normalize_source_name(row[source_col]), row[label_col].strip().lower())
-        for row in rows
-    ]
+    return _convert_rows(path, rows, lambda row: (
+        normalize_source_name(row[source_col]), parse_link_label(row[label_col])
+    ))
 
 
 def read_ratings_csv(path) -> list[list[str | None]]:
@@ -375,7 +390,7 @@ def read_ratings_csv(path) -> list[list[str | None]]:
     for col in ("item", "rater", "label"):
         if col not in header:
             raise FormatError(f"ratings CSV needs an {col!r} column")
-    triples = [(row["item"], row["rater"], row["label"]) for row in rows]
+    triples = [(row["item"], row["rater"], row["label"]) for _, row in rows]
     items = sorted({t[0] for t in triples})
     raters = sorted({t[1] for t in triples})
     item_idx = {v: i for i, v in enumerate(items)}

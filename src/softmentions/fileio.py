@@ -10,6 +10,7 @@ from __future__ import annotations
 import gzip
 import io
 import os
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
@@ -61,9 +62,12 @@ def write_text(path: str | os.PathLike[str], data: str) -> None:
 
 @contextmanager
 def decode_errors(path: str | os.PathLike[str] | None) -> Iterator[None]:
-    """Turn bytes in ``path`` that are not UTF-8 into a RowError at their line.
+    """Turn unreadable content of ``path`` into a RowError at its line.
 
-    The text decoder fails a whole chunk ahead of the lines it has handed
+    Bytes that are not UTF-8 and truncated gzip data are reported at the
+    first line they spoil. Corrupt gzip data is reported at the first line
+    left undecoded when decompressing 1 KB at a time stops at the damage.
+    The decoders fail a whole chunk ahead of the lines they have handed
     out, so only this error path reads the raw bytes again to find the line.
     """
     try:
@@ -79,6 +83,19 @@ def decode_errors(path: str | os.PathLike[str] | None) -> Iterator[None]:
         except UnicodeDecodeError as err:
             start = err.start
         raise RowError(data.count(b"\n", 0, start) + 1, "not valid UTF-8", path) from None
+    except (EOFError, zlib.error, gzip.BadGzipFile) as err:
+        if path is None:
+            raise
+        lines = 0
+        decompressor = zlib.decompressobj(wbits=16 + zlib.MAX_WBITS)
+        with open(path, "rb") as fh:
+            try:
+                for chunk in iter(lambda: fh.read(1024), b""):
+                    lines += decompressor.decompress(chunk).count(b"\n")
+            except zlib.error:
+                pass
+        message = f"gzip data is truncated or corrupt ({err})"
+        raise RowError(lines + 1, message, path) from None
 
 
 def iter_tsv(

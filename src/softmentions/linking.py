@@ -18,9 +18,7 @@ import io
 import json
 import logging
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -561,6 +559,11 @@ def write_link_report_tsv(path, report: Sequence[tuple[str, int, float]]) -> Non
 
 def fetch_json(url: str, headers: Mapping[str, str] | None = None, timeout: float = 30.0):
     """GET a JSON document; None on HTTP 404, ExternalServiceError otherwise."""
+    # Imported here: offline runs never fetch, and urllib.request (with
+    # http.client, ssl and email) is most of the package's import time.
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(url, headers=dict(headers or {}))
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:

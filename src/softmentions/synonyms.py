@@ -13,8 +13,9 @@ to the synonyms TSV for audit.
 """
 from __future__ import annotations
 
+import math
 import re
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -249,23 +250,110 @@ def jaro_winkler(a: str, b: str) -> float:
     return jaro
 
 
-def _similarity_block(
-    args: tuple[list[tuple[int, str]], int, int, float]
+# Taken off every float bound of the join, so that rounding never drops a
+# pair that scores exactly the threshold.
+_BOUND_SLACK = 1e-9
+
+
+def _count_needed(floor: float, la: int, lb: int) -> int:
+    """Least shared-token count c with (c/la + c/lb + 1) / 3 >= floor, at least 1."""
+    return max(1, math.ceil((3.0 * floor - 1.0) * la * lb / (la + lb)))
+
+
+def _join_shard(
+    args: tuple[list[tuple[int, str]], float, int, int]
 ) -> list[tuple[int, int, float]]:
-    items, start, stop, threshold = args
-    min_ratio = 5.0 * threshold - 4.0
+    """Triples (lower ID, higher ID, score) of one shard of the filtered join.
+
+    A pair is found when its second member, in its bucket's shortest-first
+    order, probes the index. The shard makes the probes of the members
+    whose position in ID order is ``shard`` modulo ``shards``; every shard
+    builds the whole index.
+    """
+    items, threshold, shard, shards = args
+    ids = [idx for idx, _ in items]
+    strings = [mention for _, mention in items]
+    lengths = [len(s) for s in strings]
+    # A string's tokens, in string order, are (character, k-th occurrence),
+    # so the size of a token-set intersection is the multiset intersection.
+    tokens_of = []
+    df: Counter = Counter()
+    for s in strings:
+        seen: Counter = Counter()
+        toks = []
+        for ch in s:
+            toks.append((ch, seen[ch]))
+            seen[ch] += 1
+        tokens_of.append(toks)
+        df.update(toks)
+    rank = {tok: r for r, tok in enumerate(sorted(df, key=lambda t: (df[t], t)))}
+    ranks = [[rank[t] for t in toks] for toks in tokens_of]
+    masks = [sum(1 << r for r in rs) for rs in ranks]
     out = []
-    for i in range(start, stop):
-        id_i, s_i = items[i]
-        len_i = len(s_i)
-        for j in range(i + 1, len(items)):
-            id_j, s_j = items[j]
-            shorter, longer = sorted((len_i, len(s_j)))
-            if longer == 0 or shorter / longer < min_ratio:
+    for p in range(WINKLER_MAX_PREFIX + 1):
+        boost = p * WINKLER_PREFIX_SCALE
+        floor = (threshold - boost) / (1.0 - boost) - _BOUND_SLACK
+        min_ratio = 3.0 * floor - 2.0
+        buckets: dict[str, list[int]] = {}
+        for i, s in enumerate(strings):
+            if lengths[i] >= max(p, 1):
+                buckets.setdefault(s[:p], []).append(i)
+        for members in buckets.values():
+            if len(members) < 2:
                 continue
-            score = jaro_winkler(s_i, s_j)
-            if score >= threshold:
-                out.append((id_i, id_j, score) if id_i < id_j else (id_j, id_i, score))
+            # Shortest first: every partner found in the index is no longer
+            # than the probe, and every partner a member is indexed for is
+            # no shorter than it.
+            members.sort(key=lengths.__getitem__)
+            index: dict[int, list[int]] = {}
+            skip: dict[int, int] = {}
+            unindexed: list[int] = []
+            for pos, i in enumerate(members):
+                b = strings[i]
+                lb = lengths[i]
+                shortest = max(1, math.ceil(lb * min_ratio))
+                # Tokens beyond the first p (the bucket key, which every
+                # member shares) that a partner must share, against the
+                # shortest allowed partner when probing and against an
+                # equally long one when indexing.
+                probe_need = _count_needed(floor, lb, shortest) - p
+                index_need = _count_needed(floor, lb, lb) - p
+                rest = sorted(ranks[i][p:])
+                if i % shards == shard:
+                    if probe_need <= 0:
+                        candidates = set(members[:pos])
+                    else:
+                        candidates = set(unindexed)
+                        for r in rest[: lb - p - probe_need + 1]:
+                            posting = index.get(r)
+                            if posting:
+                                # Postings and probes both grow in length, so
+                                # a member too short for this probe is too
+                                # short for every later one.
+                                k = skip.get(r, 0)
+                                while k < len(posting) and lengths[posting[k]] < shortest:
+                                    k += 1
+                                skip[r] = k
+                                candidates.update(posting[k:])
+                    for j in candidates:
+                        a = strings[j]
+                        la = lengths[j]
+                        if p < WINKLER_MAX_PREFIX and a[p : p + 1] == b[p : p + 1]:
+                            continue
+                        if la < min_ratio * lb:
+                            continue
+                        common = (masks[i] & masks[j]).bit_count()
+                        if common / la + common / lb + 1.0 < 3.0 * floor:
+                            continue
+                        lo, hi = (j, i) if j < i else (i, j)
+                        score = jaro_winkler(strings[lo], strings[hi])
+                        if score >= threshold:
+                            out.append((ids[lo], ids[hi], score))
+                if index_need <= 0:
+                    unindexed.append(i)
+                else:
+                    for r in rest[: lb - p - index_need + 1]:
+                        index.setdefault(r, []).append(i)
     return out
 
 
@@ -276,29 +364,43 @@ def all_pairs_similarity(
 ) -> list[SynonymPair]:
     """All mention pairs scoring at or above the record threshold.
 
-    Candidate pairs are pruned by a length-ratio bound that provably cannot
-    exclude a qualifying pair: with matches capped by the shorter string,
-    Jaro is at most (2 + short/long) / 3 and the Winkler boost at most
-    closes 40% of the gap to 1, so any pair below the bound scores below
-    the threshold. The result equals the exhaustive double loop.
+    An exact filtered join: it returns what the exhaustive double loop
+    returns, scoring far fewer pairs. With p the common prefix capped at 4,
+    Jaro-Winkler reaches the threshold t only if Jaro >= (t - 0.1p) /
+    (1 - 0.1p) (without the boost, Jaro >= t, which is higher). Each pair
+    is enumerated once, at its own level p, among the mentions that share
+    their first p characters, and three bounds that follow from that Jaro
+    floor J drop it before scoring:
+
+    * length: Jaro <= (2 + short/long) / 3, so short/long >= 3J - 2;
+    * count: matches are at most c, the multiset intersection of the two
+      strings' characters, so Jaro <= (c/la + c/lb + 1) / 3;
+    * prefix filter (Bayardo et al., WWW 2007): with characters as
+      (character, k-th occurrence) tokens sorted by global rarity, two
+      strings that share at least c_min tokens share one within the first
+      l - c_min + 1 tokens of each. c_min is the count J needs against the
+      shortest partner the length bound allows; mentions are taken
+      shortest first, so the indexed side needs only the count against a
+      partner as long as itself (PPJoin, Xiao et al., WWW 2008).
+
+    Every bound carries a slack of 1e-9, so a pair scoring exactly the
+    threshold is kept. Survivors are scored with ``jaro_winkler(string of
+    the lower ID, string of the higher ID)``. ``workers > 1`` splits the
+    probes over processes; the result does not depend on it.
     """
     if not 0.0 < record_threshold <= 1.0:
         raise ValueError(f"record_threshold out of range: {record_threshold}")
     items = sorted((idx, mention) for mention, idx in id_table.items())
-    n = len(items)
-    triples: list[tuple[int, int, float]] = []
-    if workers > 1 and n > 2:
-        bounds = [round(k * n / (2 * workers)) for k in range(2 * workers + 1)]
-        blocks = [
-            (items, lo, hi, record_threshold)
-            for lo, hi in zip(bounds, bounds[1:])
-            if lo < hi
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for block in pool.map(_similarity_block, blocks):
-                triples.extend(block)
+    shards = [(items, record_threshold, k, workers) for k in range(workers)]
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
+            triples = [t for part in pool.map(_join_shard, shards) for t in part]
     else:
-        triples = _similarity_block((items, 0, n, record_threshold))
+        triples = _join_shard(shards[0])
     triples.sort()
     return [
         SynonymPair.of(a, b, score, SynonymSource.STRING_SIMILARITY)

@@ -1,10 +1,14 @@
 import gzip
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import softmentions
 from softmentions.cli import main
 from softmentions.config import PipelineConfig, apply_settings, load_config
 from softmentions.errors import ValidationError
@@ -265,6 +269,54 @@ def test_bad_evaluation_csv_names_file_and_line(
     links.write_bytes(text)
     assert run_stage(fixture_copy, "evaluate", "--set", f"eval.linking={links}") == 2
     assert_data_error_names(caplog.text + capsys.readouterr().err, f"{links}: line {lineno}:")
+
+
+UNKNOWN_EVALUATION_LABELS = {
+    "synonyms": ("eval.synonyms", b"software_mention,synonym,label\nR,r,exact\nR,GNU R,maybe\n"),
+    "curation": ("eval.curation_binary", b"mention,label\nR,software\nlimma,maybe\n"),
+    "linking": ("eval.linking", b"source,link_label\nPyPI,correct\nPyPI,maybe\n"),
+}
+
+
+@pytest.mark.parametrize(
+    "key, text", UNKNOWN_EVALUATION_LABELS.values(), ids=UNKNOWN_EVALUATION_LABELS.keys()
+)
+def test_unknown_evaluation_label_names_file_and_line(
+    fixture_copy, tmp_path, caplog, capsys, key, text
+):
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes(text)
+    assert run_stage(fixture_copy, "evaluate", "--set", f"{key}={labels}") == 2
+    log = caplog.text + capsys.readouterr().err
+    assert_data_error_names(log, f"{labels}: line 3: unknown")
+
+
+def test_truncated_gzip_corpus_names_file(fixture_copy, caplog, capsys):
+    data = gzip.compress((fixture_copy / "corpus.tsv").read_bytes(), mtime=0)
+    corpus = fixture_copy / "corpus.tsv.gz"
+    corpus.write_bytes(data[: len(data) // 2])
+    assert run_stage(fixture_copy, "ingest", "--set", f"paths.corpus={corpus}") == 2
+    log = caplog.text + capsys.readouterr().err
+    assert_data_error_names(log, f"{corpus}: line ")
+    assert "truncated" in log
+    assert not (fixture_copy / "out" / "mention2id.tsv").exists()
+
+
+def test_cli_import_leaves_process_pool_and_http_client_unloaded():
+    # Both are needed only by --workers > 1 and online fetches; importing
+    # them costs every run tens of milliseconds.
+    code = (
+        "import sys, softmentions.cli; "
+        "print([m for m in ('concurrent.futures.process', 'urllib.request') if m in sys.modules])"
+    )
+    package_root = str(Path(softmentions.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("content", ['{"limma": ', '{"limma": "Bioconductor"}', "[]"])

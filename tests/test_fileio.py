@@ -79,3 +79,28 @@ def test_read_tsv_names_first_line_that_is_not_utf8(tmp_path, name):
     path.write_bytes(b"name\tn\xe9\n")
     with pytest.raises(RowError, match=f"{name}: line 1: not valid UTF-8"):
         read_tsv(path, ("name", "n"), tuple)
+
+
+def _complete_gzip_lines(path) -> int:
+    count = 0
+    with gzip.open(path, "rb") as fh:
+        try:
+            for _ in fh:
+                count += 1
+        except EOFError:
+            pass
+    return count
+
+
+def test_read_tsv_names_file_and_line_of_damaged_gzip(tmp_path):
+    lines = ["name\tn"] + [f"m{i}\t{i}" for i in range(5000)]
+    data = gzip.compress(("\n".join(lines) + "\n").encode("utf-8"), mtime=0)
+    path = tmp_path / "big.tsv.gz"
+    path.write_bytes(data[: len(data) // 2])
+    line = _complete_gzip_lines(path) + 1
+    with pytest.raises(RowError, match=f"big.tsv.gz: line {line}: gzip data is truncated"):
+        read_tsv(path, ("name", "n"), lambda f: (f[0], int(f[1])))
+    crc_flipped = data[:-8] + bytes([data[-8] ^ 0xFF]) + data[-7:]
+    path.write_bytes(crc_flipped)
+    with pytest.raises(RowError, match=r"big.tsv.gz: line \d+: gzip data is truncated or corrupt"):
+        read_tsv(path, ("name", "n"), lambda f: (f[0], int(f[1])))

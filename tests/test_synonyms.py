@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -238,6 +239,41 @@ def test_all_pairs_parallel_matches_serial():
     serial = all_pairs_similarity(id_table, 0.9, workers=1)
     parallel = all_pairs_similarity(id_table, 0.9, workers=2)
     assert serial == parallel
+
+
+_JOIN_ALPHABET = "abcé"
+
+
+@st.composite
+def _prefix_sharing_mentions(draw):
+    """Mentions over a small alphabet that share 0-5 leading characters."""
+    stem = draw(st.text(alphabet=_JOIN_ALPHABET, min_size=5, max_size=5))
+    mention = st.builds(
+        lambda shared, tail: (stem[:shared] + tail)[:12],
+        st.integers(0, 5),
+        st.text(alphabet=_JOIN_ALPHABET, min_size=1, max_size=12),
+    )
+    return draw(st.sets(mention, min_size=2, max_size=30))
+
+
+@given(_prefix_sharing_mentions(), st.sampled_from([0.5, 0.7, 0.8, 0.9, 0.97, 1.0]))
+def test_all_pairs_equals_oracle_on_shared_prefixes(mentions, threshold):
+    id_table, _ = assign_ids(mentions)
+    produced = {(p.a, p.b, p.confidence) for p in all_pairs_similarity(id_table, threshold)}
+    assert produced == prune_free_similarity_pairs(id_table, threshold, jaro_reference)
+
+
+# As floats these score exactly 0.5 (no boost), 0.8 (prefix 2), 0.9 (prefix 3)
+# and 0.9611... (prefix 3).
+@pytest.mark.parametrize(
+    "a,b", [("aaa", "abbbba"), ("aaaa", "aababb"), ("aaaa", "aaabaaa"), ("MARHTA", "MARTHA")]
+)
+def test_all_pairs_keeps_a_pair_scoring_exactly_the_threshold(a, b):
+    id_table, _ = _ids(a, b)
+    score = jaro_winkler(a, b)
+    [pair] = all_pairs_similarity(id_table, score)
+    assert pair.confidence == score
+    assert all_pairs_similarity(id_table, math.nextafter(score, 1.0)) == []
 
 
 def test_pair_canonical_order_and_validation():

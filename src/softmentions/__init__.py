@@ -5,7 +5,6 @@ from .clustering import (
     Cluster,
     DisambiguationResult,
     dbscan,
-    disambiguate,
     disambiguate_pairs,
     name_clusters,
     to_distance,
@@ -41,7 +40,6 @@ from .ingest import (
     assign_ids,
     compute_frequencies,
     parse_mentions,
-    serialize_mentions,
 )
 from .linking import (
     LinkedMetadata,

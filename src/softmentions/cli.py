@@ -5,6 +5,12 @@ evaluate, run-all. Every stage writes its artifacts plus a manifest with
 input digests, the effective configuration and row counts, so identical
 inputs and configuration reproduce identical outputs byte for byte.
 
+Each stage_* function loads its inputs, calls the pure compute functions
+of its module, saves, and returns its product. Run alone, a stage reads
+its inputs from the out/ directory; run-all hands each stage the values
+its predecessors returned, so it parses the corpus once and reads back no
+artifact it wrote.
+
 Exit codes: 0 success, 1 configuration problem, 2 data problem or missing
 artifact, 3 external service failure.
 """
@@ -17,10 +23,12 @@ import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Mapping
 
 from . import clustering, evaluation, graph, ingest, linking, synonyms
 from .config import PipelineConfig, apply_settings, load_config
 from .errors import (
+    ConsistencyError,
     ExternalServiceError,
     FormatError,
     SoftMentionsError,
@@ -41,6 +49,9 @@ METADATA = "metadata.tsv"
 LINK_REPORT = "link_report.tsv"
 METRICS_JSON = "metrics.json"
 METRICS_TXT = "metrics.txt"
+
+# A mention ID table and its inverse, as ingest.assign_ids returns them.
+IdTables = tuple[dict[str, int], dict[int, str]]
 
 
 def _require(path: str | Path, what: str) -> Path:
@@ -71,22 +82,35 @@ def write_manifest(cfg: PipelineConfig, stage: str, inputs: list[Path], counts: 
     write_text(out, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _read_corpus(cfg: PipelineConfig) -> list[ingest.MentionRecord]:
+def _read_corpus(
+    cfg: PipelineConfig, id_table: Mapping[str, int] | None = None
+) -> list[ingest.MentionRecord]:
+    """The corpus records; with the ID table of mention2id.tsv, each mention must be in it."""
     corpus = _require(cfg.corpus, "corpus TSV (paths.corpus)")
     errors: list = []
-    with open_text(corpus) as fh:
-        records = list(
-            ingest.parse_mentions(
-                fh, cfg.corpus_kind, lenient=not cfg.strict, errors=errors
+    try:
+        with open_text(corpus) as fh:
+            records = list(
+                ingest.parse_mentions(
+                    fh, cfg.corpus_kind, lenient=not cfg.strict, errors=errors, known=id_table
+                )
             )
-        )
+    except ConsistencyError as err:
+        id_path = Path(cfg.out_dir) / MENTION2ID
+        raise ConsistencyError(f"{err}, which {id_path} does not list (rerun ingest)") from None
     for err in errors:
         logger.warning("skipped row: %s", err)
     return records
 
 
-def stage_ingest(cfg: PipelineConfig) -> dict:
-    corpus = _require(cfg.corpus, "corpus TSV (paths.corpus)")
+def _read_ids(out: Path) -> IdTables:
+    return ingest.read_id_table(_require(out / MENTION2ID, "mention2id.tsv (run ingest first)"))
+
+
+def stage_ingest(
+    cfg: PipelineConfig,
+) -> tuple[list[ingest.MentionRecord], IdTables, ingest.FrequencyTable]:
+    """Parse the corpus, assign mention IDs and count papers; return all three."""
     records = _read_corpus(cfg)
     id_table, reverse = ingest.assign_ids(r.software for r in records)
     freq = ingest.compute_frequencies(records, id_table)
@@ -98,9 +122,9 @@ def stage_ingest(cfg: PipelineConfig) -> dict:
         "unique_mentions": len(id_table),
         "rows_missing_paper_key": freq.missing_paper_key_rows,
     }
-    write_manifest(cfg, "ingest", [corpus], counts)
+    write_manifest(cfg, "ingest", [Path(cfg.corpus)], counts)
     logger.info("ingest: %(rows)d rows, %(unique_mentions)d unique mentions", counts)
-    return counts
+    return records, (id_table, reverse), freq
 
 
 def _load_registries(cfg: PipelineConfig) -> list[synonyms.RegistryIndex]:
@@ -117,10 +141,10 @@ def _load_registries(cfg: PipelineConfig) -> list[synonyms.RegistryIndex]:
     return out
 
 
-def stage_synonyms(cfg: PipelineConfig) -> dict:
+def stage_synonyms(cfg: PipelineConfig, ids: IdTables | None = None) -> list[synonyms.SynonymPair]:
+    """Generate the synonym pairs of the ID table (read from out/ when not given)."""
     out = Path(cfg.out_dir)
-    id_path = _require(out / MENTION2ID, "mention2id.tsv (run ingest first)")
-    id_table, reverse = ingest.read_id_table(id_path)
+    id_table, reverse = _read_ids(out) if ids is None else ids
     registries = _load_registries(cfg)
     kb = synonyms.read_kb_dict(_require(cfg.kb_dict, "KB dictionary")) if cfg.kb_dict else None
     skip_report: list[str] = []
@@ -144,22 +168,36 @@ def stage_synonyms(cfg: PipelineConfig) -> dict:
         "skipped_registry_entries": len(skip_report),
         "unmatched_kb_entries": len(unmatched),
     }
-    inputs = [id_path] + [
+    inputs = [out / MENTION2ID] + [
         Path(p) for p in (cfg.registry_py, cfg.registry_r, cfg.registry_bioc, cfg.kb_dict) if p
     ]
     write_manifest(cfg, "synonyms", inputs, counts)
     logger.info("synonyms: %d pairs", len(pairs))
-    return counts
+    return pairs
 
 
-def stage_cluster(cfg: PipelineConfig) -> dict:
+def stage_cluster(
+    cfg: PipelineConfig,
+    records: list[ingest.MentionRecord] | None = None,
+    ids: IdTables | None = None,
+    freq: ingest.FrequencyTable | None = None,
+    pairs: list[synonyms.SynonymPair] | None = None,
+) -> list[clustering.Cluster]:
+    """Cluster the synonym pairs into named entities; return the clusters.
+
+    Given no inputs, it reads the ingest and synonyms artifacts from out/
+    and the corpus, which must hold no mention that mention2id.tsv lacks.
+    """
     out = Path(cfg.out_dir)
-    id_path = _require(out / MENTION2ID, "mention2id.tsv (run ingest first)")
-    freq_path = _require(out / FREQUENCIES, "frequencies.tsv (run ingest first)")
-    pairs_path = _require(out / SYNONYMS, "synonyms.tsv (run synonyms first)")
-    id_table, reverse = ingest.read_id_table(id_path)
-    freq = ingest.read_frequencies(freq_path, id_table)
-    pairs = synonyms.read_synonyms_tsv(pairs_path)
+    id_path, freq_path, pairs_path = out / MENTION2ID, out / FREQUENCIES, out / SYNONYMS
+    if ids is None:
+        ids = _read_ids(out)
+        freq = ingest.read_frequencies(
+            _require(freq_path, "frequencies.tsv (run ingest first)"), ids[0]
+        )
+        pairs = synonyms.read_synonyms_tsv(_require(pairs_path, "synonyms.tsv (run synonyms first)"))
+        records = _read_corpus(cfg, ids[0])
+    id_table, reverse = ids
     stoplist = (
         graph.read_stoplist(_require(cfg.stoplist, "stoplist"))
         if cfg.stoplist
@@ -167,7 +205,6 @@ def stage_cluster(cfg: PipelineConfig) -> dict:
     )
     result = clustering.disambiguate_pairs(
         pairs,
-        id_table=id_table,
         reverse=reverse,
         freq=freq,
         stoplist=stoplist,
@@ -175,8 +212,9 @@ def stage_cluster(cfg: PipelineConfig) -> dict:
         eps=cfg.eps,
         min_pts=cfg.min_pts,
     )
-    records = _read_corpus(cfg)
-    clustering.write_disambiguated_tsv(out / DISAMBIGUATED, records, cfg.corpus_kind, result)
+    clustering.write_disambiguated_tsv(
+        out / DISAMBIGUATED, records, cfg.corpus_kind, id_table, result
+    )
     cluster_rows = [
         (str(idx), str(c.name_id), c.name, str(member), reverse[member])
         for idx, c in enumerate(result.clusters)
@@ -202,7 +240,7 @@ def stage_cluster(cfg: PipelineConfig) -> dict:
         "%(no_significant_synonyms)d without synonyms, %(no_cluster_output)d noise",
         counts,
     )
-    return counts
+    return result.clusters
 
 
 def _read_clusters(path, reverse) -> list[clustering.Cluster]:
@@ -278,12 +316,20 @@ def build_link_sources(cfg: PipelineConfig) -> linking.LinkSources:
     return sources
 
 
-def stage_link(cfg: PipelineConfig) -> dict:
+def stage_link(
+    cfg: PipelineConfig,
+    ids: IdTables | None = None,
+    clusters: list[clustering.Cluster] | None = None,
+) -> dict:
+    """Link every mention and propagate cluster links (inputs read from out/ when not given)."""
     out = Path(cfg.out_dir)
-    id_path = _require(out / MENTION2ID, "mention2id.tsv (run ingest first)")
-    clusters_path = _require(out / CLUSTERS, "clusters.tsv (run cluster first)")
-    id_table, reverse = ingest.read_id_table(id_path)
-    clusters = _read_clusters(clusters_path, reverse)
+    clusters_path = out / CLUSTERS
+    if ids is None:
+        ids = _read_ids(out)
+        clusters = _read_clusters(
+            _require(clusters_path, "clusters.tsv (run cluster first)"), ids[1]
+        )
+    id_table, reverse = ids
     sources = build_link_sources(cfg)
     soft_errors: list[str] = []
     collected: dict[linking.LinkSource, list[dict]] = {}
@@ -306,7 +352,7 @@ def stage_link(cfg: PipelineConfig) -> dict:
         "by_source": {source: count for source, count, _ in report},
         "soft_errors": len(soft_errors),
     }
-    inputs = [id_path, clusters_path] + [
+    inputs = [out / MENTION2ID, clusters_path] + [
         Path(p)
         for p in (cfg.registry_py, cfg.registry_r, cfg.registry_bioc)
         if p
@@ -401,18 +447,19 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
     return metrics
 
 
-def run_all(cfg: PipelineConfig) -> dict:
-    counts = {"ingest": stage_ingest(cfg)}
-    counts["synonyms"] = stage_synonyms(cfg)
-    counts["cluster"] = stage_cluster(cfg)
+def run_all(cfg: PipelineConfig) -> None:
+    """Every stage in turn, each handed its predecessors' values rather than their files."""
+    records, ids, freq = stage_ingest(cfg)
+    pairs = stage_synonyms(cfg, ids)
+    clusters = stage_cluster(cfg, records, ids, freq, pairs)
+    del records, freq, pairs  # the corpus is the largest value; linking needs none of them
     if cfg.registry_py or cfg.registry_r or cfg.registry_bioc or cfg.kb_snapshots or cfg.codehost_snapshots:
-        counts["link"] = stage_link(cfg)
+        stage_link(cfg, ids, clusters)
     if any(
         (cfg.eval_synonyms, cfg.eval_curation_multi, cfg.eval_curation_binary,
          cfg.eval_linking, cfg.eval_ratings_two, cfg.eval_ratings_five)
     ):
-        counts["evaluate"] = stage_evaluate(cfg)
-    return counts
+        stage_evaluate(cfg)
 
 
 COMMANDS = {

@@ -19,19 +19,8 @@ from .graph import (
     connected_components,
     post_process,
 )
-from .ingest import (
-    FrequencyTable,
-    MentionRecord,
-    assign_ids,
-    compute_frequencies,
-    corpus_rows,
-)
-from .synonyms import (
-    KbSynonymDict,
-    RegistryIndex,
-    SynonymPair,
-    generate_synonym_pairs,
-)
+from .ingest import FrequencyTable, MentionRecord, corpus_rows
+from .synonyms import SynonymPair
 
 
 def to_distance(submatrix: Mapping[tuple[int, int], float]) -> dict[tuple[int, int], float]:
@@ -136,14 +125,12 @@ class Accounting:
 
 @dataclass
 class DisambiguationResult:
+    """The named clusters, each member's cluster index, the accounting and the graph."""
+
     clusters: list[Cluster]
     mention_to_cluster: dict[int, int]
     accounting: Accounting
-    id_table: dict[str, int]
-    reverse: dict[int, str]
-    frequencies: FrequencyTable
     graph: SimilarityGraph
-    noise_ids: tuple[int, ...] = ()
 
 
 def cluster_graph(
@@ -164,51 +151,16 @@ def cluster_graph(
     return name_clusters(raw_clusters, freq, reverse), tuple(sorted(noise))
 
 
-def disambiguate(
-    records: Iterable[MentionRecord],
-    registries: Sequence[RegistryIndex] = (),
-    kb: KbSynonymDict | None = None,
-    stoplist: Iterable[str] = DEFAULT_STOPLIST,
-    record_threshold: float = 0.9,
-    use_threshold: float = 0.97,
-    eps: float = 0.03,
-    min_pts: int = 2,
-    workers: int = 1,
-) -> DisambiguationResult:
-    """Full in-memory chain from raw records to named clusters."""
-    records = list(records)
-    id_table, reverse = assign_ids(r.software for r in records)
-    freq = compute_frequencies(records, id_table)
-    pairs = generate_synonym_pairs(
-        id_table,
-        registries=registries,
-        kb=kb,
-        record_threshold=record_threshold,
-        workers=workers,
-    )
-    return disambiguate_pairs(
-        pairs,
-        id_table=id_table,
-        reverse=reverse,
-        freq=freq,
-        stoplist=stoplist,
-        use_threshold=use_threshold,
-        eps=eps,
-        min_pts=min_pts,
-    )
-
-
 def disambiguate_pairs(
     pairs: Iterable[SynonymPair],
-    id_table: dict[str, int],
-    reverse: dict[int, str],
+    reverse: Mapping[int, str],
     freq: FrequencyTable,
     stoplist: Iterable[str] = DEFAULT_STOPLIST,
     use_threshold: float = 0.97,
     eps: float = 0.03,
     min_pts: int = 2,
 ) -> DisambiguationResult:
-    """Cluster pre-generated synonym pairs (the per-stage entry point)."""
+    """Cluster synonym pairs over the mentions of ``reverse`` (IDs 0..N-1)."""
     mentions = [reverse[i] for i in range(len(reverse))]
     graph = post_process(
         build_matrix(pairs, mentions, use_threshold=use_threshold, stoplist=stoplist)
@@ -227,11 +179,7 @@ def disambiguate_pairs(
         clusters=clusters,
         mention_to_cluster=mention_to_cluster,
         accounting=accounting,
-        id_table=id_table,
-        reverse=reverse,
-        frequencies=freq,
         graph=graph,
-        noise_ids=noise,
     )
 
 
@@ -239,12 +187,13 @@ def write_disambiguated_tsv(
     path,
     records: Sequence[MentionRecord],
     corpus_kind: str,
+    id_table: Mapping[str, int],
     result: DisambiguationResult,
 ) -> None:
     """Raw corpus rows plus mapped_to_software / mapped_to_software_ID."""
     header, rows = corpus_rows(records, corpus_kind)
     for record, row in zip(records, rows):
-        cluster_idx = result.mention_to_cluster.get(result.id_table[record.software])
+        cluster_idx = result.mention_to_cluster.get(id_table[record.software])
         if cluster_idx is None:
             row += ("", "")
         else:

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Container, Iterable, Iterator, Mapping
 
 from .errors import FormatError, RowError
-from .fileio import format_tsv, iter_tsv, read_tsv, write_tsv
+from .fileio import iter_tsv, read_tsv, write_tsv
 
 CURATION_LABELS = ("software", "not_software", "unclear", "not_curated")
 
@@ -119,23 +119,27 @@ def parse_mentions(
     corpus_kind: str,
     lenient: bool = False,
     errors: list[RowError] | None = None,
+    known: Container[str] | None = None,
 ) -> Iterator[MentionRecord]:
     """Parse a raw mention TSV stream into MentionRecords.
 
     The stream follows the TSV contract of ``fileio.iter_tsv`` with the
     corpus kind's field list as its header. Malformed data rows raise
     RowError, or are skipped (and appended to ``errors``) when ``lenient``
-    is set.
+    is set. With ``known``, a row whose mention it lacks raises
+    ConsistencyError, lenient or not.
     """
     header, attrs = _corpus_layout(corpus_kind)
     if lenient and errors is None:
         errors = []
-    return iter_tsv(
-        stream,
-        header,
-        lambda fields: _record_from_fields(dict(zip(attrs, fields))),
-        errors if lenient else None,
-    )
+
+    def record(fields: list[str]) -> MentionRecord:
+        rec = _record_from_fields(dict(zip(attrs, fields)))
+        if known is not None and rec.software not in known:
+            raise KeyError(rec.software)
+        return rec
+
+    return iter_tsv(stream, header, record, errors if lenient else None)
 
 
 def corpus_rows(
@@ -145,11 +149,6 @@ def corpus_rows(
     header, attrs = _corpus_layout(corpus_kind)
     values = attrgetter(*attrs)
     return header, [["" if v is None else str(v) for v in values(rec)] for rec in records]
-
-
-def serialize_mentions(records: Iterable[MentionRecord], corpus_kind: str) -> str:
-    """Inverse of parse_mentions for well-formed data (round-trips byte-exactly)."""
-    return format_tsv(*corpus_rows(records, corpus_kind))
 
 
 def assign_ids(mentions: Iterable[str]) -> tuple[dict[str, int], dict[int, str]]:

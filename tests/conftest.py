@@ -2,8 +2,13 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
+
+from softmentions.clustering import DisambiguationResult, disambiguate_pairs
+from softmentions.ingest import FrequencyTable, MentionRecord, assign_ids, compute_frequencies
+from softmentions.synonyms import generate_synonym_pairs
 
 TESTS_DIR = Path(__file__).parent
 DATA_DIR = TESTS_DIR / "data"
@@ -47,8 +52,6 @@ def fixture_copy(tmp_path) -> Path:
 
 
 def make_record(software: str, pmcid: str = "", doi: str = "", **kwargs):
-    from softmentions.ingest import MentionRecord
-
     defaults = dict(
         software=software,
         text=f"We used {software}.",
@@ -61,3 +64,25 @@ def make_record(software: str, pmcid: str = "", doi: str = "", **kwargs):
     )
     defaults.update(kwargs)
     return MentionRecord(**defaults)
+
+
+class Chain(NamedTuple):
+    """Every value of one in-memory run of the compute chain."""
+
+    id_table: dict[str, int]
+    reverse: dict[int, str]
+    frequencies: FrequencyTable
+    result: DisambiguationResult
+
+
+def run_chain(records, registries=(), kb=None, **cluster_params) -> Chain:
+    """The compute functions run-all chains, from records to named clusters.
+
+    ``cluster_params`` (stoplist, eps, min_pts, ...) go to disambiguate_pairs.
+    """
+    records = list(records)
+    id_table, reverse = assign_ids(r.software for r in records)
+    freq = compute_frequencies(records, id_table)
+    pairs = generate_synonym_pairs(id_table, registries=registries, kb=kb)
+    result = disambiguate_pairs(pairs, reverse=reverse, freq=freq, **cluster_params)
+    return Chain(id_table, reverse, freq, result)

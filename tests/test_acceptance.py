@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import softmentions
-from softmentions.clustering import dbscan, disambiguate
+from softmentions.clustering import dbscan
 from softmentions.evaluation import (
     fleiss_kappa,
     krippendorff_alpha,
@@ -50,7 +50,7 @@ from softmentions.synonyms import (
     read_kb_dict,
 )
 
-from conftest import BASE_NAMES, DATA_DIR, FIXTURE_DIR
+from conftest import BASE_NAMES, DATA_DIR, FIXTURE_DIR, run_chain
 from oracles import bfs_components, dbscan_reference, jaro_reference
 from test_synonyms import JARO_WINKLER_SUITE
 from test_evaluation import ALPHA_FIXTURES, FLEISS_FIXTURES
@@ -90,9 +90,9 @@ def fixture_pipeline():
     kb = read_kb_dict(FIXTURE_DIR / "kb_synonyms.tsv")
     stoplist = read_lines(FIXTURE_DIR / "stoplist.txt")
     started = time.perf_counter()
-    result = disambiguate(records, registries=registries, kb=kb, stoplist=stoplist)
+    chain = run_chain(records, registries=registries, kb=kb, stoplist=stoplist)
     elapsed = time.perf_counter() - started
-    return records, result, elapsed
+    return records, chain, elapsed
 
 
 @criterion("jaro-winkler reference suite")
@@ -237,7 +237,8 @@ def test_criterion_dbscan():
 
 @criterion("fixture disambiguation, bundled variant lists")
 def test_criterion_fixture_disambiguation(fixture_pipeline, variant_lists):
-    records, result, elapsed = fixture_pipeline
+    records, chain, elapsed = fixture_pipeline
+    result = chain.result
     assert elapsed < 60.0
     cluster_of = {
         member: idx
@@ -246,32 +247,32 @@ def test_criterion_fixture_disambiguation(fixture_pipeline, variant_lists):
     }
     for entity, variants in variant_lists.items():
         base = BASE_NAMES[entity]
-        base_id = result.id_table[base]
+        base_id = chain.id_table[base]
         assert base_id in cluster_of, f"{base} not clustered"
         home = cluster_of[base_id]
         cluster = result.clusters[home]
-        captured = [v for v in variants if cluster_of.get(result.id_table[v]) == home]
+        captured = [v for v in variants if cluster_of.get(chain.id_table[v]) == home]
         stray = {
-            cluster_of[result.id_table[v]]
+            cluster_of[chain.id_table[v]]
             for v in variants
-            if result.id_table[v] in cluster_of
+            if chain.id_table[v] in cluster_of
         } - {home}
         assert not stray, f"{entity} split across clusters {stray}"
         assert len(captured) >= 0.9 * len(variants), (
             f"{entity}: {len(captured)}/{len(variants)} captured"
         )
         assert cluster.name == base
-        top = max(cluster.members, key=result.frequencies.get)
-        assert result.frequencies.get(cluster.name_id) == result.frequencies.get(top)
+        top = max(cluster.members, key=chain.frequencies.get)
+        assert chain.frequencies.get(cluster.name_id) == chain.frequencies.get(top)
 
 
 @criterion("accounting identity")
 def test_criterion_accounting_identity(fixture_pipeline):
-    _, result, _ = fixture_pipeline
-    acc = result.accounting
+    _, chain, _ = fixture_pipeline
+    acc = chain.result.accounting
     assert (
         acc.no_significant_synonyms + acc.no_cluster_output + acc.disambiguated
-        == len(result.id_table)
+        == len(chain.id_table)
     )
     from conftest import make_record
 
@@ -281,7 +282,7 @@ def test_criterion_accounting_identity(fixture_pipeline):
     for _ in range(20):
         strings = rng.sample(vocab, rng.randint(2, len(vocab)))
         records = [make_record(s, pmcid=str(i % 3)) for i, s in enumerate(strings)]
-        res = disambiguate(
+        res = run_chain(
             records,
             registries=[RegistryIndex(Registry.BIOC, {"limma"}),
                         RegistryIndex(Registry.PY, {"interface"})],
@@ -289,7 +290,7 @@ def test_criterion_accounting_identity(fixture_pipeline):
             min_pts=rng.choice([1, 2, 3]),
             eps=rng.choice([0.01, 0.02, 0.03]),
         )
-        assert res.accounting.total == len(res.id_table)
+        assert res.result.accounting.total == len(res.id_table)
 
 
 @criterion("agreement and ranking metrics")
@@ -424,14 +425,14 @@ def test_criterion_linking(fixture_pipeline):
             description_checked = True
     assert rrid_checked and description_checked
 
-    _, result, _ = fixture_pipeline
-    links = link_mentions(result.reverse.values(), result.id_table, sources)
-    propagated = propagate_links(result.clusters, result.reverse, links)
+    _, chain, _ = fixture_pipeline
+    links = link_mentions(chain.reverse.values(), chain.id_table, sources)
+    propagated = propagate_links(chain.result.clusters, chain.reverse, links)
     sk_url = "https://pypi.org/project/scikit-learn"
-    assert propagated[result.id_table["sklearn"]].package_url == sk_url
-    assert propagated[result.id_table["scikit-learn"]].package_url == sk_url
+    assert propagated[chain.id_table["sklearn"]].package_url == sk_url
+    assert propagated[chain.id_table["scikit-learn"]].package_url == sk_url
     limma_url = "https://www.bioconductor.org/packages/limma"
-    assert propagated[result.id_table["R package limma"]].package_url == limma_url
+    assert propagated[chain.id_table["R package limma"]].package_url == limma_url
 
 
 EXPECTED_RUN_ALL_OUTPUTS = (

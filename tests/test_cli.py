@@ -1,7 +1,6 @@
 import gzip
 import json
 import os
-import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -52,16 +51,61 @@ def test_run_all_produces_stage_artifacts(fixture_copy):
     assert counts["clusters"] == 7
 
 
-def test_stages_run_separately_match_run_all(fixture_copy, tmp_path):
+def output_files(out: Path) -> dict[str, bytes]:
+    return {
+        str(path.relative_to(out)): path.read_bytes()
+        for path in sorted(out.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_stages_run_separately_match_run_all(fixture_copy):
+    # run-all hands values from stage to stage; alone, each stage reads
+    # them back from out/. Both ways must write the same bytes everywhere,
+    # manifests included, so the stages run in the same directory.
     assert run_stage(fixture_copy, "run-all") == 0
-    staged = tmp_path / "staged"
-    shutil.copytree(fixture_copy, staged, ignore=shutil.ignore_patterns("out"))
+    out = fixture_copy / "out"
+    expected = output_files(out)
+    out.rename(fixture_copy / "out_run_all")
     for stage in ("ingest", "synonyms", "cluster", "link"):
-        assert run_stage(staged, stage) == 0
-    for name in ("mention2id.tsv", "synonyms.tsv", "disambiguated.tsv", "metadata.tsv"):
-        assert (staged / "out" / name).read_bytes() == (
-            fixture_copy / "out" / name
-        ).read_bytes(), name
+        assert run_stage(fixture_copy, stage) == 0
+    found = output_files(out)
+    assert sorted(found) == sorted(expected)
+    for name, data in expected.items():
+        assert found[name] == data, name
+
+
+def corrupt_corpus_number(corpus: Path, lineno: int) -> None:
+    """Set the number field of the corpus line ``lineno`` (1-based) to 'three'."""
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    fields = lines[lineno - 1].split("\t")
+    fields[lines[0].split("\t").index("number")] = "three"
+    lines[lineno - 1] = "\t".join(fields)
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_run_all_warns_once_per_skipped_corpus_row(fixture_copy, caplog):
+    corpus = fixture_copy / "corpus.tsv"
+    corrupt_corpus_number(corpus, 3)
+    assert run_stage(fixture_copy, "run-all", "--lenient") == 0
+    assert caplog.text.count(f"skipped row: {corpus}: line 3:") == 1
+
+
+def test_corpus_newer_than_mention_table_fails_cluster(fixture_copy, caplog, capsys):
+    assert run_stage(fixture_copy, "ingest") == 0
+    assert run_stage(fixture_copy, "synonyms") == 0
+    corpus = fixture_copy / "corpus.tsv"
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    fields = lines[1].split("\t")
+    fields[lines[0].split("\t").index("software")] = "BrandNewTool"
+    lines.append("\t".join(fields))
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    caplog.clear()
+    assert run_stage(fixture_copy, "cluster") == 2
+    log = caplog.text + capsys.readouterr().err
+    assert_data_error_names(log, f"{corpus}: line {len(lines)}: unknown mention 'BrandNewTool'")
+    assert str(fixture_copy / "out" / "mention2id.tsv") in log
+    assert not (fixture_copy / "out" / "disambiguated.tsv").exists()
 
 
 def test_min_pts_one_leaves_no_noise(fixture_copy):
@@ -227,11 +271,7 @@ def assert_data_error_names(log: str, where: str) -> None:
 
 def test_bad_corpus_row_names_file_and_line(fixture_copy, caplog, capsys):
     corpus = fixture_copy / "corpus.tsv"
-    lines = corpus.read_text(encoding="utf-8").splitlines()
-    fields = lines[2].split("\t")
-    fields[lines[0].split("\t").index("number")] = "three"
-    lines[2] = "\t".join(fields)
-    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    corrupt_corpus_number(corpus, 3)
     assert run_stage(fixture_copy, "ingest") == 2
     where = f"{corpus}: line 3: number is not an integer: 'three'"
     assert_data_error_names(caplog.text + capsys.readouterr().err, where)

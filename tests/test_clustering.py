@@ -4,7 +4,6 @@ import pytest
 
 from softmentions.clustering import (
     dbscan,
-    disambiguate,
     name_clusters,
     to_distance,
     write_disambiguated_tsv,
@@ -13,7 +12,7 @@ from softmentions.graph import connected_components
 from softmentions.ingest import FrequencyTable, assign_ids
 from softmentions.synonyms import Registry, RegistryIndex
 
-from conftest import make_record
+from conftest import make_record, run_chain
 from oracles import dbscan_reference
 
 def test_to_distance_values():
@@ -160,7 +159,7 @@ def test_disambiguate_mutually_dissimilar_strings():
     records = [make_record(s, pmcid=str(i)) for i, s in enumerate(
         ["alpha", "Bowtie", "Cytoscape", "delta9", "epsilon"]
     )]
-    result = disambiguate(records)
+    result = run_chain(records).result
     assert result.clusters == []
     assert result.accounting.no_significant_synonyms == 5
     assert result.accounting.no_cluster_output == 0
@@ -177,7 +176,7 @@ def test_disambiguate_accounting_identity_random_corpora():
         strings = rng.sample(vocab, rng.randint(2, len(vocab)))
         records = [make_record(s, pmcid=str(i % 4)) for i, s in enumerate(strings)]
         kb = {"BLAST": ["Blast"], "SPSS": ["spss"]}
-        result = disambiguate(
+        chain = run_chain(
             records,
             registries=[RegistryIndex(Registry.BIOC, {"limma"}),
                         RegistryIndex(Registry.PY, {"interface"})],
@@ -185,15 +184,16 @@ def test_disambiguate_accounting_identity_random_corpora():
             min_pts=rng.choice([1, 2, 3]),
             eps=rng.choice([0.01, 0.03]),
         )
+        result = chain.result
         acc = result.accounting
-        assert acc.total == len(result.id_table)
+        assert acc.total == len(chain.id_table)
         assert acc.no_significant_synonyms >= 0
         seen = set()
         for cluster in result.clusters:
             assert not (set(cluster.members) & seen)
             seen |= set(cluster.members)
             assert cluster.name_id in cluster.members
-            assert cluster.name == result.reverse[cluster.name_id]
+            assert cluster.name == chain.reverse[cluster.name_id]
         assert len(seen) == acc.disambiguated
 
 
@@ -201,7 +201,7 @@ def test_clusters_never_span_components():
     records = [make_record(s, pmcid=str(i)) for i, s in enumerate(
         ["ImageJ", "Image J", "GraphPad Prism4", "GraphPad Prism5"]
     )]
-    result = disambiguate(records)
+    result = run_chain(records).result
     comps = connected_components(result.graph)
     comp_of = {}
     for idx, comp in enumerate(comps):
@@ -216,9 +216,9 @@ def test_limma_variants_form_single_cluster(variant_lists):
     records = [make_record("limma", pmcid=str(i)) for i in range(40)]
     for idx, variant in enumerate(variants):
         records.append(make_record(variant, pmcid=f"v{idx}"))
-    result = disambiguate(
+    result = run_chain(
         records, registries=[RegistryIndex(Registry.BIOC, {"limma"})]
-    )
+    ).result
     assert len(result.clusters) == 1
     cluster = result.clusters[0]
     assert cluster.name == "limma"
@@ -228,16 +228,16 @@ def test_limma_variants_form_single_cluster(variant_lists):
 def test_write_disambiguated_tsv(tmp_path):
     records = [make_record("limma", pmcid="1"), make_record("limma", pmcid="4"),
                make_record("R package limma", pmcid="2"), make_record("Bowtie", pmcid="3")]
-    result = disambiguate(
+    chain = run_chain(
         records, registries=[RegistryIndex(Registry.BIOC, {"limma"})]
     )
     out = tmp_path / "disambiguated.tsv"
-    write_disambiguated_tsv(out, records, "comm", result)
+    write_disambiguated_tsv(out, records, "comm", chain.id_table, chain.result)
     lines = out.read_text(encoding="utf-8").splitlines()
     header = lines[0].split("\t")
     assert header[-2:] == ["mapped_to_software", "mapped_to_software_ID"]
     rows = {line.split("\t")[9]: line.split("\t")[-2:] for line in lines[1:]}
-    limma_id = str(result.id_table["limma"])
+    limma_id = str(chain.id_table["limma"])
     assert rows["limma"] == ["limma", limma_id]
     assert rows["R package limma"] == ["limma", limma_id]
     assert rows["Bowtie"] == ["", ""]

@@ -4,16 +4,17 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from softmentions.errors import FormatError, RowError
+from softmentions.errors import ConsistencyError, FormatError, RowError
+from softmentions.fileio import format_tsv
 from softmentions.ingest import (
     CORPUS_FIELDS,
     MentionRecord,
     assign_ids,
     compute_frequencies,
+    corpus_rows,
     parse_mentions,
     read_frequencies,
     read_id_table,
-    serialize_mentions,
     write_frequencies,
     write_id_table,
 )
@@ -146,10 +147,19 @@ _software_text = _safe_text.filter(lambda s: s.strip())
     )
 )
 def test_serialize_parse_round_trip(records):
-    text = serialize_mentions(records, "comm")
+    text = format_tsv(*corpus_rows(records, "comm"))
     parsed = list(parse_mentions(io.StringIO(text), "comm"))
     assert parsed == records
-    assert serialize_mentions(parsed, "comm") == text
+    assert format_tsv(*corpus_rows(parsed, "comm")) == text
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_parse_mentions_rejects_a_mention_missing_from_known(lenient):
+    records = [make_record("BLAST", pmcid="1"), make_record("BrandNewTool", pmcid="2")]
+    text = format_tsv(*corpus_rows(records, "comm"))
+    parsed = parse_mentions(io.StringIO(text), "comm", lenient=lenient, known={"BLAST"})
+    with pytest.raises(ConsistencyError, match="line 3: unknown mention 'BrandNewTool'"):
+        list(parsed)
 
 
 def test_assign_ids_dedupes_and_sorts():

@@ -44,8 +44,6 @@ from .ingest import (
 from .linking import (
     LinkedMetadata,
     LinkSource,
-    LinkSources,
-    SchemaMapping,
     exact_match_lookup,
     link_mentions,
     link_report,

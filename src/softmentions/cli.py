@@ -127,25 +127,28 @@ def stage_ingest(
     return records, (id_table, reverse), freq
 
 
-def _load_registries(cfg: PipelineConfig) -> list[synonyms.RegistryIndex]:
-    configured = (
-        (synonyms.Registry.PY, cfg.registry_py),
-        (synonyms.Registry.R, cfg.registry_r),
-        (synonyms.Registry.BIOC, cfg.registry_bioc),
-    )
-    out = []
-    for registry, path in configured:
-        if path:
-            names = set(read_lines(_require(path, f"{registry.value} name list")))
-            out.append(synonyms.RegistryIndex(registry=registry, entries=names))
-    return out
+def _registry_names(cfg: PipelineConfig) -> dict[synonyms.Registry, set[str]]:
+    """The entry names of every configured package index."""
+    paths = {
+        synonyms.Registry.PY: cfg.registry_py,
+        synonyms.Registry.R: cfg.registry_r,
+        synonyms.Registry.BIOC: cfg.registry_bioc,
+    }
+    return {
+        registry: set(read_lines(_require(path, f"{registry.value} name list")))
+        for registry, path in paths.items()
+        if path
+    }
 
 
 def stage_synonyms(cfg: PipelineConfig, ids: IdTables | None = None) -> list[synonyms.SynonymPair]:
     """Generate the synonym pairs of the ID table (read from out/ when not given)."""
     out = Path(cfg.out_dir)
     id_table, reverse = _read_ids(out) if ids is None else ids
-    registries = _load_registries(cfg)
+    registries = [
+        synonyms.RegistryIndex(registry=registry, entries=names)
+        for registry, names in _registry_names(cfg).items()
+    ]
     kb = synonyms.read_kb_dict(_require(cfg.kb_dict, "KB dictionary")) if cfg.kb_dict else None
     skip_report: list[str] = []
     unmatched: list[tuple[str, str]] = []
@@ -195,7 +198,9 @@ def stage_cluster(
         freq = ingest.read_frequencies(
             _require(freq_path, "frequencies.tsv (run ingest first)"), ids[0]
         )
-        pairs = synonyms.read_synonyms_tsv(_require(pairs_path, "synonyms.tsv (run synonyms first)"))
+        pairs = synonyms.read_synonyms_tsv(
+            _require(pairs_path, "synonyms.tsv (run synonyms first)"), ids[1]
+        )
         records = _read_corpus(cfg, ids[0])
     id_table, reverse = ids
     stoplist = (
@@ -272,32 +277,22 @@ def _read_registry_details(path: Path) -> dict[str, dict]:
     return details
 
 
-def build_link_sources(cfg: PipelineConfig) -> linking.LinkSources:
-    sources = linking.LinkSources(
-        precedence=tuple(linking.LinkSource(name) for name in cfg.precedence)
-    )
-    registry_paths = (
-        (linking.LinkSource.PKG_INDEX_PY, cfg.registry_py),
-        (linking.LinkSource.PKG_INDEX_R, cfg.registry_r),
-        (linking.LinkSource.PKG_INDEX_BIOC, cfg.registry_bioc),
-    )
-    for source, path in registry_paths:
-        if path:
-            details = {}
-            if cfg.registry_details:
-                details_path = Path(cfg.registry_details) / f"{source.value}.json"
-                if details_path.exists():
-                    details = _read_registry_details(details_path)
-            sources.registries[source] = linking.RegistrySnapshot(
-                source=source,
-                names=set(read_lines(_require(path, f"{source.value} name list"))),
-                details=details,
-            )
+def build_link_sources(cfg: PipelineConfig) -> linking.Backends:
+    """The configured lookup backends, in linking.precedence order."""
+    backends = {}
+    for registry, names in _registry_names(cfg).items():
+        source = linking.LinkSource(registry.value)
+        details = {}
+        if cfg.registry_details:
+            details_path = Path(cfg.registry_details) / f"{source.value}.json"
+            if details_path.exists():
+                details = _read_registry_details(details_path)
+        backends[source] = linking.RegistrySnapshot(source=source, names=names, details=details)
     if cfg.kb_snapshots:
         fetcher = None
         if not cfg.offline and cfg.kb_api_url:
             fetcher = linking.knowledge_base_fetcher(cfg.kb_api_url, token=cfg.kb_token())
-        sources.apis[linking.LinkSource.KNOWLEDGE_BASE] = linking.ApiSnapshot(
+        backends[linking.LinkSource.KNOWLEDGE_BASE] = linking.ApiSnapshot(
             source=linking.LinkSource.KNOWLEDGE_BASE,
             directory=Path(cfg.kb_snapshots),
             fetcher=fetcher,
@@ -307,13 +302,14 @@ def build_link_sources(cfg: PipelineConfig) -> linking.LinkSources:
         fetcher = None
         if not cfg.offline:
             fetcher = linking.code_host_fetcher(token=cfg.codehost_token())
-        sources.apis[linking.LinkSource.CODE_HOST] = linking.ApiSnapshot(
+        backends[linking.LinkSource.CODE_HOST] = linking.ApiSnapshot(
             source=linking.LinkSource.CODE_HOST,
             directory=Path(cfg.codehost_snapshots),
             fetcher=fetcher,
             limiter=linking.RateLimiter(2.0) if fetcher else None,
         )
-    return sources
+    precedence = map(linking.LinkSource, cfg.precedence)
+    return {source: backends[source] for source in precedence if source in backends}
 
 
 def stage_link(
@@ -341,8 +337,9 @@ def stage_link(
         collect_raw=collected,
     )
     propagated = linking.propagate_links(clusters, reverse, links)
-    linking.write_metadata_tsv(out / METADATA, propagated)
-    linking.write_normalized_csvs(out / "normalized", propagated)
+    rows = [linking.metadata_row(propagated[mention_id]) for mention_id in sorted(propagated)]
+    linking.write_metadata_tsv(out / METADATA, rows)
+    linking.write_normalized_csvs(out / "normalized", rows)
     linking.write_raw_csvs(out / "raw", collected)
     report = linking.link_report(propagated)
     linking.write_link_report_tsv(out / LINK_REPORT, report)

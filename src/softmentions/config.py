@@ -15,6 +15,8 @@ from .errors import ValidationError
 KB_TOKEN_ENV = "SOFTMENTIONS_KB_TOKEN"
 CODE_HOST_TOKEN_ENV = "SOFTMENTIONS_CODEHOST_TOKEN"
 
+# Non-code-host links proved far more reliable in manual review, so the
+# curated indices win when several sources match one name.
 DEFAULT_PRECEDENCE_NAMES = (
     "PkgIndexBioc",
     "PkgIndexR",

@@ -40,10 +40,6 @@ class SimilarityGraph:
     entries: dict[tuple[int, int], tuple[float, SynonymSource]]
     stoplist: frozenset[str] = frozenset(DEFAULT_STOPLIST)
 
-    @property
-    def n(self) -> int:
-        return len(self.mentions)
-
     def covered_vertices(self) -> set[int]:
         covered: set[int] = set()
         for i, j in self.entries:

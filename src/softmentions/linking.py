@@ -6,10 +6,10 @@ for the two API-backed sources. Live HTTP fetching is opt-in and writes
 through to the same snapshot layout, so a live run leaves a reproducible
 offline snapshot behind.
 
-Raw per-source records are normalized to a common schema. The default
-crosswalk below maps each source's raw field names onto the normalized
-fields; fields mapped to None are deliberately dropped, unknown fields are
-dropped with a warning.
+Raw per-source records are normalized to one schema, the LinkedMetadata
+dataclass. The SCHEMA crosswalk below maps each source's raw field names
+onto its fields; fields mapped to None are deliberately dropped, unknown
+fields are dropped with a warning.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import json
 import logging
 import time
 import urllib.parse
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -39,16 +39,6 @@ class LinkSource(str, Enum):
     CODE_HOST = "CodeHostAPI"
 
 
-# Non-code-host links proved far more reliable in manual review, so the
-# curated indices win when several sources match one name.
-DEFAULT_PRECEDENCE = (
-    LinkSource.PKG_INDEX_BIOC,
-    LinkSource.PKG_INDEX_R,
-    LinkSource.PKG_INDEX_PY,
-    LinkSource.KNOWLEDGE_BASE,
-    LinkSource.CODE_HOST,
-)
-
 INDEX_URL_TEMPLATES = {
     LinkSource.PKG_INDEX_PY: "https://pypi.org/project/{name}",
     LinkSource.PKG_INDEX_R: "https://cran.r-project.org/package={name}",
@@ -64,7 +54,13 @@ INDEX_RAW_FIELDS = {
 
 @dataclass
 class LinkedMetadata:
-    """One mention's normalized registry record."""
+    """One mention's normalized registry record.
+
+    The fields, in this order, are the columns of metadata.tsv and of the
+    normalized CSVs. A field whose default is a list collects every value
+    the crosswalk maps onto it, a bool field takes the value as a flag and
+    any other field keeps its first non-empty value.
+    """
 
     id: int = -1
     software_mention: str = ""
@@ -84,102 +80,72 @@ class LinkedMetadata:
     scicrunch_synonyms: list[str] = field(default_factory=list)
 
 
-_LIST_FIELDS = {
-    "mapped_to",
-    "platform",
-    "description",
-    "homepage_url",
-    "other_urls",
-    "license",
-    "github_repo",
-    "github_repo_licenses",
-    "reference",
-    "scicrunch_synonyms",
+# Per-source crosswalk: raw field name -> LinkedMetadata field names. A raw
+# field may feed several fields (the code-host URL populates package_url,
+# homepage_url and github_repo). None marks a known raw field that is
+# dropped on purpose.
+SCHEMA: dict[LinkSource, dict[str, tuple[str, ...] | None]] = {
+    LinkSource.PKG_INDEX_PY: {
+        "pypi package": ("mapped_to",),
+        "pypi_url": ("package_url",),
+        "description": ("description",),
+        "homepage_url": ("homepage_url",),
+        "github_repo": ("github_repo",),
+        "license": ("license",),
+    },
+    LinkSource.PKG_INDEX_R: {
+        "CRAN Package": ("mapped_to",),
+        "CRAN Link": ("package_url",),
+        "Title": ("description",),
+        "homepage_url": ("homepage_url",),
+        "github_repo": ("github_repo",),
+        "reference": ("reference",),
+        "license": ("license",),
+    },
+    LinkSource.PKG_INDEX_BIOC: {
+        "Bioconductor Package": ("mapped_to",),
+        "Bioconductor Link": ("package_url",),
+        "Title": ("description",),
+        "Maintainer": None,
+        "homepage_url": ("homepage_url",),
+        "github_repo": ("github_repo",),
+        "reference": ("reference",),
+        "license": ("license",),
+    },
+    LinkSource.KNOWLEDGE_BASE: {
+        "software_name": ("software_mention",),
+        "Resource Name": ("mapped_to",),
+        "Resource Name Link": ("homepage_url",),
+        "Resource ID": ("rrid",),
+        "Resource ID Link": ("package_url",),
+        "Description": ("description",),
+        "Alternate URLs": ("other_urls",),
+        "Old URLs": ("other_urls",),
+        "Reference Link": ("reference",),
+        "Proper Citation": ("reference",),
+        "scicrunch_synonyms": ("scicrunch_synonyms",),
+        "synonyms": ("scicrunch_synonyms",),
+        "github_repo": ("github_repo",),
+        "license": ("license",),
+        "Keywords": None,
+        "Parent Organization": None,
+        "Parent Organization Link": None,
+        "Related Condition": None,
+        "Funding Agency": None,
+        "Relation": None,
+        "Reference": None,
+        "Website Status": None,
+        "Alternate IDs": None,
+    },
+    LinkSource.CODE_HOST: {
+        "software_mention": ("software_mention",),
+        "best_github_match": ("mapped_to",),
+        "description": ("description",),
+        "github_url": ("package_url", "homepage_url", "github_repo"),
+        "license": ("github_repo_licenses",),
+        "exact_match": ("exact_match",),
+    },
 }
-_SCALAR_FIELDS = {"package_url", "rrid", "software_mention"}
-
-
-@dataclass
-class SchemaMapping:
-    """Per-source crosswalk: raw field name -> normalized field names.
-
-    A raw field may feed several normalized fields (the code-host URL
-    populates package_url, homepage_url and github_repo). None marks a
-    known raw field that is dropped on purpose.
-    """
-
-    per_source: dict[LinkSource, dict[str, tuple[str, ...] | None]]
-
-    def for_source(self, source: LinkSource) -> dict[str, tuple[str, ...] | None]:
-        if source not in self.per_source:
-            raise KeyError(f"schema mapping does not cover source {source.value}")
-        return self.per_source[source]
-
-
-DEFAULT_SCHEMA_MAPPING = SchemaMapping(
-    per_source={
-        LinkSource.PKG_INDEX_PY: {
-            "pypi package": ("mapped_to",),
-            "pypi_url": ("package_url",),
-            "description": ("description",),
-            "homepage_url": ("homepage_url",),
-            "github_repo": ("github_repo",),
-            "license": ("license",),
-        },
-        LinkSource.PKG_INDEX_R: {
-            "CRAN Package": ("mapped_to",),
-            "CRAN Link": ("package_url",),
-            "Title": ("description",),
-            "homepage_url": ("homepage_url",),
-            "github_repo": ("github_repo",),
-            "reference": ("reference",),
-            "license": ("license",),
-        },
-        LinkSource.PKG_INDEX_BIOC: {
-            "Bioconductor Package": ("mapped_to",),
-            "Bioconductor Link": ("package_url",),
-            "Title": ("description",),
-            "Maintainer": None,
-            "homepage_url": ("homepage_url",),
-            "github_repo": ("github_repo",),
-            "reference": ("reference",),
-            "license": ("license",),
-        },
-        LinkSource.KNOWLEDGE_BASE: {
-            "software_name": ("software_mention",),
-            "Resource Name": ("mapped_to",),
-            "Resource Name Link": ("homepage_url",),
-            "Resource ID": ("rrid",),
-            "Resource ID Link": ("package_url",),
-            "Description": ("description",),
-            "Alternate URLs": ("other_urls",),
-            "Old URLs": ("other_urls",),
-            "Reference Link": ("reference",),
-            "Proper Citation": ("reference",),
-            "scicrunch_synonyms": ("scicrunch_synonyms",),
-            "synonyms": ("scicrunch_synonyms",),
-            "github_repo": ("github_repo",),
-            "license": ("license",),
-            "Keywords": None,
-            "Parent Organization": None,
-            "Parent Organization Link": None,
-            "Related Condition": None,
-            "Funding Agency": None,
-            "Relation": None,
-            "Reference": None,
-            "Website Status": None,
-            "Alternate IDs": None,
-        },
-        LinkSource.CODE_HOST: {
-            "software_mention": ("software_mention",),
-            "best_github_match": ("mapped_to",),
-            "description": ("description",),
-            "github_url": ("package_url", "homepage_url", "github_repo"),
-            "license": ("github_repo_licenses",),
-            "exact_match": ("exact_match",),
-        },
-    }
-)
 
 
 def _as_bool(value) -> bool:
@@ -199,17 +165,15 @@ def _append_values(bucket: list[str], value) -> None:
 def normalize_metadata(
     raw: Mapping[str, object],
     source: LinkSource,
-    mapping: SchemaMapping = DEFAULT_SCHEMA_MAPPING,
     mention_id: int = -1,
     software_mention: str = "",
-    dropped: list[str] | None = None,
 ) -> LinkedMetadata:
     """Rename and merge a raw source record into the normalized schema.
 
-    Raw fields without a mapping rule are dropped with a warning. Empty raw
+    Raw fields without a SCHEMA rule are dropped with a warning. Empty raw
     values never populate normalized fields.
     """
-    rules = mapping.for_source(source)
+    rules = SCHEMA[source]
     meta = LinkedMetadata(
         id=mention_id,
         software_mention=software_mention,
@@ -222,23 +186,15 @@ def normalize_metadata(
             continue
         if raw_field not in rules:
             logger.warning("%s: unmapped raw field %r dropped", source.value, raw_field)
-            if dropped is not None:
-                dropped.append(raw_field)
             continue
-        targets = rules[raw_field]
-        if targets is None:
-            continue
-        for target in targets:
-            if target == "exact_match":
-                meta.exact_match = _as_bool(value)
-            elif target in _LIST_FIELDS:
-                _append_values(getattr(meta, target), value)
-            elif target in _SCALAR_FIELDS:
-                current = getattr(meta, target)
-                if not current:
-                    setattr(meta, target, str(value).strip())
-            else:
-                raise KeyError(f"unknown normalized field {target!r}")
+        for target in rules[raw_field] or ():
+            current = getattr(meta, target)
+            if isinstance(current, list):
+                _append_values(current, value)
+            elif isinstance(current, bool):
+                setattr(meta, target, _as_bool(value))
+            elif not current:
+                setattr(meta, target, str(value).strip())
     return meta
 
 
@@ -323,21 +279,14 @@ class ApiSnapshot:
         return raw
 
 
-@dataclass
-class LinkSources:
-    """The configured lookup backends, keyed by source."""
-
-    registries: dict[LinkSource, RegistrySnapshot] = field(default_factory=dict)
-    apis: dict[LinkSource, ApiSnapshot] = field(default_factory=dict)
-    precedence: tuple[LinkSource, ...] = DEFAULT_PRECEDENCE
-
-    def configured(self) -> list[LinkSource]:
-        return [s for s in self.precedence if s in self.registries or s in self.apis]
+# The configured lookup backends in precedence order: the first source
+# whose record carries a package URL supplies a mention's link.
+Backends = Mapping[LinkSource, RegistrySnapshot | ApiSnapshot]
 
 
 def exact_match_lookup(
     name: str,
-    sources: LinkSources,
+    sources: Backends,
     soft_errors: list[str] | None = None,
 ) -> list[tuple[LinkSource, dict]]:
     """Exact-name candidates from every configured source, in precedence order.
@@ -346,8 +295,7 @@ def exact_match_lookup(
     run.
     """
     candidates: list[tuple[LinkSource, dict]] = []
-    for source in sources.configured():
-        backend = sources.registries.get(source) or sources.apis.get(source)
+    for source, backend in sources.items():
         try:
             raw = backend.lookup(name)
         except ExternalServiceError as err:
@@ -363,8 +311,7 @@ def exact_match_lookup(
 def link_mentions(
     names: Iterable[str],
     name_ids: Mapping[str, int],
-    sources: LinkSources,
-    mapping: SchemaMapping = DEFAULT_SCHEMA_MAPPING,
+    sources: Backends,
     soft_errors: list[str] | None = None,
     collect_raw: dict[LinkSource, list[dict]] | None = None,
 ) -> dict[int, LinkedMetadata]:
@@ -380,19 +327,12 @@ def link_mentions(
             for source, raw in candidates:
                 collect_raw.setdefault(source, []).append(dict(raw))
         normalized = [
-            normalize_metadata(
-                raw,
-                source,
-                mapping,
-                mention_id=name_ids[name],
-                software_mention=name,
-            )
+            normalize_metadata(raw, source, mention_id=name_ids[name], software_mention=name)
             for source, raw in candidates
         ]
         chosen = next((meta for meta in normalized if meta.package_url), None)
         if chosen is None:
             continue
-        chosen.software_mention = name
         for other in normalized:
             if other is not chosen:
                 _append_values(chosen.mapped_to, other.mapped_to)
@@ -410,6 +350,7 @@ def propagate_links(
     A member of a cluster whose name has a link inherits that link. When
     the name has none, or the mention was never clustered, the mention's
     own exact-match link applies. Mentions with neither stay unlinked.
+    Inherited records share their lists with the name's record.
     """
     propagated: dict[int, LinkedMetadata] = {}
     inherited: dict[int, LinkedMetadata] = {}
@@ -418,21 +359,7 @@ def propagate_links(
         if name_link is None:
             continue
         for member in cluster.members:
-            inherited[member] = replace(
-                name_link,
-                id=member,
-                software_mention=reverse[member],
-                mapped_to=list(name_link.mapped_to),
-                platform=list(name_link.platform),
-                description=list(name_link.description),
-                homepage_url=list(name_link.homepage_url),
-                other_urls=list(name_link.other_urls),
-                license=list(name_link.license),
-                github_repo=list(name_link.github_repo),
-                github_repo_licenses=list(name_link.github_repo_licenses),
-                reference=list(name_link.reference),
-                scicrunch_synonyms=list(name_link.scicrunch_synonyms),
-            )
+            inherited[member] = replace(name_link, id=member, software_mention=reverse[member])
     for mention_id in range(len(reverse)):
         if mention_id in inherited:
             propagated[mention_id] = inherited[mention_id]
@@ -476,37 +403,26 @@ MASTER_HEADER = (
     "reference",
     "scicrunch_synonyms",
 )
+_SOURCE_COLUMN = MASTER_HEADER.index("source")
 
 
-def _jlist(values: Sequence[str]) -> str:
-    return json.dumps(list(values), ensure_ascii=False)
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (list, tuple)):
+        return json.dumps(list(value), ensure_ascii=False)
+    return str(value)
 
 
 def metadata_row(meta: LinkedMetadata) -> list[str]:
+    """The record's fields in schema order, lists as JSON arrays."""
     if not meta.package_url:
         raise ValueError(f"record for mention {meta.id} has no package_url")
-    return [
-        str(meta.id),
-        meta.software_mention,
-        _jlist(meta.mapped_to),
-        meta.source,
-        _jlist(meta.platform),
-        meta.package_url,
-        _jlist(meta.description),
-        _jlist(meta.homepage_url),
-        _jlist(meta.other_urls),
-        _jlist(meta.license),
-        _jlist(meta.github_repo),
-        _jlist(meta.github_repo_licenses),
-        str(meta.exact_match),
-        meta.rrid or "",
-        _jlist(meta.reference),
-        _jlist(meta.scicrunch_synonyms),
-    ]
+    return [_csv_cell(getattr(meta, f.name)) for f in fields(meta)]
 
 
-def write_metadata_tsv(path, linked: Mapping[int, LinkedMetadata]) -> None:
-    rows = [metadata_row(linked[mention_id]) for mention_id in sorted(linked)]
+def write_metadata_tsv(path, rows: Sequence[Sequence[str]]) -> None:
+    """metadata.tsv from metadata_row rows, in mention ID order."""
     write_tsv(path, MASTER_HEADER, rows)
 
 
@@ -519,15 +435,15 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]])
     write_text(path, text.getvalue())
 
 
-def write_normalized_csvs(directory, linked: Mapping[int, LinkedMetadata]) -> None:
+def write_normalized_csvs(directory, rows: Iterable[Sequence[str]]) -> None:
+    """One <source>.csv of metadata_row rows per link source."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    by_source: dict[str, list[LinkedMetadata]] = {}
-    for mention_id in sorted(linked):
-        meta = linked[mention_id]
-        by_source.setdefault(meta.source, []).append(meta)
-    for source, rows in sorted(by_source.items()):
-        _write_csv(directory / f"{source}.csv", MASTER_HEADER, map(metadata_row, rows))
+    by_source: dict[str, list[Sequence[str]]] = {}
+    for row in rows:
+        by_source.setdefault(row[_SOURCE_COLUMN], []).append(row)
+    for source, source_rows in sorted(by_source.items()):
+        _write_csv(directory / f"{source}.csv", MASTER_HEADER, source_rows)
 
 
 def write_raw_csvs(directory, collected: Mapping[LinkSource, Sequence[Mapping]]) -> None:
@@ -542,14 +458,6 @@ def write_raw_csvs(directory, collected: Mapping[LinkSource, Sequence[Mapping]])
             columns,
             ([_csv_cell(row.get(col)) for col in columns] for row in rows),
         )
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (list, tuple)):
-        return json.dumps(list(value), ensure_ascii=False)
-    return str(value)
 
 
 def write_link_report_tsv(path, report: Sequence[tuple[str, int, float]]) -> None:

@@ -93,11 +93,10 @@ class RegistryIndex:
 
     registry: Registry
     entries: set[str]
-    keywords: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if not self.keywords:
-            self.keywords = REGISTRY_KEYWORDS[self.registry]
+    @property
+    def keywords(self) -> tuple[str, ...]:
+        return REGISTRY_KEYWORDS[self.registry]
 
 
 _TOKEN_SPLIT = re.compile(r"[\W_]+", re.UNICODE)
@@ -452,11 +451,14 @@ def write_synonyms_tsv(path, pairs: Iterable[SynonymPair], reverse: Mapping[int,
     write_tsv(path, SYNONYMS_HEADER, rows)
 
 
-def _synonym_row(fields: list[str]) -> SynonymPair:
-    return SynonymPair.of(
-        int(fields[0]), int(fields[1]), float(fields[4]), SynonymSource(fields[5])
-    )
+def read_synonyms_tsv(path, reverse: Mapping[int, str]) -> list[SynonymPair]:
+    """The pairs of synonyms.tsv; both IDs of each must be keys of ``reverse``."""
 
+    def row(fields: list[str]) -> SynonymPair:
+        a, b = int(fields[0]), int(fields[1])
+        for mention_id in (a, b):
+            if mention_id not in reverse:
+                raise KeyError(mention_id)
+        return SynonymPair.of(a, b, float(fields[4]), SynonymSource(fields[5]))
 
-def read_synonyms_tsv(path) -> list[SynonymPair]:
-    return read_tsv(path, SYNONYMS_HEADER, _synonym_row)
+    return read_tsv(path, SYNONYMS_HEADER, row)

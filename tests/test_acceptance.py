@@ -34,7 +34,6 @@ from softmentions.ingest import parse_mentions
 from softmentions.linking import (
     LinkedMetadata,
     LinkSource,
-    LinkSources,
     RegistrySnapshot,
     exact_match_lookup,
     link_mentions,
@@ -392,15 +391,14 @@ def test_criterion_published_dataset_metrics():
 
 @criterion("offline linking and schema normalization")
 def test_criterion_linking(fixture_pipeline):
-    sources = LinkSources()
-    sources.registries[LinkSource.PKG_INDEX_PY] = RegistrySnapshot(
-        source=LinkSource.PKG_INDEX_PY,
-        names=set(read_lines(FIXTURE_DIR / "registry_py.txt")),
-    )
-    sources.registries[LinkSource.PKG_INDEX_BIOC] = RegistrySnapshot(
-        source=LinkSource.PKG_INDEX_BIOC,
-        names=set(read_lines(FIXTURE_DIR / "registry_bioc.txt")),
-    )
+    # The curated Bioconductor index ranks above the Python one, as by default.
+    sources = {
+        source: RegistrySnapshot(source=source, names=set(read_lines(FIXTURE_DIR / name)))
+        for source, name in (
+            (LinkSource.PKG_INDEX_BIOC, "registry_bioc.txt"),
+            (LinkSource.PKG_INDEX_PY, "registry_py.txt"),
+        )
+    }
     hits = exact_match_lookup("scikit-learn", sources)
     assert hits[0][0] is LinkSource.PKG_INDEX_PY
     assert hits[0][1]["pypi_url"] == "https://pypi.org/project/scikit-learn"

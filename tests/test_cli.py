@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import json
 import os
 import subprocess
@@ -8,9 +9,12 @@ from pathlib import Path
 import pytest
 
 import softmentions
-from softmentions.cli import main
+from softmentions.cli import build_link_sources, main
 from softmentions.config import PipelineConfig, apply_settings, load_config
 from softmentions.errors import ValidationError
+from softmentions.linking import LinkSource
+
+from conftest import DATA_DIR
 
 
 def run_cli(*argv) -> int:
@@ -73,6 +77,30 @@ def test_stages_run_separately_match_run_all(fixture_copy):
     assert sorted(found) == sorted(expected)
     for name, data in expected.items():
         assert found[name] == data, name
+
+
+# sha256sum lines ("<digest>  <path under out/>") for run-all on the fixture.
+# Every later change must reproduce them; rewrite them only together with
+# a deliberate change to an output format.
+FIXTURE_DIGESTS = DATA_DIR / "fixture_out.sha256"
+
+
+def test_run_all_reproduces_the_pinned_fixture_digests(fixture_copy, monkeypatch):
+    # From the copy with the config's relative paths, so the manifests name
+    # the same paths as when the digests were taken.
+    monkeypatch.chdir(fixture_copy)
+    assert run_cli("run-all", "--config", "config.cfg") == 0
+    expected = {}
+    for line in FIXTURE_DIGESTS.read_text(encoding="utf-8").splitlines():
+        digest, name = line.split(maxsplit=1)
+        expected[name] = digest
+    found = {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in output_files(fixture_copy / "out").items()
+    }
+    differ = [name for name in sorted(expected.keys() | found.keys())
+              if expected.get(name) != found.get(name)]
+    assert differ == []
 
 
 def corrupt_corpus_number(corpus: Path, lineno: int) -> None:
@@ -236,6 +264,7 @@ CORRUPT_ARTIFACTS = {
     "clusters_wrong_header": ("clusters.tsv", "link", 1, lambda f: f[:4]),
     "clusters_unknown_name_id": ("clusters.tsv", "link", 2, lambda f: [f[0], "9999", *f[2:]]),
     "clusters_short_row": ("clusters.tsv", "link", None, lambda f: ["0"]),
+    "unknown_synonym_id": ("synonyms.tsv", "cluster", 2, lambda f: [f[0], "9999", *f[2:]]),
     # Lone surrogates are written as the raw bytes they escape.
     "non_utf8_mention": ("mention2id.tsv", "synonyms", None, lambda f: ["caf\udce9", "9999"]),
     "non_utf8_synonym": ("synonyms.tsv", "cluster", 3, lambda f: f[:3] + ["\udcff", *f[4:]]),
@@ -421,6 +450,25 @@ def test_workers_flag_does_not_change_synonyms_output(fixture_copy, tmp_path):
     assert run_stage(fixture_copy, "synonyms", "--workers", "2") == 0
     parallel = (fixture_copy / "out" / "synonyms.tsv").read_bytes()
     assert serial == parallel
+
+
+def test_link_sources_follow_configured_precedence(fixture_dir, monkeypatch):
+    monkeypatch.chdir(fixture_dir)
+    cfg = load_config("config.cfg")
+    # By default the curated indices rank first and the code host last.
+    assert list(build_link_sources(cfg)) == [
+        LinkSource.PKG_INDEX_BIOC,
+        LinkSource.PKG_INDEX_R,
+        LinkSource.PKG_INDEX_PY,
+        LinkSource.KNOWLEDGE_BASE,
+        LinkSource.CODE_HOST,
+    ]
+    cfg = apply_settings(cfg, {"linking.precedence": "CodeHostAPI,PkgIndexPy,KnowledgeBaseAPI"})
+    assert list(build_link_sources(cfg)) == [
+        LinkSource.CODE_HOST,
+        LinkSource.PKG_INDEX_PY,
+        LinkSource.KNOWLEDGE_BASE,
+    ]
 
 
 def test_config_file_parsing(tmp_path):

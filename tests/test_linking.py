@@ -1,4 +1,6 @@
 import json
+import logging
+from dataclasses import fields
 
 import pytest
 
@@ -6,11 +8,11 @@ from softmentions.clustering import Cluster
 from softmentions.errors import ExternalServiceError
 from softmentions.ingest import assign_ids
 from softmentions.linking import (
+    MASTER_HEADER,
+    SCHEMA,
     ApiSnapshot,
-    DEFAULT_PRECEDENCE,
     LinkedMetadata,
     LinkSource,
-    LinkSources,
     RegistrySnapshot,
     exact_match_lookup,
     link_mentions,
@@ -51,9 +53,10 @@ def test_registry_lookup_is_byte_exact():
 
 
 def test_exact_match_lookup_runs_sources_in_precedence_order(tmp_path):
-    sources = LinkSources()
-    sources.registries[LinkSource.PKG_INDEX_PY] = py_registry("limma", "zlib")
-    sources.registries[LinkSource.PKG_INDEX_BIOC] = bioc_registry("limma")
+    sources = {
+        LinkSource.PKG_INDEX_BIOC: bioc_registry("limma"),
+        LinkSource.PKG_INDEX_PY: py_registry("limma", "zlib"),
+    }
     hits = exact_match_lookup("limma", sources)
     assert [source for source, _ in hits] == [
         LinkSource.PKG_INDEX_BIOC,
@@ -128,8 +131,7 @@ def test_api_snapshot_unreadable_document_is_a_soft_error(tmp_path, content):
     snap = ApiSnapshot(source=LinkSource.KNOWLEDGE_BASE, directory=tmp_path)
     with pytest.raises(ExternalServiceError, match="bad snapshot GraphPad.json"):
         snap.lookup("GraphPad")
-    sources = LinkSources()
-    sources.apis[LinkSource.KNOWLEDGE_BASE] = snap
+    sources = {LinkSource.KNOWLEDGE_BASE: snap}
     soft = []
     assert exact_match_lookup("GraphPad", sources, soft_errors=soft) == []
     assert len(soft) == 1
@@ -140,22 +142,24 @@ def test_lookup_soft_errors_keep_other_sources_running(tmp_path):
         def lookup(self, name):
             raise ExternalServiceError("KnowledgeBaseAPI", "boom")
 
-    sources = LinkSources()
-    sources.apis[LinkSource.KNOWLEDGE_BASE] = Failing()
-    sources.registries[LinkSource.PKG_INDEX_PY] = py_registry("numpy")
+    sources = {LinkSource.KNOWLEDGE_BASE: Failing(), LinkSource.PKG_INDEX_PY: py_registry("numpy")}
     soft = []
     hits = exact_match_lookup("numpy", sources, soft_errors=soft)
     assert [s for s, _ in hits] == [LinkSource.PKG_INDEX_PY]
     assert len(soft) == 1 and "boom" in soft[0]
 
 
-def test_normalize_metadata_golden_set():
+def test_normalize_metadata_golden_set(caplog):
     golden = json.loads((DATA_DIR / "golden_metadata.json").read_text(encoding="utf-8"))
     assert len(golden) == 30
     for case in golden:
         source = LinkSource(case["source"])
-        dropped = []
-        got = normalize_metadata(case["raw"], source, dropped=dropped)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="softmentions.linking"):
+            got = normalize_metadata(case["raw"], source)
+        dropped = [
+            record.args[1] for record in caplog.records if "unmapped raw field" in record.msg
+        ]
         expected = LinkedMetadata(source=source.value, platform=[source.value])
         for field_name, value in case["expected"].items():
             setattr(expected, field_name, value)
@@ -163,18 +167,24 @@ def test_normalize_metadata_golden_set():
         assert dropped == case.get("dropped", [])
 
 
-def test_normalize_metadata_requires_covered_source():
-    from softmentions.linking import SchemaMapping
+def test_linked_metadata_fields_are_the_master_header():
+    assert [f.name for f in fields(LinkedMetadata)] == [h.casefold() for h in MASTER_HEADER]
 
-    with pytest.raises(KeyError):
-        normalize_metadata({}, LinkSource.PKG_INDEX_PY, SchemaMapping(per_source={}))
+
+def test_schema_covers_every_source_and_targets_record_fields():
+    assert set(SCHEMA) == set(LinkSource)
+    names = {f.name for f in fields(LinkedMetadata)}
+    for source, rules in SCHEMA.items():
+        for raw_field, targets in rules.items():
+            assert set(targets or ()) <= names, (source, raw_field)
 
 
 def test_link_mentions_precedence_and_mapped_to_aggregation(tmp_path):
     id_table, _ = assign_ids(["limma", "numpy"])
-    sources = LinkSources()
-    sources.registries[LinkSource.PKG_INDEX_PY] = py_registry("limma", "numpy")
-    sources.registries[LinkSource.PKG_INDEX_BIOC] = bioc_registry("limma")
+    sources = {
+        LinkSource.PKG_INDEX_BIOC: bioc_registry("limma"),
+        LinkSource.PKG_INDEX_PY: py_registry("limma", "numpy"),
+    }
     collected = {}
     links = link_mentions(["limma", "numpy"], id_table, sources, collect_raw=collected)
     limma = links[id_table["limma"]]
@@ -273,25 +283,21 @@ def test_metadata_row_requires_package_url(tmp_path):
     )
     row = metadata_row(meta)
     assert row[0] == "1" and row[5] == "u" and row[13] == "SCR_9"
-    write_metadata_tsv(tmp_path / "m.tsv", {1: meta})
+    write_metadata_tsv(tmp_path / "m.tsv", [row])
     header = (tmp_path / "m.tsv").read_text(encoding="utf-8").splitlines()[0]
     assert header.split("\t")[:3] == ["ID", "software_mention", "mapped_to"]
-    write_normalized_csvs(tmp_path / "norm", {1: meta})
+    write_normalized_csvs(tmp_path / "norm", [row])
     assert (tmp_path / "norm" / "PkgIndexPy.csv").exists()
     write_raw_csvs(tmp_path / "raw", {LinkSource.PKG_INDEX_PY: [{"pypi package": "x"}]})
     assert (tmp_path / "raw" / "PkgIndexPy.csv").exists()
 
 
-def test_default_precedence_prefers_curated_indices():
-    assert DEFAULT_PRECEDENCE[0] is LinkSource.PKG_INDEX_BIOC
-    assert DEFAULT_PRECEDENCE[-1] is LinkSource.CODE_HOST
-
-
 def test_link_mentions_deterministic():
     id_table, _ = assign_ids(["limma", "numpy", "absent-thing"])
-    sources = LinkSources()
-    sources.registries[LinkSource.PKG_INDEX_PY] = py_registry("limma", "numpy")
-    sources.registries[LinkSource.PKG_INDEX_BIOC] = bioc_registry("limma")
+    sources = {
+        LinkSource.PKG_INDEX_BIOC: bioc_registry("limma"),
+        LinkSource.PKG_INDEX_PY: py_registry("limma", "numpy"),
+    }
     first = link_mentions(id_table, id_table, sources)
     second = link_mentions(id_table, id_table, sources)
     assert first == second
@@ -359,7 +365,7 @@ def test_csv_writes_keep_previous_file_when_replace_fails(tmp_path, monkeypatch)
     meta = LinkedMetadata(
         id=1, software_mention="x", source="PkgIndexPy", package_url="u", mapped_to=["x"]
     )
-    write_normalized_csvs(tmp_path / "norm", {1: meta})
+    write_normalized_csvs(tmp_path / "norm", [metadata_row(meta)])
     write_raw_csvs(tmp_path / "raw", {LinkSource.PKG_INDEX_PY: [{"pypi package": "x"}]})
     norm, raw = tmp_path / "norm" / "PkgIndexPy.csv", tmp_path / "raw" / "PkgIndexPy.csv"
     before = norm.read_bytes(), raw.read_bytes()
@@ -373,7 +379,7 @@ def test_csv_writes_keep_previous_file_when_replace_fails(tmp_path, monkeypatch)
         id=1, software_mention="y", source="PkgIndexPy", package_url="v", mapped_to=["y"]
     )
     with pytest.raises(OSError, match="disk full"):
-        write_normalized_csvs(tmp_path / "norm", {1: changed})
+        write_normalized_csvs(tmp_path / "norm", [metadata_row(changed)])
     with pytest.raises(OSError, match="disk full"):
         write_raw_csvs(tmp_path / "raw", {LinkSource.PKG_INDEX_PY: [{"pypi package": "y"}]})
     assert (norm.read_bytes(), raw.read_bytes()) == before

@@ -172,7 +172,6 @@ def test_keyword_pairs_satisfy_substring_invariant():
 def test_registry_default_keywords():
     assert "bioconductor" in RegistryIndex(Registry.BIOC, set()).keywords
     assert "API" in RegistryIndex(Registry.PY, set()).keywords
-    assert RegistryIndex(Registry.R, set(), keywords=("x",)).keywords == ("x",)
 
 
 def test_kb_synonyms_connect_known_aliases():
@@ -316,6 +315,6 @@ def test_synonyms_tsv_round_trip(tmp_path):
     ]
     path = tmp_path / "synonyms.tsv"
     write_synonyms_tsv(path, pairs, reverse)
-    assert read_synonyms_tsv(path) == sorted(pairs, key=lambda p: (p.a, p.b))
+    assert read_synonyms_tsv(path, reverse) == sorted(pairs, key=lambda p: (p.a, p.b))
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "ID\tsynonym_ID\tsoftware_mention\tsynonym\tsynonym_conf\tsynonym_source"

@@ -52,6 +52,8 @@ METRICS_TXT = "metrics.txt"
 
 # A mention ID table and its inverse, as ingest.assign_ids returns them.
 IdTables = tuple[dict[str, int], dict[int, str]]
+# The entry names of each configured package index.
+RegistryNames = dict[synonyms.Registry, set[str]]
 
 
 def _require(path: str | Path, what: str) -> Path:
@@ -127,7 +129,7 @@ def stage_ingest(
     return records, (id_table, reverse), freq
 
 
-def _registry_names(cfg: PipelineConfig) -> dict[synonyms.Registry, set[str]]:
+def _registry_names(cfg: PipelineConfig) -> RegistryNames:
     """The entry names of every configured package index."""
     paths = {
         synonyms.Registry.PY: cfg.registry_py,
@@ -141,13 +143,21 @@ def _registry_names(cfg: PipelineConfig) -> dict[synonyms.Registry, set[str]]:
     }
 
 
-def stage_synonyms(cfg: PipelineConfig, ids: IdTables | None = None) -> list[synonyms.SynonymPair]:
-    """Generate the synonym pairs of the ID table (read from out/ when not given)."""
+def stage_synonyms(
+    cfg: PipelineConfig, ids: IdTables | None = None, names: RegistryNames | None = None
+) -> list[synonyms.SynonymPair]:
+    """Generate the synonym pairs of the ID table.
+
+    The ID table is read from out/ and the registry names from their lists
+    when not given.
+    """
     out = Path(cfg.out_dir)
     id_table, reverse = _read_ids(out) if ids is None else ids
+    if names is None:
+        names = _registry_names(cfg)
     registries = [
-        synonyms.RegistryIndex(registry=registry, entries=names)
-        for registry, names in _registry_names(cfg).items()
+        synonyms.RegistryIndex(registry=registry, entries=entries)
+        for registry, entries in names.items()
     ]
     kb = synonyms.read_kb_dict(_require(cfg.kb_dict, "KB dictionary")) if cfg.kb_dict else None
     skip_report: list[str] = []
@@ -277,17 +287,21 @@ def _read_registry_details(path: Path) -> dict[str, dict]:
     return details
 
 
-def build_link_sources(cfg: PipelineConfig) -> linking.Backends:
+def build_link_sources(
+    cfg: PipelineConfig, names: RegistryNames | None = None
+) -> linking.Backends:
     """The configured lookup backends, in linking.precedence order."""
     backends = {}
-    for registry, names in _registry_names(cfg).items():
+    if names is None:
+        names = _registry_names(cfg)
+    for registry, entries in names.items():
         source = linking.LinkSource(registry.value)
         details = {}
         if cfg.registry_details:
             details_path = Path(cfg.registry_details) / f"{source.value}.json"
             if details_path.exists():
                 details = _read_registry_details(details_path)
-        backends[source] = linking.RegistrySnapshot(source=source, names=names, details=details)
+        backends[source] = linking.RegistrySnapshot(source=source, names=entries, details=details)
     if cfg.kb_snapshots:
         fetcher = None
         if not cfg.offline and cfg.kb_api_url:
@@ -316,8 +330,13 @@ def stage_link(
     cfg: PipelineConfig,
     ids: IdTables | None = None,
     clusters: list[clustering.Cluster] | None = None,
+    names: RegistryNames | None = None,
 ) -> dict:
-    """Link every mention and propagate cluster links (inputs read from out/ when not given)."""
+    """Link every mention and propagate cluster links.
+
+    The IDs and clusters are read from out/ and the registry names from
+    their lists when not given.
+    """
     out = Path(cfg.out_dir)
     clusters_path = out / CLUSTERS
     if ids is None:
@@ -326,7 +345,7 @@ def stage_link(
             _require(clusters_path, "clusters.tsv (run cluster first)"), ids[1]
         )
     id_table, reverse = ids
-    sources = build_link_sources(cfg)
+    sources = build_link_sources(cfg, names)
     soft_errors: list[str] = []
     collected: dict[linking.LinkSource, list[dict]] = {}
     links = linking.link_mentions(
@@ -447,11 +466,12 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
 def run_all(cfg: PipelineConfig) -> None:
     """Every stage in turn, each handed its predecessors' values rather than their files."""
     records, ids, freq = stage_ingest(cfg)
-    pairs = stage_synonyms(cfg, ids)
+    names = _registry_names(cfg)
+    pairs = stage_synonyms(cfg, ids, names)
     clusters = stage_cluster(cfg, records, ids, freq, pairs)
     del records, freq, pairs  # the corpus is the largest value; linking needs none of them
     if cfg.registry_py or cfg.registry_r or cfg.registry_bioc or cfg.kb_snapshots or cfg.codehost_snapshots:
-        stage_link(cfg, ids, clusters)
+        stage_link(cfg, ids, clusters, names)
     if any(
         (cfg.eval_synonyms, cfg.eval_curation_multi, cfg.eval_curation_binary,
          cfg.eval_linking, cfg.eval_ratings_two, cfg.eval_ratings_five)

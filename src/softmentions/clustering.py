@@ -8,6 +8,7 @@ distinct-paper frequency.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -68,9 +69,9 @@ def dbscan(
         label = len(clusters)
         clusters.append([seed])
         assigned[seed] = label
-        queue = [seed]
+        queue = deque([seed])
         while queue:
-            current = queue.pop(0)
+            current = queue.popleft()
             for neighbor in neighbors[current]:
                 if neighbor in assigned:
                     continue

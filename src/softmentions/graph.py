@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError
@@ -36,6 +37,8 @@ class Component:
 
 @dataclass
 class SimilarityGraph:
+    """Stored edges by mention pair; never mutated once built or post-processed."""
+
     mentions: Sequence[str]
     entries: dict[tuple[int, int], tuple[float, SynonymSource]]
     stoplist: frozenset[str] = frozenset(DEFAULT_STOPLIST)
@@ -47,12 +50,25 @@ class SimilarityGraph:
             covered.add(j)
         return covered
 
+    @cached_property
+    def _keys_by_first(self) -> dict[int, list[tuple[int, int]]]:
+        """Edge keys grouped by their first (lower) endpoint."""
+        index: dict[int, list[tuple[int, int]]] = {}
+        for key in self.entries:
+            index.setdefault(key[0], []).append(key)
+        return index
+
     def submatrix(self, members: Iterable[int]) -> dict[tuple[int, int], float]:
+        """The stored values between members, in O(their edges) not O(all edges).
+
+        Keys come in member order, not edge order; dbscan sorts adjacency.
+        """
         keep = set(members)
         return {
-            key: value
-            for key, (value, _) in self.entries.items()
-            if key[0] in keep and key[1] in keep
+            key: self.entries[key][0]
+            for i in keep
+            for key in self._keys_by_first.get(i, ())
+            if key[1] in keep
         }
 
 
@@ -109,12 +125,6 @@ def strip_for_comparison(text: str) -> str:
     )
 
 
-def _promotable(a: str, b: str) -> bool:
-    if strip_for_comparison(a) == strip_for_comparison(b):
-        return True
-    return len(a.split()) > 1 and len(b.split()) > 1 and a.lower() == b.lower()
-
-
 def post_process(graph: SimilarityGraph) -> SimilarityGraph:
     """Apply the promotion and stoplist rules; idempotent.
 
@@ -122,12 +132,22 @@ def post_process(graph: SimilarityGraph) -> SimilarityGraph:
     multi-token and equal case-insensitively, are promoted to 1.0. Edges
     touching a stoplisted mention are removed.
     """
+    stripped: dict[int, str] = {}
+
+    def strip(i: int) -> str:
+        if i not in stripped:
+            stripped[i] = strip_for_comparison(graph.mentions[i])
+        return stripped[i]
+
     entries: dict[tuple[int, int], tuple[float, SynonymSource]] = {}
     for (i, j), (value, source) in graph.entries.items():
         a, b = graph.mentions[i], graph.mentions[j]
         if a in graph.stoplist or b in graph.stoplist:
             continue
-        if value < 1.0 and _promotable(a, b):
+        if value < 1.0 and (
+            strip(i) == strip(j)
+            or len(a.split()) > 1 and len(b.split()) > 1 and a.lower() == b.lower()
+        ):
             entries[(i, j)] = (1.0, SynonymSource.POST_PROCESS)
         else:
             entries[(i, j)] = (value, source)

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import logging
+import os
 import time
 import urllib.parse
 from dataclasses import dataclass, field, fields, replace
@@ -236,35 +237,44 @@ class ApiSnapshot:
     """Per-name JSON documents, optionally backed by a live fetcher.
 
     Live responses are written back into the snapshot directory, so a live
-    run leaves behind the snapshot an offline rerun will read. A name whose
-    snapshot file name would exceed the file system's 255-byte limit can
-    have no snapshot, so it is a miss both offline and live.
+    run leaves behind the snapshot an offline rerun will read. The directory
+    is listed once, at the first lookup; a document another process adds
+    later is not seen. A name whose snapshot file name would exceed the file
+    system's 255-byte limit can have no snapshot, so it is a miss both
+    offline and live.
     """
 
     source: LinkSource
     directory: Path
     fetcher: Callable[[str], dict | None] | None = None
     limiter: RateLimiter | None = None
-
-    def _path(self, name: str) -> Path | None:
-        file_name = urllib.parse.quote(name, safe="") + ".json"
-        return Path(self.directory) / file_name if len(file_name) <= 255 else None
+    _files: set[str] | None = field(default=None, init=False, repr=False)
 
     def lookup(self, name: str) -> dict | None:
-        path = self._path(name)
-        if path is None:
+        file_name = urllib.parse.quote(name, safe="") + ".json"
+        if len(file_name) > 255:
             return None
-        if path.exists():
+        if self._files is None:
+            try:
+                self._files = set(os.listdir(self.directory))
+            except (FileNotFoundError, NotADirectoryError):
+                self._files = set()
+        if file_name in self._files:
+            path = Path(self.directory) / file_name
             try:
                 raw = json.loads(path.read_text(encoding="utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as err:
-                raise ExternalServiceError(self.source.value, f"bad snapshot {path.name}: {err}")
+                raise ExternalServiceError(self.source.value, f"bad snapshot {file_name}: {err}")
         elif self.fetcher is not None:
             if self.limiter is not None:
                 self.limiter.wait()
             raw = self.fetcher(name)
             if raw is not None:
-                write_text(path, json.dumps(raw, ensure_ascii=False, sort_keys=True, indent=1))
+                write_text(
+                    Path(self.directory) / file_name,
+                    json.dumps(raw, ensure_ascii=False, sort_keys=True, indent=1),
+                )
+                self._files.add(file_name)
         else:
             return None
         if raw is None:

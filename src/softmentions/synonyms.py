@@ -134,6 +134,11 @@ def generate_keyword_synonyms(
     pathological containment.
     """
     mention_tokens = {m: tokens(m) for m in id_table}
+    # A mention can contain an entry's tokens only if it has the first one.
+    by_token: dict[str, list[tuple[str, int]]] = {}
+    for mention, mention_id in id_table.items():
+        for tok in set(mention_tokens[mention]):
+            by_token.setdefault(tok, []).append((mention, mention_id))
     keyword_token_seqs = [tokens(k) for k in index.keywords]
     pairs: list[SynonymPair] = []
     for entry in sorted(index.entries):
@@ -145,7 +150,9 @@ def generate_keyword_synonyms(
         if entry_id is None:
             continue
         entry_toks = mention_tokens[entry]
-        for mention, mention_id in id_table.items():
+        if not entry_toks:
+            continue
+        for mention, mention_id in by_token[entry_toks[0]]:
             if mention == entry or entry not in mention:
                 continue
             toks = mention_tokens[mention]

@@ -7,6 +7,7 @@ the package under test.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter
 
 
@@ -167,3 +168,39 @@ def prune_free_similarity_pairs(strings: dict[str, int], threshold: float, jaro)
             a, b = strings[x], strings[y]
             out.add((min(a, b), max(a, b), score))
     return out
+
+
+def keyword_pairs_reference(
+    entries: set[str], keywords: tuple[str, ...], id_table: dict[str, int]
+) -> tuple[list[tuple[int, int]], list[str]]:
+    """Registry keyword pairs by testing every entry against every mention.
+
+    Returns the sorted (low ID, high ID) pairs and the entries skipped as
+    shorter than two characters.
+    """
+    def words(text: str) -> tuple[str, ...]:
+        return tuple(t for t in re.split(r"[\W_]+", text) if t)
+
+    def has_run(haystack: tuple[str, ...], needle: tuple[str, ...]) -> bool:
+        return bool(needle) and any(
+            haystack[i : i + len(needle)] == needle
+            for i in range(len(haystack) - len(needle) + 1)
+        )
+
+    keyword_words = [words(k) for k in keywords]
+    pairs: set[tuple[int, int]] = set()
+    skipped: list[str] = []
+    for entry in sorted(entries):
+        if len(entry) < 2:
+            skipped.append(entry)
+            continue
+        if entry not in id_table:
+            continue
+        for mention, mention_id in id_table.items():
+            if mention == entry or entry not in mention:
+                continue
+            toks = words(mention)
+            if has_run(toks, words(entry)) and any(has_run(toks, kw) for kw in keyword_words):
+                a, b = id_table[entry], mention_id
+                pairs.add((min(a, b), max(a, b)))
+    return sorted(pairs), skipped

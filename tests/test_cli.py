@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import softmentions
+from softmentions import cli
 from softmentions.cli import build_link_sources, main
 from softmentions.config import PipelineConfig, apply_settings, load_config
 from softmentions.errors import ValidationError
@@ -85,22 +86,53 @@ def test_stages_run_separately_match_run_all(fixture_copy):
 FIXTURE_DIGESTS = DATA_DIR / "fixture_out.sha256"
 
 
+def pinned_digest_mismatches(out: Path, echoed_workers: str = "1") -> list[str]:
+    """Files under out/ whose digest differs from (or is missing in) the pins.
+
+    Manifests echo the configuration, so with ``echoed_workers`` other than
+    1 their worker count is set back to 1 before hashing.
+    """
+    expected = {}
+    for line in FIXTURE_DIGESTS.read_text(encoding="utf-8").splitlines():
+        digest, name = line.split(maxsplit=1)
+        expected[name] = digest
+    found = {}
+    for name, data in output_files(out).items():
+        if echoed_workers != "1" and name.startswith("manifest_"):
+            echoed = f'"parallelism.workers": "{echoed_workers}"'.encode()
+            assert echoed in data, name
+            data = data.replace(echoed, b'"parallelism.workers": "1"')
+        found[name] = hashlib.sha256(data).hexdigest()
+    return [name for name in sorted(expected.keys() | found.keys())
+            if expected.get(name) != found.get(name)]
+
+
 def test_run_all_reproduces_the_pinned_fixture_digests(fixture_copy, monkeypatch):
     # From the copy with the config's relative paths, so the manifests name
     # the same paths as when the digests were taken.
     monkeypatch.chdir(fixture_copy)
     assert run_cli("run-all", "--config", "config.cfg") == 0
-    expected = {}
-    for line in FIXTURE_DIGESTS.read_text(encoding="utf-8").splitlines():
-        digest, name = line.split(maxsplit=1)
-        expected[name] = digest
-    found = {
-        name: hashlib.sha256(data).hexdigest()
-        for name, data in output_files(fixture_copy / "out").items()
-    }
-    differ = [name for name in sorted(expected.keys() | found.keys())
-              if expected.get(name) != found.get(name)]
-    assert differ == []
+    assert pinned_digest_mismatches(fixture_copy / "out") == []
+
+
+def test_run_all_with_two_workers_reproduces_the_pinned_digests(fixture_copy, monkeypatch):
+    # Only the manifests' echo of the worker count may differ.
+    monkeypatch.chdir(fixture_copy)
+    assert run_cli("run-all", "--config", "config.cfg", "--set", "parallelism.workers=2") == 0
+    assert pinned_digest_mismatches(fixture_copy / "out", echoed_workers="2") == []
+
+
+def test_run_all_reads_each_registry_name_list_once(fixture_copy, monkeypatch):
+    read = []
+    real_read_lines = cli.read_lines
+
+    def read_lines(path):
+        read.append(Path(path).name)
+        return real_read_lines(path)
+
+    monkeypatch.setattr(cli, "read_lines", read_lines)
+    assert run_stage(fixture_copy, "run-all") == 0
+    assert sorted(read) == ["registry_bioc.txt", "registry_py.txt", "registry_r.txt"]
 
 
 def corrupt_corpus_number(corpus: Path, lineno: int) -> None:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from softmentions.errors import ConsistencyError
 from softmentions.graph import (
@@ -177,6 +178,33 @@ def test_submatrix_restricts_to_members():
     )
     assert graph.submatrix([0, 1]) == {(0, 1): 1.0}
     assert graph.submatrix([0, 2]) == {}
+
+
+def full_scan_submatrix(graph, members):
+    keep = set(members)
+    return {
+        key: value
+        for key, (value, _) in graph.entries.items()
+        if key[0] in keep and key[1] in keep
+    }
+
+
+@given(
+    st.integers(2, 30).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60),
+            st.lists(st.sets(st.integers(0, n - 1)), max_size=5),
+        )
+    )
+)
+def test_submatrix_matches_full_edge_scan(case):
+    n, ends, subsets = case
+    pairs = [pair(i, j, 0.97 + (i * j % 4) / 100, SS) for i, j in ends if i != j]
+    graph = build_matrix(pairs, [f"m{i}" for i in range(n)])
+    components = [c.members for c in connected_components(graph)]
+    for members in components + [tuple(s) for s in subsets]:
+        assert graph.submatrix(members) == full_scan_submatrix(graph, members)
 
 
 def test_matrix_dump_round_trip(tmp_path):

@@ -125,6 +125,38 @@ def test_api_snapshot_overlong_name_is_a_miss(tmp_path):
     assert not (tmp_path / "kb").exists()
 
 
+def test_api_snapshot_lists_its_directory_once(tmp_path, monkeypatch):
+    from softmentions import linking
+
+    snap = _api_snapshot(
+        tmp_path, LinkSource.KNOWLEDGE_BASE, "SPSS",
+        {"software_name": "SPSS", "Resource ID Link": "u"},
+    )
+    listed = []
+    real_listdir = linking.os.listdir
+
+    def listdir(path):
+        listed.append(path)
+        return real_listdir(path)
+
+    def no_stat(self, *args, **kwargs):
+        raise AssertionError(f"per-name stat of {self}")
+
+    monkeypatch.setattr(linking.os, "listdir", listdir)
+    monkeypatch.setattr(linking.Path, "exists", no_stat)
+    for _ in range(3):
+        assert snap.lookup("SPSS")["Resource ID Link"] == "u"
+        for name in ("absent", "SPSS Statistics", "spss", "SPSS.json"):
+            assert snap.lookup(name) is None
+    assert listed == [tmp_path / LinkSource.KNOWLEDGE_BASE.value]
+
+
+def test_api_snapshot_missing_directory_is_all_misses(tmp_path):
+    snap = ApiSnapshot(source=LinkSource.KNOWLEDGE_BASE, directory=tmp_path / "absent")
+    assert snap.lookup("SPSS") is None
+    assert not (tmp_path / "absent").exists()
+
+
 @pytest.mark.parametrize("content", [b'{"Resource ID Link": ', b'{"Resource ID Link": "caf\xe9"}'])
 def test_api_snapshot_unreadable_document_is_a_soft_error(tmp_path, content):
     (tmp_path / "GraphPad.json").write_bytes(content)

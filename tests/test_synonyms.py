@@ -9,6 +9,7 @@ from softmentions.ingest import assign_ids
 from softmentions.synonyms import (
     KB_CONFIDENCE,
     KEYWORD_CONFIDENCE,
+    REGISTRY_KEYWORDS,
     Registry,
     RegistryIndex,
     SynonymPair,
@@ -25,7 +26,7 @@ from softmentions.synonyms import (
     write_synonyms_tsv,
 )
 
-from oracles import jaro_reference, prune_free_similarity_pairs
+from oracles import jaro_reference, keyword_pairs_reference, prune_free_similarity_pairs
 
 # Expected scores computed with the independent textbook oracle in
 # tests/oracles.py and frozen here.
@@ -149,6 +150,35 @@ def test_keyword_containment_requires_literal_substring():
     matched = {p.a for p in pairs} | {p.b for p in pairs}
     assert id_table["scikit-learn python"] in matched
     assert id_table["scikit learn python"] not in matched
+
+
+# Names over a few words, letters and separators, so that tokens repeat,
+# entries nest inside mentions, keywords occur and some names have no token.
+_name_words = st.sampled_from(["R", "r", "lim", "ma", "package", "Package", "python", "API", "a"])
+_name_separators = st.sampled_from([" ", "-", "_", "-_", "  "])
+_names = st.one_of(
+    st.builds(
+        lambda first, rest: first + "".join(sep + word for sep, word in rest),
+        _name_words,
+        st.lists(st.tuples(_name_separators, _name_words), max_size=3),
+    ),
+    st.text(alphabet="aRr -_", min_size=1, max_size=6),
+)
+
+
+@given(
+    st.sets(_names, min_size=1, max_size=25),
+    st.sets(_names, max_size=8),
+    st.sampled_from(list(Registry)),
+)
+def test_keyword_synonyms_match_exhaustive_oracle(mentions, others, registry):
+    id_table, _ = assign_ids(sorted(mentions))
+    # Entries: some mentions (only those can pair) and some other names.
+    entries = set(sorted(mentions)[::2]) | others
+    skipped = []
+    pairs = generate_keyword_synonyms(RegistryIndex(registry, entries), id_table, skipped)
+    expected = keyword_pairs_reference(entries, REGISTRY_KEYWORDS[registry], id_table)
+    assert ([(p.a, p.b) for p in pairs], skipped) == expected
 
 
 def test_keyword_pairs_satisfy_substring_invariant():

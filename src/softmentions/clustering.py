@@ -193,11 +193,9 @@ def write_disambiguated_tsv(
 ) -> None:
     """Raw corpus rows plus mapped_to_software / mapped_to_software_ID."""
     header, rows = corpus_rows(records, corpus_kind)
+    mapped = [(cluster.name, str(cluster.name_id)) for cluster in result.clusters]
+    mention_to_cluster = result.mention_to_cluster
     for record, row in zip(records, rows):
-        cluster_idx = result.mention_to_cluster.get(id_table[record.software])
-        if cluster_idx is None:
-            row += ("", "")
-        else:
-            cluster = result.clusters[cluster_idx]
-            row += (cluster.name, str(cluster.name_id))
+        cluster_idx = mention_to_cluster.get(id_table[record.software])
+        row += ("", "") if cluster_idx is None else mapped[cluster_idx]
     write_tsv(path, (*header, "mapped_to_software", "mapped_to_software_ID"), rows)

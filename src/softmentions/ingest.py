@@ -8,8 +8,8 @@ one header row, and embedded quote characters are literal content.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import IO, Container, Iterable, Iterator, Mapping
+from operator import itemgetter
+from typing import IO, Container, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import FormatError, RowError
 from .fileio import iter_tsv, read_tsv, write_tsv
@@ -49,9 +49,11 @@ CORPUS_FIELDS: dict[str, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class MentionRecord:
-    """One NER-extracted software mention with its paper provenance."""
+class MentionRecord(NamedTuple):
+    """One NER-extracted software mention with its paper provenance.
+
+    An immutable, hashable named tuple; ``_replace`` makes a changed copy.
+    """
 
     software: str
     text: str = ""
@@ -84,34 +86,25 @@ class FrequencyTable:
         return self.counts.get(mention_id, 0)
 
 
-def _corpus_layout(corpus_kind: str) -> tuple[tuple[str, ...], list[str]]:
-    """The corpus kind's header and the MentionRecord attribute of each column.
+# Each integer field's position, its name and the value an empty cell stands for.
+_INTEGERS = tuple(
+    (MentionRecord._fields.index(name), name, default)
+    for name, default in (("pubdate", None), ("number", 0), ("id", None))
+)
+_NUMBER = MentionRecord._fields.index("number")
+_LABEL = MentionRecord._fields.index("curation_label")
 
-    Every column is named after its attribute, ID after id.
+
+def _corpus_layout(corpus_kind: str) -> tuple[tuple[str, ...], list[str]]:
+    """The corpus kind's header and the MentionRecord field of each column.
+
+    Every column is named after its field, ID after id.
     """
     try:
         header = CORPUS_FIELDS[corpus_kind]
     except KeyError:
         raise FormatError(f"unknown corpus kind: {corpus_kind!r}") from None
     return header, [name.lower() for name in header]
-
-
-def _record_from_fields(fields: dict[str, str]) -> MentionRecord:
-    """A record from one row's values keyed by attribute; bad values raise ValueError."""
-    if not fields["software"].strip():
-        raise ValueError("empty software mention")
-    for name, default in (("pubdate", None), ("number", 0), ("id", None)):
-        value = fields[name]
-        try:
-            fields[name] = int(value) if value else default
-        except ValueError:
-            raise ValueError(f"{name} is not an integer: {value!r}") from None
-    if fields["number"] < 0:
-        raise ValueError(f"negative number field: {fields['number']}")
-    fields["curation_label"] = fields["curation_label"] or "not_curated"
-    if fields["curation_label"] not in CURATION_LABELS:
-        raise ValueError(f"unknown curation_label: {fields['curation_label']!r}")
-    return MentionRecord(**fields)
 
 
 def parse_mentions(
@@ -132,12 +125,33 @@ def parse_mentions(
     header, attrs = _corpus_layout(corpus_kind)
     if lenient and errors is None:
         errors = []
+    # Each field's column; a field the layout lacks reads the empty cell
+    # appended to every row, one past the last column.
+    missing = len(header)
+    take = itemgetter(
+        *(attrs.index(name) if name in attrs else missing for name in MentionRecord._fields)
+    )
 
     def record(fields: list[str]) -> MentionRecord:
-        rec = _record_from_fields(dict(zip(attrs, fields)))
-        if known is not None and rec.software not in known:
-            raise KeyError(rec.software)
-        return rec
+        fields.append("")
+        values = [*take(fields)]
+        software = values[0]
+        if not software.strip():
+            raise ValueError("empty software mention")
+        for index, name, default in _INTEGERS:
+            value = values[index]
+            try:
+                values[index] = int(value) if value else default
+            except ValueError:
+                raise ValueError(f"{name} is not an integer: {value!r}") from None
+        if values[_NUMBER] < 0:
+            raise ValueError(f"negative number field: {values[_NUMBER]}")
+        label = values[_LABEL] = values[_LABEL] or "not_curated"
+        if label not in CURATION_LABELS:
+            raise ValueError(f"unknown curation_label: {label!r}")
+        if known is not None and software not in known:
+            raise KeyError(software)
+        return MentionRecord._make(values)
 
     return iter_tsv(stream, header, record, errors if lenient else None)
 
@@ -145,10 +159,22 @@ def parse_mentions(
 def corpus_rows(
     records: Iterable[MentionRecord], corpus_kind: str
 ) -> tuple[tuple[str, ...], list[list[str]]]:
-    """The corpus kind's header and every record's fields in its column order."""
+    """The corpus kind's header and every record's fields in its column order.
+
+    An integer field is written as its decimal digits, or empty for None.
+    """
     header, attrs = _corpus_layout(corpus_kind)
-    values = attrgetter(*attrs)
-    return header, [["" if v is None else str(v) for v in values(rec)] for rec in records]
+    fields = MentionRecord._fields
+    values = itemgetter(*(fields.index(name) for name in attrs))
+    integers = [attrs.index(name) for _, name, _ in _INTEGERS]
+    rows = []
+    for rec in records:
+        row = [*values(rec)]
+        for index in integers:
+            value = row[index]
+            row[index] = "" if value is None else str(value)
+        rows.append(row)
+    return header, rows
 
 
 def assign_ids(mentions: Iterable[str]) -> tuple[dict[str, int], dict[int, str]]:

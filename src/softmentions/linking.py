@@ -22,6 +22,8 @@ import time
 import urllib.parse
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -212,6 +214,16 @@ class RateLimiter:
         self._last = time.monotonic()
 
 
+@lru_cache(maxsize=1)
+def _quote(name: str) -> str:
+    """The name URL-quoted as one path segment.
+
+    Every configured source looks a name up before the next name comes, so
+    remembering the last name quotes each name once.
+    """
+    return urllib.parse.quote(name, safe="")
+
+
 @dataclass
 class RegistrySnapshot:
     """A package index: entry names, a URL template and optional page details."""
@@ -224,9 +236,7 @@ class RegistrySnapshot:
         if name not in self.names:
             return None
         name_field, url_field = INDEX_RAW_FIELDS[self.source]
-        url = INDEX_URL_TEMPLATES[self.source].format(
-            name=urllib.parse.quote(name, safe="")
-        )
+        url = INDEX_URL_TEMPLATES[self.source].format(name=_quote(name))
         raw = {name_field: name, url_field: url}
         raw.update(self.details.get(name, {}))
         return raw
@@ -251,7 +261,7 @@ class ApiSnapshot:
     _files: set[str] | None = field(default=None, init=False, repr=False)
 
     def lookup(self, name: str) -> dict | None:
-        file_name = urllib.parse.quote(name, safe="") + ".json"
+        file_name = _quote(name) + ".json"
         if len(file_name) > 255:
             return None
         if self._files is None:
@@ -414,13 +424,15 @@ MASTER_HEADER = (
     "scicrunch_synonyms",
 )
 _SOURCE_COLUMN = MASTER_HEADER.index("source")
+_metadata_values = attrgetter(*(f.name for f in fields(LinkedMetadata)))
 
 
 def _csv_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, (list, tuple)):
-        return json.dumps(list(value), ensure_ascii=False)
+        # Most list fields are empty; json.dumps([]) is "[]".
+        return json.dumps(list(value), ensure_ascii=False) if value else "[]"
     return str(value)
 
 
@@ -428,7 +440,7 @@ def metadata_row(meta: LinkedMetadata) -> list[str]:
     """The record's fields in schema order, lists as JSON arrays."""
     if not meta.package_url:
         raise ValueError(f"record for mention {meta.id} has no package_url")
-    return [_csv_cell(getattr(meta, f.name)) for f in fields(meta)]
+    return [_csv_cell(value) for value in _metadata_values(meta)]
 
 
 def write_metadata_tsv(path, rows: Sequence[Sequence[str]]) -> None:

@@ -10,6 +10,9 @@ import itertools
 import re
 from collections import Counter
 
+from softmentions.fileio import iter_tsv
+from softmentions.ingest import CORPUS_FIELDS, CURATION_LABELS, MentionRecord
+
 
 def jaro_reference(a: str, b: str) -> float:
     """Jaro-Winkler from the textbook definition (boost gate at 0.7)."""
@@ -204,3 +207,41 @@ def keyword_pairs_reference(
                 a, b = id_table[entry], mention_id
                 pairs.add((min(a, b), max(a, b)))
     return sorted(pairs), skipped
+
+
+def _record_from_fields(fields: dict[str, str]) -> MentionRecord:
+    """A record from one row's values keyed by attribute; bad values raise ValueError."""
+    if not fields["software"].strip():
+        raise ValueError("empty software mention")
+    for name, default in (("pubdate", None), ("number", 0), ("id", None)):
+        value = fields[name]
+        try:
+            fields[name] = int(value) if value else default
+        except ValueError:
+            raise ValueError(f"{name} is not an integer: {value!r}") from None
+    if fields["number"] < 0:
+        raise ValueError(f"negative number field: {fields['number']}")
+    fields["curation_label"] = fields["curation_label"] or "not_curated"
+    if fields["curation_label"] not in CURATION_LABELS:
+        raise ValueError(f"unknown curation_label: {fields['curation_label']!r}")
+    return MentionRecord(**fields)
+
+
+def parse_mentions_reference(stream, corpus_kind, lenient=False, errors=None, known=None):
+    """The corpus parser as a dict per row, keyed by attribute, then keyword construction.
+
+    It shares the TSV row loop and the record type with the package; only
+    the conversion of a row into a record is its own.
+    """
+    header = CORPUS_FIELDS[corpus_kind]
+    attrs = [name.lower() for name in header]
+    if lenient and errors is None:
+        errors = []
+
+    def record(fields: list[str]) -> MentionRecord:
+        rec = _record_from_fields(dict(zip(attrs, fields)))
+        if known is not None and rec.software not in known:
+            raise KeyError(rec.software)
+        return rec
+
+    return iter_tsv(stream, header, record, errors if lenient else None)

@@ -2,12 +2,13 @@ import io
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from softmentions.errors import ConsistencyError, FormatError, RowError
+from softmentions.errors import ConsistencyError, FormatError, RowError, SoftMentionsError
 from softmentions.fileio import format_tsv
 from softmentions.ingest import (
     CORPUS_FIELDS,
+    CURATION_LABELS,
     MentionRecord,
     assign_ids,
     compute_frequencies,
@@ -20,6 +21,7 @@ from softmentions.ingest import (
 )
 
 from conftest import make_record
+from oracles import parse_mentions_reference
 
 MAIN_HEADER = "\t".join(CORPUS_FIELDS["comm"])
 
@@ -123,34 +125,158 @@ _safe_text = st.text(
 _software_text = _safe_text.filter(lambda s: s.strip())
 
 
+def _records(corpus_kind):
+    """Records whose fields the corpus kind's columns can all hold."""
+    fields = dict(
+        software=_software_text,
+        text=_safe_text,
+        license=st.sampled_from(["comm", "non_comm"]),
+        location=_safe_text,
+        pmcid=st.sampled_from(["", "12345", "99"]),
+        pmid=st.sampled_from(["", "777"]),
+        doi=_safe_text,
+        pubdate=st.one_of(st.none(), st.integers(1900, 2030)),
+        source=_safe_text,
+        number=st.integers(0, 50),
+        version=_safe_text,
+        id=st.one_of(st.none(), st.integers(0, 10**6)),
+        curation_label=st.sampled_from(CURATION_LABELS),
+    )
+    if corpus_kind == "publishers":
+        # The publishers layout has no column for these fields.
+        fields.update(dict.fromkeys(("license", "location", "pmcid", "pmid", "version"), st.just("")))
+    return st.lists(st.builds(MentionRecord, **fields), max_size=8)
+
+
 @given(
-    st.lists(
-        st.builds(
-            MentionRecord,
-            software=_software_text,
-            text=_safe_text,
-            license=st.sampled_from(["comm", "non_comm"]),
-            location=_safe_text,
-            pmcid=st.sampled_from(["", "12345", "99"]),
-            pmid=st.sampled_from(["", "777"]),
-            doi=_safe_text,
-            pubdate=st.one_of(st.none(), st.integers(1900, 2030)),
-            source=_safe_text,
-            number=st.integers(0, 50),
-            version=_safe_text,
-            id=st.one_of(st.none(), st.integers(0, 10**6)),
-            curation_label=st.sampled_from(
-                ["software", "not_software", "unclear", "not_curated"]
-            ),
-        ),
-        max_size=8,
+    st.sampled_from(["comm", "publishers"]).flatmap(
+        lambda kind: st.tuples(st.just(kind), _records(kind))
     )
 )
-def test_serialize_parse_round_trip(records):
-    text = format_tsv(*corpus_rows(records, "comm"))
-    parsed = list(parse_mentions(io.StringIO(text), "comm"))
+def test_serialize_parse_round_trip(corpus):
+    corpus_kind, records = corpus
+    text = format_tsv(*corpus_rows(records, corpus_kind))
+    parsed = list(parse_mentions(io.StringIO(text), corpus_kind))
     assert parsed == records
-    assert format_tsv(*corpus_rows(parsed, "comm")) == text
+    assert format_tsv(*corpus_rows(parsed, corpus_kind)) == text
+
+
+def test_corpus_rows_normalize_integer_columns():
+    row = comm_row(pubdate="02021", number="+3", ID=" 7", curation_label="")
+    records = list(parse_mentions(comm_tsv(row), "comm"))
+    _, rows = corpus_rows(records, "comm")
+    written = dict(zip(CORPUS_FIELDS["comm"], rows[0]))
+    assert (written["pubdate"], written["number"], written["ID"]) == ("2021", "3", "7")
+    assert written["curation_label"] == "not_curated"
+
+
+def test_mention_record_is_immutable_and_hashable():
+    rec = make_record("SPSS", pmcid="1")
+    with pytest.raises(AttributeError):
+        rec.software = "ImageJ"
+    twin = make_record("SPSS", pmcid="1")
+    assert twin == rec and twin is not rec
+    assert hash(twin) == hash(rec)
+    assert len({rec, twin, make_record("SPSS", pmcid="2")}) == 2
+    assert MentionRecord("X") == MentionRecord(software="X")
+    assert MentionRecord("X").curation_label == "not_curated"
+
+
+# Valid cell values for the parser oracle, some of them unusual integers.
+_oracle_cells = {
+    "software": st.sampled_from(["SPSS", "ImageJ", 'R package "limma"']),
+    "pubdate": st.sampled_from(["", "2021", "02021", " 1999", "1_999", "-5"]),
+    "number": st.sampled_from(["", "0", "3", "+4"]),
+    "ID": st.sampled_from(["", "7", "-2", "٣"]),
+    "curation_label": st.sampled_from(["", *CURATION_LABELS]),
+}
+# Faulty values per checked column; "width" adds or drops trailing cells.
+_oracle_faults = {
+    "software": ["", "  "],
+    "pubdate": ["20x1"],
+    "number": ["three", "2.5", "-1"],
+    "ID": ["x7"],
+    "curation_label": ["maybe", "Software"],
+    "width": [-1, 1],
+}
+
+
+@st.composite
+def _oracle_corpus(draw, corpus_kind):
+    """A corpus text whose rows each carry no, one or several faults."""
+    header = CORPUS_FIELDS[corpus_kind]
+    lines = ["\t".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+            continue
+        cells = {name: draw(_oracle_cells.get(name, _safe_text)) for name in header}
+        for column, values in _oracle_faults.items():
+            if draw(st.integers(0, 3)) == 0:
+                cells[column] = draw(st.sampled_from(values))
+        width = cells.pop("width", 0)
+        row = list(cells.values())
+        lines.append("\t".join(row[:width] if width < 0 else row + ["extra"] * width))
+    return "\n".join(lines) + "\n"
+
+
+def _parse_outcome(parse, text, corpus_kind, lenient, known):
+    """Every record, every skipped row and the raised error, as comparable values."""
+    records, skipped, raised = [], [], None
+    try:
+        for rec in parse(
+            io.StringIO(text), corpus_kind, lenient=lenient, errors=skipped, known=known
+        ):
+            records.append(repr(rec))
+    except SoftMentionsError as err:
+        raised = (type(err).__name__, getattr(err, "line_number", None), str(err))
+    return records, [(err.line_number, str(err)) for err in skipped], raised
+
+
+_SEVERAL_FAULTS = "\n".join([
+    "\t".join(CORPUS_FIELDS["publishers"]),
+    "10.1/x\t2020\tabstract\t-1\tUsed SPSS.\tSPSS\t\tmaybe",
+    "10.1/x\tyear\tabstract\t-1\tUsed it.\t \tx\tmaybe",
+    "",
+])
+
+
+@given(
+    st.sampled_from(["comm", "publishers"]).flatmap(
+        lambda kind: st.tuples(st.just(kind), _oracle_corpus(kind))
+    ),
+    st.booleans(),
+    st.sampled_from([None, frozenset({"SPSS", 'R package "limma"'})]),
+)
+@example(("publishers", _SEVERAL_FAULTS), False, None)
+@example(("publishers", _SEVERAL_FAULTS), True, frozenset({"SPSS"}))
+def test_parse_mentions_matches_reference_parser(corpus, lenient, known):
+    corpus_kind, text = corpus
+    got = _parse_outcome(parse_mentions, text, corpus_kind, lenient, known)
+    want = _parse_outcome(parse_mentions_reference, text, corpus_kind, lenient, known)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        (dict(software=" ", pubdate="x", number="-1", curation_label="maybe"),
+         "empty software mention"),
+        (dict(pubdate="x", number="y", ID="z"), "pubdate is not an integer: 'x'"),
+        (dict(number="y", ID="z", curation_label="maybe"), "number is not an integer: 'y'"),
+        (dict(number="-1", ID="z"), "id is not an integer: 'z'"),
+        (dict(number="-1", curation_label="maybe"), "negative number field: -1"),
+        (dict(curation_label="maybe"), "unknown curation_label: 'maybe'"),
+    ],
+)
+def test_first_failing_check_names_the_row(faults, message):
+    row = comm_row(**faults)
+    with pytest.raises(RowError) as err:
+        list(parse_mentions(comm_tsv(comm_row(), row), "comm"))
+    assert str(err.value) == f"line 3: {message}"
+    with pytest.raises(RowError) as ref:
+        list(parse_mentions_reference(comm_tsv(comm_row(), row), "comm"))
+    assert str(ref.value) == str(err.value)
 
 
 @pytest.mark.parametrize("lenient", [False, True])

@@ -5,11 +5,12 @@ evaluate, run-all. Every stage writes its artifacts plus a manifest with
 input digests, the effective configuration and row counts, so identical
 inputs and configuration reproduce identical outputs byte for byte.
 
-Each stage_* function loads its inputs, calls the pure compute functions
-of its module, saves, and returns its product. Run alone, a stage reads
-its inputs from the out/ directory; run-all hands each stage the values
-its predecessors returned, so it parses the corpus once and reads back no
-artifact it wrote.
+Each stage_* function takes its inputs from a Products store, calls the
+pure compute functions of its module, saves, and puts its products in the
+store. A store loads a product from the out/ directory the first time a
+stage asks for one that no stage put there. A stage run alone gets a
+fresh store; run-all hands one store to every stage, so it parses the
+corpus once and reads back no artifact it wrote.
 
 Exit codes: 0 success, 1 configuration problem, 2 data problem or missing
 artifact, 3 external service failure.
@@ -21,7 +22,7 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
@@ -50,8 +51,8 @@ LINK_REPORT = "link_report.tsv"
 METRICS_JSON = "metrics.json"
 METRICS_TXT = "metrics.txt"
 
-# A mention ID table and its inverse, as ingest.assign_ids returns them.
-IdTables = tuple[dict[str, int], dict[int, str]]
+# Each mention's ID and the mentions in ID order, as ingest.assign_ids returns them.
+IdTables = tuple[dict[str, int], list[str]]
 # The entry names of each configured package index.
 RegistryNames = dict[synonyms.Registry, set[str]]
 
@@ -105,30 +106,6 @@ def _read_corpus(
     return records
 
 
-def _read_ids(out: Path) -> IdTables:
-    return ingest.read_id_table(_require(out / MENTION2ID, "mention2id.tsv (run ingest first)"))
-
-
-def stage_ingest(
-    cfg: PipelineConfig,
-) -> tuple[list[ingest.MentionRecord], IdTables, ingest.FrequencyTable]:
-    """Parse the corpus, assign mention IDs and count papers; return all three."""
-    records = _read_corpus(cfg)
-    id_table, reverse = ingest.assign_ids(r.software for r in records)
-    freq = ingest.compute_frequencies(records, id_table)
-    out = Path(cfg.out_dir)
-    ingest.write_id_table(out / MENTION2ID, id_table)
-    ingest.write_frequencies(out / FREQUENCIES, freq, reverse)
-    counts = {
-        "rows": len(records),
-        "unique_mentions": len(id_table),
-        "rows_missing_paper_key": freq.missing_paper_key_rows,
-    }
-    write_manifest(cfg, "ingest", [Path(cfg.corpus)], counts)
-    logger.info("ingest: %(rows)d rows, %(unique_mentions)d unique mentions", counts)
-    return records, (id_table, reverse), freq
-
-
 def _registry_names(cfg: PipelineConfig) -> RegistryNames:
     """The entry names of every configured package index."""
     paths = {
@@ -143,21 +120,72 @@ def _registry_names(cfg: PipelineConfig) -> RegistryNames:
     }
 
 
-def stage_synonyms(
-    cfg: PipelineConfig, ids: IdTables | None = None, names: RegistryNames | None = None
-) -> list[synonyms.SynonymPair]:
-    """Generate the synonym pairs of the ID table.
+class Products:
+    """One run's products, each loaded from its artifact on first use.
 
-    The ID table is read from out/ and the registry names from their lists
-    when not given.
+    A stage assigns what it produces (``run.pairs = ...``), so later stages
+    of the same run read the value instead of the file.
     """
-    out = Path(cfg.out_dir)
-    id_table, reverse = _read_ids(out) if ids is None else ids
-    if names is None:
-        names = _registry_names(cfg)
+
+    def __init__(self, cfg: PipelineConfig):
+        self.cfg = cfg
+        self.out = Path(cfg.out_dir)
+
+    @cached_property
+    def ids(self) -> IdTables:
+        path = _require(self.out / MENTION2ID, "mention2id.tsv (run ingest first)")
+        return ingest.read_id_table(path)
+
+    @cached_property
+    def freq(self) -> ingest.FrequencyTable:
+        path = _require(self.out / FREQUENCIES, "frequencies.tsv (run ingest first)")
+        return ingest.read_frequencies(path, self.ids[0])
+
+    @cached_property
+    def pairs(self) -> list[synonyms.SynonymPair]:
+        path = _require(self.out / SYNONYMS, "synonyms.tsv (run synonyms first)")
+        return synonyms.read_synonyms_tsv(path, self.ids[1])
+
+    @cached_property
+    def records(self) -> list[ingest.MentionRecord]:
+        """The corpus, which must hold no mention that mention2id.tsv lacks."""
+        return _read_corpus(self.cfg, self.ids[0])
+
+    @cached_property
+    def clusters(self) -> list[clustering.Cluster]:
+        path = _require(self.out / CLUSTERS, "clusters.tsv (run cluster first)")
+        return _read_clusters(path, self.ids[1])
+
+    @cached_property
+    def names(self) -> RegistryNames:
+        return _registry_names(self.cfg)
+
+
+def stage_ingest(cfg: PipelineConfig, run: Products | None = None) -> None:
+    """Parse the corpus, assign mention IDs and count papers."""
+    run = run or Products(cfg)
+    records = _read_corpus(cfg)
+    id_table, mentions = ingest.assign_ids(r.software for r in records)
+    freq = ingest.compute_frequencies(records, id_table)
+    run.records, run.ids, run.freq = records, (id_table, mentions), freq
+    ingest.write_id_table(run.out / MENTION2ID, mentions)
+    ingest.write_frequencies(run.out / FREQUENCIES, freq, mentions)
+    counts = {
+        "rows": len(records),
+        "unique_mentions": len(mentions),
+        "rows_missing_paper_key": freq.missing_paper_key_rows,
+    }
+    write_manifest(cfg, "ingest", [Path(cfg.corpus)], counts)
+    logger.info("ingest: %(rows)d rows, %(unique_mentions)d unique mentions", counts)
+
+
+def stage_synonyms(cfg: PipelineConfig, run: Products | None = None) -> None:
+    """Generate the synonym pairs of the ID table."""
+    run = run or Products(cfg)
+    id_table, mentions = run.ids
     registries = [
         synonyms.RegistryIndex(registry=registry, entries=entries)
-        for registry, entries in names.items()
+        for registry, entries in run.names.items()
     ]
     kb = synonyms.read_kb_dict(_require(cfg.kb_dict, "KB dictionary")) if cfg.kb_dict else None
     skip_report: list[str] = []
@@ -171,7 +199,8 @@ def stage_synonyms(
         skip_report=skip_report,
         unmatched=unmatched,
     )
-    synonyms.write_synonyms_tsv(out / SYNONYMS, pairs, reverse)
+    run.pairs = pairs
+    synonyms.write_synonyms_tsv(run.out / SYNONYMS, pairs, mentions)
     by_source: dict[str, int] = {}
     for pair in pairs:
         by_source[pair.source.value] = by_source.get(pair.source.value, 0) + 1
@@ -181,38 +210,18 @@ def stage_synonyms(
         "skipped_registry_entries": len(skip_report),
         "unmatched_kb_entries": len(unmatched),
     }
-    inputs = [out / MENTION2ID] + [
+    inputs = [run.out / MENTION2ID] + [
         Path(p) for p in (cfg.registry_py, cfg.registry_r, cfg.registry_bioc, cfg.kb_dict) if p
     ]
     write_manifest(cfg, "synonyms", inputs, counts)
     logger.info("synonyms: %d pairs", len(pairs))
-    return pairs
 
 
-def stage_cluster(
-    cfg: PipelineConfig,
-    records: list[ingest.MentionRecord] | None = None,
-    ids: IdTables | None = None,
-    freq: ingest.FrequencyTable | None = None,
-    pairs: list[synonyms.SynonymPair] | None = None,
-) -> list[clustering.Cluster]:
-    """Cluster the synonym pairs into named entities; return the clusters.
-
-    Given no inputs, it reads the ingest and synonyms artifacts from out/
-    and the corpus, which must hold no mention that mention2id.tsv lacks.
-    """
-    out = Path(cfg.out_dir)
-    id_path, freq_path, pairs_path = out / MENTION2ID, out / FREQUENCIES, out / SYNONYMS
-    if ids is None:
-        ids = _read_ids(out)
-        freq = ingest.read_frequencies(
-            _require(freq_path, "frequencies.tsv (run ingest first)"), ids[0]
-        )
-        pairs = synonyms.read_synonyms_tsv(
-            _require(pairs_path, "synonyms.tsv (run synonyms first)"), ids[1]
-        )
-        records = _read_corpus(cfg, ids[0])
-    id_table, reverse = ids
+def stage_cluster(cfg: PipelineConfig, run: Products | None = None) -> None:
+    """Cluster the synonym pairs into named entities."""
+    run = run or Products(cfg)
+    out = run.out
+    (id_table, mentions), freq, pairs, records = run.ids, run.freq, run.pairs, run.records
     stoplist = (
         graph.read_stoplist(_require(cfg.stoplist, "stoplist"))
         if cfg.stoplist
@@ -220,18 +229,19 @@ def stage_cluster(
     )
     result = clustering.disambiguate_pairs(
         pairs,
-        reverse=reverse,
+        mentions=mentions,
         freq=freq,
         stoplist=stoplist,
         use_threshold=cfg.use_threshold,
         eps=cfg.eps,
         min_pts=cfg.min_pts,
     )
+    run.clusters = result.clusters
     clustering.write_disambiguated_tsv(
         out / DISAMBIGUATED, records, cfg.corpus_kind, id_table, result
     )
     cluster_rows = [
-        (str(idx), str(c.name_id), c.name, str(member), reverse[member])
+        (str(idx), str(c.name_id), c.name, str(member), mentions[member])
         for idx, c in enumerate(result.clusters)
         for member in c.members
     ]
@@ -246,7 +256,7 @@ def stage_cluster(
         "disambiguated": acc.disambiguated,
         "clusters": len(result.clusters),
     }
-    inputs = [id_path, freq_path, pairs_path, Path(cfg.corpus)]
+    inputs = [out / MENTION2ID, out / FREQUENCIES, out / SYNONYMS, Path(cfg.corpus)]
     if cfg.stoplist:
         inputs.append(Path(cfg.stoplist))
     write_manifest(cfg, "cluster", inputs, counts)
@@ -255,14 +265,14 @@ def stage_cluster(
         "%(no_significant_synonyms)d without synonyms, %(no_cluster_output)d noise",
         counts,
     )
-    return result.clusters
 
 
-def _read_clusters(path, reverse) -> list[clustering.Cluster]:
+def _read_clusters(path, mentions: list[str]) -> list[clustering.Cluster]:
     def row(fields: list[str]) -> tuple[int, int, int]:
         name_id, member_id = int(fields[1]), int(fields[3])
-        if name_id not in reverse or member_id not in reverse:
-            raise KeyError(member_id if name_id in reverse else name_id)
+        for mention_id in (name_id, member_id):
+            if not 0 <= mention_id < len(mentions):
+                raise KeyError(mention_id)
         return int(fields[0]), name_id, member_id
 
     grouped: dict[int, tuple[int, list[int]]] = {}
@@ -270,7 +280,7 @@ def _read_clusters(path, reverse) -> list[clustering.Cluster]:
         grouped.setdefault(idx, (name_id, []))[1].append(member_id)
     return [
         clustering.Cluster(
-            members=tuple(sorted(members)), name_id=name_id, name=reverse[name_id]
+            members=tuple(sorted(members)), name_id=name_id, name=mentions[name_id]
         )
         for _, (name_id, members) in sorted(grouped.items())
     ]
@@ -287,13 +297,9 @@ def _read_registry_details(path: Path) -> dict[str, dict]:
     return details
 
 
-def build_link_sources(
-    cfg: PipelineConfig, names: RegistryNames | None = None
-) -> linking.Backends:
+def build_link_sources(cfg: PipelineConfig, names: RegistryNames) -> linking.Backends:
     """The configured lookup backends, in linking.precedence order."""
     backends = {}
-    if names is None:
-        names = _registry_names(cfg)
     for registry, entries in names.items():
         source = linking.LinkSource(registry.value)
         details = {}
@@ -326,36 +332,22 @@ def build_link_sources(
     return {source: backends[source] for source in precedence if source in backends}
 
 
-def stage_link(
-    cfg: PipelineConfig,
-    ids: IdTables | None = None,
-    clusters: list[clustering.Cluster] | None = None,
-    names: RegistryNames | None = None,
-) -> dict:
-    """Link every mention and propagate cluster links.
-
-    The IDs and clusters are read from out/ and the registry names from
-    their lists when not given.
-    """
-    out = Path(cfg.out_dir)
-    clusters_path = out / CLUSTERS
-    if ids is None:
-        ids = _read_ids(out)
-        clusters = _read_clusters(
-            _require(clusters_path, "clusters.tsv (run cluster first)"), ids[1]
-        )
-    id_table, reverse = ids
-    sources = build_link_sources(cfg, names)
+def stage_link(cfg: PipelineConfig, run: Products | None = None) -> None:
+    """Link every mention and propagate cluster links."""
+    run = run or Products(cfg)
+    out = run.out
+    (id_table, mentions), clusters = run.ids, run.clusters
+    sources = build_link_sources(cfg, run.names)
     soft_errors: list[str] = []
     collected: dict[linking.LinkSource, list[dict]] = {}
     links = linking.link_mentions(
-        reverse.values(),
+        mentions,
         id_table,
         sources,
         soft_errors=soft_errors,
         collect_raw=collected,
     )
-    propagated = linking.propagate_links(clusters, reverse, links)
+    propagated = linking.propagate_links(clusters, mentions, links)
     rows = [linking.metadata_row(propagated[mention_id]) for mention_id in sorted(propagated)]
     linking.write_metadata_tsv(out / METADATA, rows)
     linking.write_normalized_csvs(out / "normalized", rows)
@@ -368,14 +360,13 @@ def stage_link(
         "by_source": {source: count for source, count, _ in report},
         "soft_errors": len(soft_errors),
     }
-    inputs = [out / MENTION2ID, clusters_path] + [
+    inputs = [out / MENTION2ID, out / CLUSTERS] + [
         Path(p)
         for p in (cfg.registry_py, cfg.registry_r, cfg.registry_bioc)
         if p
     ]
     write_manifest(cfg, "link", inputs, counts)
     logger.info("link: %d mentions linked", len(propagated))
-    return counts
 
 
 def _read_predicted_pairs(path) -> list[tuple[str, str]]:
@@ -464,14 +455,14 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
 
 
 def run_all(cfg: PipelineConfig) -> None:
-    """Every stage in turn, each handed its predecessors' values rather than their files."""
-    records, ids, freq = stage_ingest(cfg)
-    names = _registry_names(cfg)
-    pairs = stage_synonyms(cfg, ids, names)
-    clusters = stage_cluster(cfg, records, ids, freq, pairs)
-    del records, freq, pairs  # the corpus is the largest value; linking needs none of them
+    """Every stage in turn over one store, so each reads its predecessors' values, not files."""
+    run = Products(cfg)
+    stage_ingest(cfg, run)
+    stage_synonyms(cfg, run)
+    stage_cluster(cfg, run)
+    del run.records, run.freq, run.pairs  # the corpus is the largest value; linking needs none
     if cfg.registry_py or cfg.registry_r or cfg.registry_bioc or cfg.kb_snapshots or cfg.codehost_snapshots:
-        stage_link(cfg, ids, clusters, names)
+        stage_link(cfg, run)
     if any(
         (cfg.eval_synonyms, cfg.eval_curation_multi, cfg.eval_curation_binary,
          cfg.eval_linking, cfg.eval_ratings_two, cfg.eval_ratings_five)
@@ -504,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="snapshot-only lookups (default)")
         cmd.add_argument("--online", dest="offline", action="store_false",
                          help="allow live API lookups")
-        cmd.add_argument("--workers", type=int, help="parallel worker count")
+        cmd.add_argument("--workers", help="parallel worker count")
         cmd.add_argument("--strict", dest="strict", action="store_true", default=None,
                          help="fail on malformed rows (default)")
         cmd.add_argument("--lenient", dest="strict", action="store_false",
@@ -522,16 +513,16 @@ def configure(args: argparse.Namespace) -> PipelineConfig:
             raise ValidationError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
+    # Each flag is an alias of its key's --set and wins over it.
+    flags = {
+        "paths.out_dir": args.out or None,
+        "linking.offline": args.offline,
+        "parallelism.workers": args.workers,
+        "parsing.strict": args.strict,
+    }
+    overrides.update((key, str(value)) for key, value in flags.items() if value is not None)
     if overrides:
         cfg = apply_settings(cfg, overrides)
-    if args.out:
-        cfg = replace(cfg, out_dir=args.out)
-    if args.offline is not None:
-        cfg = replace(cfg, offline=args.offline)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
-    if args.strict is not None:
-        cfg = replace(cfg, strict=args.strict)
     cfg.validate()
     return cfg
 

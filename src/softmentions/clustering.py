@@ -95,7 +95,7 @@ class Cluster:
 def name_clusters(
     clusters: Iterable[Sequence[int]],
     freq: FrequencyTable,
-    reverse: Mapping[int, str],
+    mentions: Sequence[str],
 ) -> list[Cluster]:
     """Name each cluster after its highest-frequency member.
 
@@ -104,9 +104,9 @@ def name_clusters(
     """
     named = []
     for members in clusters:
-        name_id = min(members, key=lambda m: (-freq.get(m), reverse[m], m))
+        name_id = min(members, key=lambda m: (-freq.get(m), mentions[m], m))
         named.append(
-            Cluster(members=tuple(sorted(members)), name_id=name_id, name=reverse[name_id])
+            Cluster(members=tuple(sorted(members)), name_id=name_id, name=mentions[name_id])
         )
     return named
 
@@ -137,7 +137,7 @@ class DisambiguationResult:
 def cluster_graph(
     graph: SimilarityGraph,
     freq: FrequencyTable,
-    reverse: Mapping[int, str],
+    mentions: Sequence[str],
     eps: float = 0.03,
     min_pts: int = 2,
 ) -> tuple[list[Cluster], tuple[int, ...]]:
@@ -149,24 +149,23 @@ def cluster_graph(
         found, component_noise = dbscan(distances, component.members, eps, min_pts)
         raw_clusters.extend(found)
         noise.extend(component_noise)
-    return name_clusters(raw_clusters, freq, reverse), tuple(sorted(noise))
+    return name_clusters(raw_clusters, freq, mentions), tuple(sorted(noise))
 
 
 def disambiguate_pairs(
     pairs: Iterable[SynonymPair],
-    reverse: Mapping[int, str],
+    mentions: Sequence[str],
     freq: FrequencyTable,
     stoplist: Iterable[str] = DEFAULT_STOPLIST,
     use_threshold: float = 0.97,
     eps: float = 0.03,
     min_pts: int = 2,
 ) -> DisambiguationResult:
-    """Cluster synonym pairs over the mentions of ``reverse`` (IDs 0..N-1)."""
-    mentions = [reverse[i] for i in range(len(reverse))]
+    """Cluster synonym pairs over ``mentions``, where mention i has ID i."""
     graph = post_process(
         build_matrix(pairs, mentions, use_threshold=use_threshold, stoplist=stoplist)
     )
-    clusters, noise = cluster_graph(graph, freq, reverse, eps=eps, min_pts=min_pts)
+    clusters, noise = cluster_graph(graph, freq, mentions, eps=eps, min_pts=min_pts)
     mention_to_cluster = {
         member: idx for idx, cluster in enumerate(clusters) for member in cluster.members
     }

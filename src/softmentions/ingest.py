@@ -7,9 +7,10 @@ one header row, and embedded quote characters are literal content.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import IO, Container, Iterable, Iterator, Mapping, NamedTuple
+from typing import IO, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import FormatError, RowError
 from .fileio import iter_tsv, read_tsv, write_tsv
@@ -177,59 +178,66 @@ def corpus_rows(
     return header, rows
 
 
-def assign_ids(mentions: Iterable[str]) -> tuple[dict[str, int], dict[int, str]]:
+def assign_ids(mentions: Iterable[str]) -> tuple[dict[str, int], list[str]]:
     """Assign dense IDs 0..N-1 over the sorted set of distinct mention strings.
 
-    Deterministic and order-insensitive: the same multiset of inputs always
-    produces the same tables.
+    Returns the ID of each mention and the mentions in ID order. Deterministic
+    and order-insensitive: the same multiset of inputs always produces the
+    same tables.
     """
     distinct = sorted(set(mentions))
-    id_table = {mention: idx for idx, mention in enumerate(distinct)}
-    reverse = {idx: mention for mention, idx in id_table.items()}
-    return id_table, reverse
-
-
-def paper_key(record: MentionRecord) -> str | None:
-    """Distinct-paper key: pmcid preferred, doi as fallback."""
-    if record.pmcid:
-        return f"pmcid:{record.pmcid}"
-    if record.doi:
-        return f"doi:{record.doi}"
-    return None
+    return {mention: idx for idx, mention in enumerate(distinct)}, distinct
 
 
 def compute_frequencies(
     records: Iterable[MentionRecord], id_table: Mapping[str, int]
 ) -> FrequencyTable:
-    """Count the number of distinct papers each mention appears in."""
-    papers: dict[int, set[str]] = {}
+    """Count the number of distinct papers each mention appears in.
+
+    A paper is its pmcid, else its doi; rows with neither share one
+    synthetic paper.
+    """
+    # Each mention's distinct pmcids and dois, kept apart so that a pmcid never
+    # counts as the same paper as an equal doi; None is the synthetic paper.
+    papers: dict[int, tuple[set[str], set[str | None]]] = defaultdict(lambda: (set(), set()))
     missing = 0
     for rec in records:
-        mention_id = id_table[rec.software]
-        key = paper_key(rec)
-        if key is None:
+        pmcids, dois = papers[id_table[rec.software]]
+        if rec.pmcid:
+            pmcids.add(rec.pmcid)
+        elif rec.doi:
+            dois.add(rec.doi)
+        else:
             missing += 1
-            key = "synthetic:missing-paper-key"
-        papers.setdefault(mention_id, set()).add(key)
-    counts = {mention_id: len(keys) for mention_id, keys in papers.items()}
+            dois.add(None)
+    counts = {mention_id: len(pmcids) + len(dois) for mention_id, (pmcids, dois) in papers.items()}
     return FrequencyTable(counts=counts, missing_paper_key_rows=missing)
 
 
-def write_id_table(path, id_table: Mapping[str, int]) -> None:
-    rows = sorted(id_table.items(), key=lambda kv: kv[1])
-    write_tsv(path, ("mention", "id"), ((m, str(i)) for m, i in rows))
+def write_id_table(path, mentions: Sequence[str]) -> None:
+    write_tsv(path, ("mention", "id"), ((m, str(i)) for i, m in enumerate(mentions)))
 
 
-def read_id_table(path) -> tuple[dict[str, int], dict[int, str]]:
-    id_table = dict(read_tsv(path, ("mention", "id"), lambda f: (f[0], int(f[1]))))
-    reverse = {i: m for m, i in id_table.items()}
-    return id_table, reverse
+def read_id_table(path) -> tuple[dict[str, int], list[str]]:
+    """Each mention's ID and the mentions in ID order; row i must hold ID i and a new mention."""
+    id_table: dict[str, int] = {}
+
+    def row(fields: list[str]) -> str:
+        mention, mention_id = fields[0], int(fields[1])
+        if mention_id != len(id_table):
+            raise ValueError(f"ID {mention_id} is not the row's position {len(id_table)}")
+        if id_table.setdefault(mention, mention_id) != mention_id:
+            raise ValueError(f"mention {mention!r} already has ID {id_table[mention]}")
+        return mention
+
+    mentions = read_tsv(path, ("mention", "id"), row)
+    return id_table, mentions
 
 
-def write_frequencies(path, freq: FrequencyTable, reverse: Mapping[int, str]) -> None:
+def write_frequencies(path, freq: FrequencyTable, mentions: Sequence[str]) -> None:
     rows = sorted(freq.counts.items())
     write_tsv(
-        path, ("mention", "frequency"), ((reverse[i], str(n)) for i, n in rows)
+        path, ("mention", "frequency"), ((mentions[i], str(n)) for i, n in rows)
     )
 
 

@@ -362,7 +362,7 @@ def link_mentions(
 
 def propagate_links(
     clusters: Iterable[Cluster],
-    reverse: Mapping[int, str],
+    mentions: Sequence[str],
     links: Mapping[int, LinkedMetadata],
 ) -> dict[int, LinkedMetadata]:
     """Give every cluster member its cluster name's link, with fallbacks.
@@ -379,8 +379,8 @@ def propagate_links(
         if name_link is None:
             continue
         for member in cluster.members:
-            inherited[member] = replace(name_link, id=member, software_mention=reverse[member])
-    for mention_id in range(len(reverse)):
+            inherited[member] = replace(name_link, id=member, software_mention=mentions[member])
+    for mention_id in range(len(mentions)):
         if mention_id in inherited:
             propagated[mention_id] = inherited[mention_id]
         elif mention_id in links:

@@ -450,21 +450,21 @@ SYNONYMS_HEADER = (
 )
 
 
-def write_synonyms_tsv(path, pairs: Iterable[SynonymPair], reverse: Mapping[int, str]) -> None:
+def write_synonyms_tsv(path, pairs: Iterable[SynonymPair], mentions: Sequence[str]) -> None:
     rows = [
-        (str(p.a), str(p.b), reverse[p.a], reverse[p.b], repr(p.confidence), p.source.value)
+        (str(p.a), str(p.b), mentions[p.a], mentions[p.b], repr(p.confidence), p.source.value)
         for p in sorted(pairs, key=lambda p: (p.a, p.b, p.source.value))
     ]
     write_tsv(path, SYNONYMS_HEADER, rows)
 
 
-def read_synonyms_tsv(path, reverse: Mapping[int, str]) -> list[SynonymPair]:
-    """The pairs of synonyms.tsv; both IDs of each must be keys of ``reverse``."""
+def read_synonyms_tsv(path, mentions: Sequence[str]) -> list[SynonymPair]:
+    """The pairs of synonyms.tsv; both IDs of each must index ``mentions``."""
 
     def row(fields: list[str]) -> SynonymPair:
         a, b = int(fields[0]), int(fields[1])
         for mention_id in (a, b):
-            if mention_id not in reverse:
+            if not 0 <= mention_id < len(mentions):
                 raise KeyError(mention_id)
         return SynonymPair.of(a, b, float(fields[4]), SynonymSource(fields[5]))
 

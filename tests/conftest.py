@@ -70,7 +70,7 @@ class Chain(NamedTuple):
     """Every value of one in-memory run of the compute chain."""
 
     id_table: dict[str, int]
-    reverse: dict[int, str]
+    mentions: list[str]
     frequencies: FrequencyTable
     result: DisambiguationResult
 
@@ -81,8 +81,8 @@ def run_chain(records, registries=(), kb=None, **cluster_params) -> Chain:
     ``cluster_params`` (stoplist, eps, min_pts, ...) go to disambiguate_pairs.
     """
     records = list(records)
-    id_table, reverse = assign_ids(r.software for r in records)
+    id_table, mentions = assign_ids(r.software for r in records)
     freq = compute_frequencies(records, id_table)
     pairs = generate_synonym_pairs(id_table, registries=registries, kb=kb)
-    result = disambiguate_pairs(pairs, reverse=reverse, freq=freq, **cluster_params)
-    return Chain(id_table, reverse, freq, result)
+    result = disambiguate_pairs(pairs, mentions=mentions, freq=freq, **cluster_params)
+    return Chain(id_table, mentions, freq, result)

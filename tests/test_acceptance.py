@@ -424,8 +424,8 @@ def test_criterion_linking(fixture_pipeline):
     assert rrid_checked and description_checked
 
     _, chain, _ = fixture_pipeline
-    links = link_mentions(chain.reverse.values(), chain.id_table, sources)
-    propagated = propagate_links(chain.result.clusters, chain.reverse, links)
+    links = link_mentions(chain.mentions, chain.id_table, sources)
+    propagated = propagate_links(chain.result.clusters, chain.mentions, links)
     sk_url = "https://pypi.org/project/scikit-learn"
     assert propagated[chain.id_table["sklearn"]].package_url == sk_url
     assert propagated[chain.id_table["scikit-learn"]].package_url == sk_url

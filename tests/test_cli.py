@@ -135,6 +135,28 @@ def test_run_all_reads_each_registry_name_list_once(fixture_copy, monkeypatch):
     assert sorted(read) == ["registry_bioc.txt", "registry_py.txt", "registry_r.txt"]
 
 
+def test_stages_read_each_artifact_they_need_once(fixture_copy, monkeypatch):
+    read = []
+    for owner, attr in (
+        (cli.ingest, "read_id_table"),
+        (cli.ingest, "read_frequencies"),
+        (cli.synonyms, "read_synonyms_tsv"),
+        (cli, "_read_clusters"),
+    ):
+        def counted(path, *args, real=getattr(owner, attr)):
+            read.append(Path(path).name)
+            return real(path, *args)
+
+        monkeypatch.setattr(owner, attr, counted)
+    assert run_stage(fixture_copy, "run-all") == 0
+    assert read == []
+    assert run_stage(fixture_copy, "cluster") == 0
+    assert sorted(read) == ["frequencies.tsv", "mention2id.tsv", "synonyms.tsv"]
+    read.clear()
+    assert run_stage(fixture_copy, "link") == 0
+    assert sorted(read) == ["clusters.tsv", "mention2id.tsv"]
+
+
 def corrupt_corpus_number(corpus: Path, lineno: int) -> None:
     """Set the number field of the corpus line ``lineno`` (1-based) to 'three'."""
     lines = corpus.read_text(encoding="utf-8").splitlines()
@@ -182,6 +204,11 @@ def test_invalid_eps_is_a_validation_error(fixture_copy):
 
 def test_unknown_config_key_is_a_validation_error(fixture_copy):
     assert run_stage(fixture_copy, "ingest", "--set", "nope.key=1") == 1
+
+
+def test_non_integer_workers_flag_is_a_validation_error(fixture_copy, caplog):
+    assert run_stage(fixture_copy, "ingest", "--workers", "abc") == 1
+    assert "parallelism.workers: expected an integer" in caplog.text
 
 
 def test_missing_corpus_is_a_data_error(tmp_path, capsys):
@@ -300,6 +327,13 @@ CORRUPT_ARTIFACTS = {
     # Lone surrogates are written as the raw bytes they escape.
     "non_utf8_mention": ("mention2id.tsv", "synonyms", None, lambda f: ["caf\udce9", "9999"]),
     "non_utf8_synonym": ("synonyms.tsv", "cluster", 3, lambda f: f[:3] + ["\udcff", *f[4:]]),
+    # mention2id.tsv line 7 is ANOVA with ID 5; line 6 is 2scikit-learn.
+    "id_out_of_sequence": ("mention2id.tsv", "cluster", 7, lambda f: [f[0], "9999"]),
+    "repeated_id": ("mention2id.tsv", "cluster", 7, lambda f: [f[0], "4"]),
+    "repeated_mention": ("mention2id.tsv", "cluster", 7, lambda f: ["2scikit-learn", f[1]]),
+    # A negative ID must not wrap around to index the mention list from its end.
+    "negative_synonym_id": ("synonyms.tsv", "cluster", 2, lambda f: [f[0], "-1", *f[2:]]),
+    "negative_cluster_member": ("clusters.tsv", "link", 2, lambda f: [*f[:3], "-1", f[4]]),
 }
 
 
@@ -488,7 +522,7 @@ def test_link_sources_follow_configured_precedence(fixture_dir, monkeypatch):
     monkeypatch.chdir(fixture_dir)
     cfg = load_config("config.cfg")
     # By default the curated indices rank first and the code host last.
-    assert list(build_link_sources(cfg)) == [
+    assert list(build_link_sources(cfg, cli.Products(cfg).names)) == [
         LinkSource.PKG_INDEX_BIOC,
         LinkSource.PKG_INDEX_R,
         LinkSource.PKG_INDEX_PY,
@@ -496,7 +530,7 @@ def test_link_sources_follow_configured_precedence(fixture_dir, monkeypatch):
         LinkSource.CODE_HOST,
     ]
     cfg = apply_settings(cfg, {"linking.precedence": "CodeHostAPI,PkgIndexPy,KnowledgeBaseAPI"})
-    assert list(build_link_sources(cfg)) == [
+    assert list(build_link_sources(cfg, cli.Products(cfg).names)) == [
         LinkSource.CODE_HOST,
         LinkSource.PKG_INDEX_PY,
         LinkSource.KNOWLEDGE_BASE,

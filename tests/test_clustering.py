@@ -118,40 +118,41 @@ def test_dbscan_core_partition_invariant_under_relabeling():
 
 
 def test_name_clusters_highest_frequency_wins():
-    id_table, reverse = assign_ids(["ImageJ", "Image J", "Image-J"])
+    id_table, mentions = assign_ids(["ImageJ", "Image J", "Image-J"])
     freq = FrequencyTable(counts={
         id_table["ImageJ"]: 5000, id_table["Image J"]: 1200, id_table["Image-J"]: 40,
     })
-    named = name_clusters([tuple(id_table.values())], freq, reverse)
+    named = name_clusters([tuple(id_table.values())], freq, mentions)
     assert named[0].name == "ImageJ"
     assert named[0].name_id == id_table["ImageJ"]
 
 
 def test_name_clusters_singleton_and_ties():
-    id_table, reverse = assign_ids(["abc", "abd", "only"])
-    freq = FrequencyTable(counts={i: 3 for i in reverse})
-    named = name_clusters([(id_table["only"],)], freq, reverse)
+    id_table, mentions = assign_ids(["abc", "abd", "only"])
+    freq = FrequencyTable(counts={i: 3 for i in range(len(mentions))})
+    named = name_clusters([(id_table["only"],)], freq, mentions)
     assert named[0].name == "only"
-    named = name_clusters([(id_table["abd"], id_table["abc"])], freq, reverse)
+    named = name_clusters([(id_table["abd"], id_table["abc"])], freq, mentions)
     assert named[0].name == "abc"  # equal frequency, lexicographic tie-break
 
 
 def test_name_clusters_monotone_frequency_invariance():
     rng = random.Random(3)
     mentions = [f"m{i}" for i in range(12)]
-    id_table, reverse = assign_ids(mentions)
-    counts = {i: rng.randint(0, 50) for i in reverse}
-    clusters = [tuple(rng.sample(list(reverse), rng.randint(1, 6))) for _ in range(5)]
-    base = name_clusters(clusters, FrequencyTable(counts=counts), reverse)
+    id_table, ordered = assign_ids(mentions)
+    ids = range(len(ordered))
+    counts = {i: rng.randint(0, 50) for i in ids}
+    clusters = [tuple(rng.sample(ids, rng.randint(1, 6))) for _ in range(5)]
+    base = name_clusters(clusters, FrequencyTable(counts=counts), ordered)
     scaled = name_clusters(
-        clusters, FrequencyTable(counts={i: 3 * c + 1 for i, c in counts.items()}), reverse
+        clusters, FrequencyTable(counts={i: 3 * c + 1 for i, c in counts.items()}), ordered
     )
     assert [c.name_id for c in base] == [c.name_id for c in scaled]
 
 
 def test_missing_frequency_defaults_to_zero():
-    id_table, reverse = assign_ids(["a", "b"])
-    named = name_clusters([(0, 1)], FrequencyTable(counts={1: 5}), reverse)
+    id_table, mentions = assign_ids(["a", "b"])
+    named = name_clusters([(0, 1)], FrequencyTable(counts={1: 5}), mentions)
     assert named[0].name == "b"
 
 
@@ -193,7 +194,7 @@ def test_disambiguate_accounting_identity_random_corpora():
             assert not (set(cluster.members) & seen)
             seen |= set(cluster.members)
             assert cluster.name_id in cluster.members
-            assert cluster.name == chain.reverse[cluster.name_id]
+            assert cluster.name == chain.mentions[cluster.name_id]
         assert len(seen) == acc.disambiguated
 
 

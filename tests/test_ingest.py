@@ -289,24 +289,24 @@ def test_parse_mentions_rejects_a_mention_missing_from_known(lenient):
 
 
 def test_assign_ids_dedupes_and_sorts():
-    id_table, reverse = assign_ids(["BLAST", "BLAST", "SPSS"])
+    id_table, mentions = assign_ids(["BLAST", "BLAST", "SPSS"])
     assert id_table == {"BLAST": 0, "SPSS": 1}
-    assert reverse == {0: "BLAST", 1: "SPSS"}
+    assert mentions == ["BLAST", "SPSS"]
 
 
 def test_assign_ids_empty():
-    assert assign_ids([]) == ({}, {})
+    assert assign_ids([]) == ({}, [])
 
 
 @given(st.lists(_software_text, max_size=30))
 def test_assign_ids_order_insensitive_and_idempotent(mentions):
-    table, reverse = assign_ids(mentions)
+    table, ordered = assign_ids(mentions)
     shuffled = list(mentions)
     random.Random(0).shuffle(shuffled)
     assert assign_ids(shuffled)[0] == table
     assert assign_ids(table)[0] == table
     assert sorted(table.values()) == list(range(len(table)))
-    assert {reverse[i] for i in reverse} == set(table)
+    assert {m: i for i, m in enumerate(ordered)} == table
 
 
 def test_frequency_counts_distinct_papers():
@@ -372,12 +372,12 @@ def test_frequencies_match_brute_force_oracle():
 def test_id_and_frequency_tables_round_trip(tmp_path):
     records = [make_record("b", pmcid="1"), make_record("a", pmcid="2"),
                make_record("a", pmcid="3")]
-    id_table, reverse = assign_ids(r.software for r in records)
+    id_table, mentions = assign_ids(r.software for r in records)
     freq = compute_frequencies(records, id_table)
-    write_id_table(tmp_path / "m2i.tsv", id_table)
-    write_frequencies(tmp_path / "freq.tsv", freq, reverse)
-    table2, reverse2 = read_id_table(tmp_path / "m2i.tsv")
-    assert table2 == id_table and reverse2 == reverse
+    write_id_table(tmp_path / "m2i.tsv", mentions)
+    write_frequencies(tmp_path / "freq.tsv", freq, mentions)
+    table2, mentions2 = read_id_table(tmp_path / "m2i.tsv")
+    assert table2 == id_table and mentions2 == mentions
     assert read_frequencies(tmp_path / "freq.tsv", table2).counts == freq.counts
 
 

@@ -230,14 +230,14 @@ def test_link_mentions_precedence_and_mapped_to_aggregation(tmp_path):
 
 
 def _one_cluster(names, cluster_members, name_of_cluster):
-    id_table, reverse = assign_ids(names)
+    id_table, mentions = assign_ids(names)
     members = tuple(sorted(id_table[m] for m in cluster_members))
     cluster = Cluster(members=members, name_id=id_table[name_of_cluster], name=name_of_cluster)
-    return [cluster], id_table, reverse
+    return [cluster], id_table, mentions
 
 
 def test_propagate_links_cluster_members_inherit_name_link():
-    clusters, id_table, reverse = _one_cluster(
+    clusters, id_table, mentions = _one_cluster(
         ["scikit-learn", "sklearn", "loner", "selflink"],
         ["scikit-learn", "sklearn"],
         "scikit-learn",
@@ -253,7 +253,7 @@ def test_propagate_links_cluster_members_inherit_name_link():
             source="CodeHostAPI", package_url="https://github.com/x/selflink",
         ),
     }
-    propagated = propagate_links(clusters, reverse, links)
+    propagated = propagate_links(clusters, mentions, links)
     sklearn = propagated[id_table["sklearn"]]
     assert sklearn.package_url == url
     assert sklearn.software_mention == "sklearn"
@@ -264,14 +264,14 @@ def test_propagate_links_cluster_members_inherit_name_link():
 
 
 def test_propagate_links_fallback_to_own_link_when_name_unlinked():
-    clusters, id_table, reverse = _one_cluster(["alpha", "beta"], ["alpha", "beta"], "alpha")
+    clusters, id_table, mentions = _one_cluster(["alpha", "beta"], ["alpha", "beta"], "alpha")
     links = {
         id_table["beta"]: LinkedMetadata(
             id=id_table["beta"], software_mention="beta",
             source="CodeHostAPI", package_url="https://github.com/x/beta",
         )
     }
-    propagated = propagate_links(clusters, reverse, links)
+    propagated = propagate_links(clusters, mentions, links)
     assert id_table["alpha"] not in propagated
     assert propagated[id_table["beta"]].package_url.endswith("beta")
 

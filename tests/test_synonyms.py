@@ -188,11 +188,11 @@ def test_keyword_pairs_satisfy_substring_invariant():
     mentions = set()
     for _ in range(80):
         mentions.add(" ".join(rng.sample(words, rng.randint(1, 4))))
-    id_table, reverse = assign_ids(mentions)
+    id_table, ordered = assign_ids(mentions)
     entries = {"limma", "edgeR", "tool suite"}
     for registry in (Registry.PY, Registry.R, Registry.BIOC):
         for pair in generate_keyword_synonyms(RegistryIndex(registry, entries), id_table):
-            entry, variant = reverse[pair.a], reverse[pair.b]
+            entry, variant = ordered[pair.a], ordered[pair.b]
             if entry not in entries:
                 entry, variant = variant, entry
             assert entry in entries
@@ -338,13 +338,13 @@ def test_confidence_matches_source_contract():
 
 
 def test_synonyms_tsv_round_trip(tmp_path):
-    id_table, reverse = _ids("ImageJ", "Image J", "limma")
+    id_table, mentions = _ids("ImageJ", "Image J", "limma")
     pairs = [
         SynonymPair.of(0, 1, 0.9714285714285714, SynonymSource.STRING_SIMILARITY),
         SynonymPair.of(0, 2, 1.0, SynonymSource.KNOWLEDGE_BASE),
     ]
     path = tmp_path / "synonyms.tsv"
-    write_synonyms_tsv(path, pairs, reverse)
-    assert read_synonyms_tsv(path, reverse) == sorted(pairs, key=lambda p: (p.a, p.b))
+    write_synonyms_tsv(path, pairs, mentions)
+    assert read_synonyms_tsv(path, mentions) == sorted(pairs, key=lambda p: (p.a, p.b))
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "ID\tsynonym_ID\tsoftware_mention\tsynonym\tsynonym_conf\tsynonym_source"

@@ -18,13 +18,14 @@ artifact, 3 external service failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
 import sys
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping, TypeVar
 
 from . import clustering, evaluation, graph, ingest, linking, synonyms
 from .config import PipelineConfig, apply_settings, load_config
@@ -35,9 +36,10 @@ from .errors import (
     SoftMentionsError,
     ValidationError,
 )
-from .fileio import decode_errors, open_text, read_lines, read_tsv, write_text, write_tsv
+from .fileio import open_text, read_lines, read_tsv, write_text, write_tsv
 
 logger = logging.getLogger(__name__)
+T = TypeVar("T")
 
 MENTION2ID = "mention2id.tsv"
 FREQUENCIES = "frequencies.tsv"
@@ -369,75 +371,62 @@ def stage_link(cfg: PipelineConfig, run: Products | None = None) -> None:
     logger.info("link: %d mentions linked", len(propagated))
 
 
-def _read_predicted_pairs(path) -> list[tuple[str, str]]:
-    """Pairs from the first two columns; the header may name further columns."""
-    with open_text(path) as fh, decode_errors(path):
-        header = fh.readline().rstrip("\n").rstrip("\r").split("\t")
-    if header[:2] not in (["mention", "synonym"], ["software_mention", "synonym"]):
-        raise FormatError(f"{path}: line 1: bad predicted pairs header: {header}")
-    return read_tsv(path, header, lambda f: (f[0], f[1]))
+def _eval_files(cfg: PipelineConfig) -> list[str]:
+    """The eval.* files that each yield a metric; the predicted pairs only feed one."""
+    return [
+        cfg.eval_synonyms, cfg.eval_curation_multi, cfg.eval_curation_binary,
+        cfg.eval_linking, cfg.eval_ratings_two, cfg.eval_ratings_five,
+    ]
 
 
 def stage_evaluate(cfg: PipelineConfig) -> dict:
+    """Score each configured evaluation file with its metric."""
+    if not any(_eval_files(cfg)):
+        raise SoftMentionsError("missing input: no evaluation files configured (eval.*)")
     metrics: dict = {}
     inputs: list[Path] = []
-    if cfg.eval_synonyms:
-        labeled = evaluation.read_synonym_labels(_require(cfg.eval_synonyms, "synonym labels"))
-        inputs.append(Path(cfg.eval_synonyms))
-        predicted: list[tuple[str, str]]
-        if cfg.eval_predicted_pairs:
-            predicted = _read_predicted_pairs(
-                _require(cfg.eval_predicted_pairs, "predicted pairs")
+
+    def load(path: str, what: str, read: Callable[[Path], T]) -> T:
+        inputs.append(_require(path, what))
+        return read(inputs[-1])
+
+    # Each metric is computed right after its file is read, so a ValueError
+    # (rows that leave the metric undefined) concerns the last file recorded.
+    try:
+        if cfg.eval_synonyms:
+            labeled = load(cfg.eval_synonyms, "synonym labels", evaluation.read_synonym_labels)
+            if cfg.eval_predicted_pairs:
+                predicted = load(
+                    cfg.eval_predicted_pairs, "predicted pairs", evaluation.read_predicted_pairs
+                )
+            else:
+                predicted = [(row.mention, row.synonym) for row in labeled]
+                logger.warning("no predicted pairs configured; evaluating the labeled set itself")
+            metrics["synonyms"] = dataclasses.asdict(evaluation.synonym_prf(predicted, labeled))
+        for key, path, k in (
+            ("precision_at_1k", cfg.eval_curation_multi, 1000),
+            ("precision_at_10k", cfg.eval_curation_binary, 10000),
+        ):
+            if path:
+                rows = load(path, f"curation ({key})", evaluation.read_curation_rows)
+                metrics[key] = evaluation.precision_at_k(rows, min(k, len(rows)))
+        if cfg.eval_linking:
+            summary = evaluation.link_eval_summary(
+                load(cfg.eval_linking, "link evaluation", evaluation.read_link_eval)
             )
-            inputs.append(Path(cfg.eval_predicted_pairs))
-        else:
-            predicted = [(row.mention, row.synonym) for row in labeled]
-            logger.warning("no predicted pairs configured; evaluating the labeled set itself")
-        prf = evaluation.synonym_prf(predicted, labeled)
-        metrics["synonyms"] = {
-            "precision": prf.precision,
-            "recall": prf.recall,
-            "f1": prf.f1,
-            "tp": prf.tp,
-            "fp": prf.fp,
-            "fn": prf.fn,
-        }
-    if cfg.eval_curation_multi:
-        rows = evaluation.read_curation_rows(_require(cfg.eval_curation_multi, "curation (multi)"))
-        inputs.append(Path(cfg.eval_curation_multi))
-        k = min(1000, len(rows))
-        metrics["precision_at_1k"] = evaluation.precision_at_k(rows, k)
-    if cfg.eval_curation_binary:
-        rows = evaluation.read_curation_rows(
-            _require(cfg.eval_curation_binary, "curation (binary)")
-        )
-        inputs.append(Path(cfg.eval_curation_binary))
-        k = min(10000, len(rows))
-        metrics["precision_at_10k"] = evaluation.precision_at_k(rows, k)
-    if cfg.eval_linking:
-        rows = evaluation.read_link_eval(_require(cfg.eval_linking, "link evaluation"))
-        inputs.append(Path(cfg.eval_linking))
-        summary = evaluation.link_eval_summary(rows)
-        metrics["linking"] = {
-            "overall": {k: {"count": c, "percent": p} for k, (c, p) in summary.overall.items()},
-            "excluding_code_host": {
-                k: {"count": c, "percent": p}
-                for k, (c, p) in summary.excluding_code_host.items()
-            },
-        }
-    for key, path in (("two_categories", cfg.eval_ratings_two), ("five_categories", cfg.eval_ratings_five)):
-        if not path:
-            continue
-        grid = evaluation.read_ratings_csv(_require(path, f"ratings ({key})"))
-        inputs.append(Path(path))
-        iaa: dict = {"krippendorff_alpha": evaluation.krippendorff_alpha(grid)}
-        if all(all(v is not None for v in row) for row in grid):
-            categories = sorted({v for row in grid for v in row})
-            matrix = evaluation.ratings_to_matrix(grid, categories)
-            iaa["fleiss_kappa"] = evaluation.fleiss_kappa(matrix)
-        metrics.setdefault("agreement", {})[key] = iaa
-    if not metrics:
-        raise SoftMentionsError("missing input: no evaluation files configured (eval.*)")
+            metrics["linking"] = {
+                part: {label: {"count": c, "percent": p} for label, (c, p) in shares.items()}
+                for part, shares in vars(summary).items()
+            }
+        for key, path in (
+            ("two_categories", cfg.eval_ratings_two),
+            ("five_categories", cfg.eval_ratings_five),
+        ):
+            if path:
+                grid = load(path, f"ratings ({key})", evaluation.read_ratings_csv)
+                metrics.setdefault("agreement", {})[key] = evaluation.agreement(grid)
+    except ValueError as err:
+        raise FormatError(f"{inputs[-1]}: {err}") from None
     out = Path(cfg.out_dir)
     write_text(out / METRICS_JSON, json.dumps(metrics, sort_keys=True, indent=2) + "\n")
     lines = []
@@ -463,10 +452,7 @@ def run_all(cfg: PipelineConfig) -> None:
     del run.records, run.freq, run.pairs  # the corpus is the largest value; linking needs none
     if cfg.registry_py or cfg.registry_r or cfg.registry_bioc or cfg.kb_snapshots or cfg.codehost_snapshots:
         stage_link(cfg, run)
-    if any(
-        (cfg.eval_synonyms, cfg.eval_curation_multi, cfg.eval_curation_binary,
-         cfg.eval_linking, cfg.eval_ratings_two, cfg.eval_ratings_five)
-    ):
+    if any(_eval_files(cfg)):
         stage_evaluate(cfg)
 
 

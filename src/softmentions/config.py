@@ -162,9 +162,22 @@ def apply_settings(config: PipelineConfig, settings: dict[str, str]) -> Pipeline
 
 
 def load_config(path) -> PipelineConfig:
-    """Parse a key = value file; '#' starts a comment, blank lines ignored."""
-    settings: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    """Parse a key = value file; '#' starts a comment, blank lines ignored.
+
+    A file that cannot be read, is not UTF-8 or holds a line that is not a
+    known key with a valid value is a ValidationError naming the file and,
+    where there is one, the line.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as err:
+        raise ValidationError(f"{path}: cannot read configuration file: {err.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        lineno = data.count(b"\n", 0, err.start) + 1
+        raise ValidationError(f"{path}:{lineno}: not valid UTF-8") from None
+    config = PipelineConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -172,5 +185,8 @@ def load_config(path) -> PipelineConfig:
         if "=" not in stripped:
             raise ValidationError(f"{path}:{lineno}: expected key = value")
         key, _, value = stripped.partition("=")
-        settings[key.strip()] = value.strip()
-    return apply_settings(PipelineConfig(), settings)
+        try:
+            config = apply_settings(config, {key.strip(): value})
+        except ValidationError as err:
+            raise ValidationError(f"{path}:{lineno}: {err}") from None
+    return config

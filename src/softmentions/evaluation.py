@@ -10,10 +10,10 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
 
 from .errors import FormatError, RowError
-from .fileio import decode_errors, open_text
+from .fileio import decode_errors, iter_tsv, open_text
 
 T = TypeVar("T")
 
@@ -72,14 +72,12 @@ def _pair_key(a: str, b: str) -> tuple[str, str]:
 def synonym_prf(
     predicted: Iterable[tuple[str, str]],
     labeled: Sequence[SynonymLabel],
-    excluded_count_as_negative: bool = False,
 ) -> PrfResult:
     """Precision/recall/F1 of predicted pairs against curated labels.
 
-    Exact and Narrow verdicts are true synonyms. Unclear and NotSoftware
-    pairs are excluded from both denominators by default; flip
-    ``excluded_count_as_negative`` to count them as negatives instead.
-    Predicted pairs outside the labeled set are ignored.
+    Exact and Narrow verdicts are true synonyms and NotSynonym ones
+    negatives. Unclear and NotSoftware pairs are excluded from both
+    denominators, as are predicted pairs outside the labeled set.
     """
     true_set: set[tuple[str, str]] = set()
     negative: set[tuple[str, str]] = set()
@@ -88,8 +86,6 @@ def synonym_prf(
         if row.label in (SynonymVerdict.EXACT, SynonymVerdict.NARROW):
             true_set.add(key)
         elif row.label is SynonymVerdict.NOT_SYNONYM:
-            negative.add(key)
-        elif excluded_count_as_negative:
             negative.add(key)
     predicted_keys = {_pair_key(a, b) for a, b in predicted}
     tp = len(predicted_keys & true_set)
@@ -122,15 +118,10 @@ _CURATION_ALIASES = {
 
 @dataclass(frozen=True)
 class CurationLabelRow:
-    """One curated mention with its binary label and optional subcategory."""
+    """One curated mention with its label, as parse_curation_label returns it."""
 
     mention: str
     label: str
-    multi_label: str | None = None
-
-    def __post_init__(self):
-        if self.label not in (CURATION_SOFTWARE, CURATION_NOT_SOFTWARE, CURATION_UNCLEAR):
-            raise ValueError(f"unknown curation label: {self.label!r}")
 
 
 def parse_curation_label(text: str) -> str:
@@ -249,6 +240,15 @@ def ratings_to_matrix(
     return matrix
 
 
+def agreement(ratings: Sequence[Sequence[Hashable | None]]) -> dict[str, float | None]:
+    """Krippendorff alpha of a raters-by-items grid, plus Fleiss kappa when none is missing."""
+    out = {"krippendorff_alpha": krippendorff_alpha(ratings)}
+    if all(value is not None for row in ratings for value in row):
+        categories = sorted({value for row in ratings for value in row})
+        out["fleiss_kappa"] = fleiss_kappa(ratings_to_matrix(ratings, categories))
+    return out
+
+
 LINK_LABELS = ("correct", "incorrect", "unclear")
 
 
@@ -265,11 +265,8 @@ class LinkEvalSummary:
     excluding_code_host: dict[str, tuple[int, float]]
 
 
-def link_eval_summary(
-    rows: Sequence[tuple[str, str]],
-    code_host_source: str = "CodeHostAPI",
-) -> LinkEvalSummary:
-    """Label shares over (source, label) rows, overall and without code-host."""
+def link_eval_summary(rows: Sequence[tuple[str, str]]) -> LinkEvalSummary:
+    """Label shares over (source, label) rows, overall and without code-host links."""
     if not rows:
         raise ValueError("no labeled links")
     def shares(subset: Sequence[tuple[str, str]]) -> dict[str, tuple[int, float]]:
@@ -279,80 +276,74 @@ def link_eval_summary(
             count = sum(1 for _, l in subset if l == label)
             out[label] = (count, 100.0 * count / total if total else 0.0)
         return out
-    for source, label in rows:
-        if label not in LINK_LABELS:
-            raise FormatError(f"unknown link label: {label!r}")
-    non_code_host = [r for r in rows if r[0] != code_host_source]
+    non_code_host = [r for r in rows if r[0] != "CodeHostAPI"]
     return LinkEvalSummary(
         overall=shares(rows),
         excluding_code_host=shares(non_code_host),
     )
 
 
-def _pick_column(fieldnames: Sequence[str], candidates: Sequence[str], what: str) -> str:
-    for name in candidates:
-        if name in fieldnames:
-            return name
-    raise FormatError(f"no {what} column among {fieldnames}")
+def _read_csv(
+    path, columns: Mapping[str, Sequence[str]], row: Callable[..., T]
+) -> list[T]:
+    """``row(*values)`` for each data row of a headed CSV, one value per role.
 
-
-def _read_csv(path) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
-    """The header of a headed CSV and its rows as (line, row keyed by column).
-
-    A missing header, a row with fewer fields than the header and bytes
-    that are not UTF-8 are errors naming the file and the line. Blank lines
-    are skipped and fields past the header's width are ignored.
+    ``columns`` maps each role to the column names it accepts; the first
+    that the header holds is read. A missing header or role column, a row
+    with fewer fields than the header, a value ``row`` rejects and bytes
+    that are not UTF-8 are errors that read ``<file>: line N: ...``. Blank
+    lines are skipped and other columns are ignored.
     """
     with open_text(path) as fh, decode_errors(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise FormatError(f"{path}: line 1: empty CSV, header missing")
-        rows = []
+        position = {name: i for i, name in enumerate(header)}
+        picked = []
+        for role, names in columns.items():
+            found = [position[name] for name in names if name in position]
+            if not found:
+                raise FormatError(f"{path}: line 1: no {role} column among {header}")
+            picked.append(found[0])
+        out = []
         for fields in filter(None, reader):
-            if len(fields) < len(header):
-                message = f"expected {len(header)} columns, found {len(fields)}"
-                raise RowError(reader.line_num, message, path)
-            rows.append((reader.line_num, dict(zip(header, fields))))
-    return header, rows
-
-
-def _convert_rows(
-    path, rows: Sequence[tuple[int, dict[str, str]]], convert: Callable[[dict[str, str]], T]
-) -> list[T]:
-    """``convert(row)`` for every row; a bad value is a RowError naming the file and line."""
-    out = []
-    for lineno, row in rows:
-        try:
-            out.append(convert(row))
-        except (FormatError, ValueError) as err:
-            raise RowError(lineno, str(err), path) from None
+            try:
+                if len(fields) < len(header):
+                    raise ValueError(f"expected {len(header)} columns, found {len(fields)}")
+                out.append(row(*(fields[i] for i in picked)))
+            except (FormatError, ValueError) as err:
+                raise RowError(reader.line_num, str(err), path) from None
     return out
 
 
 def read_synonym_labels(path) -> list[SynonymLabel]:
     """Curated synonym pairs from the disambiguation evaluation CSV."""
-    header, rows = _read_csv(path)
-    mention_col = _pick_column(header, ("software_mention", "link_label", "mention"), "mention")
-    synonym_col = _pick_column(header, ("synonym",), "synonym")
-    label_col = _pick_column(header, ("synonym_label", "label"), "label")
-    return _convert_rows(path, rows, lambda row: SynonymLabel(
-        mention=row[mention_col],
-        synonym=row[synonym_col],
-        label=parse_verdict(row[label_col]),
+    columns = {
+        "mention": ("software_mention", "link_label", "mention"),
+        "synonym": ("synonym",),
+        "label": ("synonym_label", "label"),
+    }
+    return _read_csv(path, columns, lambda mention, synonym, label: SynonymLabel(
+        mention, synonym, parse_verdict(label)
     ))
+
+
+def read_predicted_pairs(path) -> list[tuple[str, str]]:
+    """Pairs from the first two columns of a TSV; the header may name further columns."""
+    with open_text(path) as fh, decode_errors(path):
+        header = fh.readline().rstrip("\n").rstrip("\r").split("\t")
+        if header[:2] not in (["mention", "synonym"], ["software_mention", "synonym"]):
+            raise FormatError(f"{path}: line 1: bad predicted pairs header: {header}")
+        fh.seek(0)
+        return list(iter_tsv(fh, header, lambda fields: (fields[0], fields[1])))
 
 
 def read_curation_rows(path) -> list[CurationLabelRow]:
     """Curated mentions, preserving file order (most frequent first)."""
-    header, rows = _read_csv(path)
-    mention_col = _pick_column(header, ("software_mention", "mention"), "mention")
-    label_col = _pick_column(header, ("label",), "label")
-    multi_col = "multi_label" if "multi_label" in header else None
-    return _convert_rows(path, rows, lambda row: CurationLabelRow(
-        mention=row[mention_col],
-        label=parse_curation_label(row[label_col]),
-        multi_label=row[multi_col].strip().lower() if multi_col and row[multi_col] else None,
+    columns = {"mention": ("software_mention", "mention"), "label": ("label",)}
+    return _read_csv(path, columns, lambda mention, label: CurationLabelRow(
+        mention, parse_curation_label(label)
     ))
 
 
@@ -376,27 +367,22 @@ def normalize_source_name(text: str) -> str:
 
 def read_link_eval(path) -> list[tuple[str, str]]:
     """(source, label) rows from the linking evaluation CSV."""
-    header, rows = _read_csv(path)
-    source_col = _pick_column(header, ("source",), "source")
-    label_col = _pick_column(header, ("link_label", "evaluation_label", "label"), "label")
-    return _convert_rows(path, rows, lambda row: (
-        normalize_source_name(row[source_col]), parse_link_label(row[label_col])
+    columns = {"source": ("source",), "label": ("link_label", "evaluation_label", "label")}
+    return _read_csv(path, columns, lambda source, label: (
+        normalize_source_name(source), parse_link_label(label)
     ))
 
 
 def read_ratings_csv(path) -> list[list[str | None]]:
-    """Long-format (item, rater, label) CSV into a raters-by-items grid."""
-    header, rows = _read_csv(path)
-    for col in ("item", "rater", "label"):
-        if col not in header:
-            raise FormatError(f"ratings CSV needs an {col!r} column")
-    triples = [(row["item"], row["rater"], row["label"]) for _, row in rows]
-    items = sorted({t[0] for t in triples})
-    raters = sorted({t[1] for t in triples})
-    item_idx = {v: i for i, v in enumerate(items)}
-    grid: list[list[str | None]] = [[None] * len(items) for _ in raters]
-    for rater_pos, rater in enumerate(raters):
-        for item, who, label in triples:
-            if who == rater:
-                grid[rater_pos][item_idx[item]] = label
-    return grid
+    """Long-format (item, rater, label) CSV into a raters-by-items grid.
+
+    A missing rating is None; of two rows for one item and rater, the later wins.
+    """
+    columns = {"item": ("item",), "rater": ("rater",), "label": ("label",)}
+    labels = {
+        (rater, item): label
+        for item, rater, label in _read_csv(path, columns, lambda *fields: fields)
+    }
+    items = sorted({item for _, item in labels})
+    raters = sorted({rater for rater, _ in labels})
+    return [[labels.get((rater, item)) for item in items] for rater in raters]

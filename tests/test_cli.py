@@ -2,6 +2,7 @@ import gzip
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -86,14 +87,16 @@ def test_stages_run_separately_match_run_all(fixture_copy):
 FIXTURE_DIGESTS = DATA_DIR / "fixture_out.sha256"
 
 
-def pinned_digest_mismatches(out: Path, echoed_workers: str = "1") -> list[str]:
-    """Files under out/ whose digest differs from (or is missing in) the pins.
+def pinned_digest_mismatches(
+    out: Path, echoed_workers: str = "1", pins: Path = FIXTURE_DIGESTS
+) -> list[str]:
+    """Files under out/ whose digest differs from (or is missing in) ``pins``.
 
     Manifests echo the configuration, so with ``echoed_workers`` other than
     1 their worker count is set back to 1 before hashing.
     """
     expected = {}
-    for line in FIXTURE_DIGESTS.read_text(encoding="utf-8").splitlines():
+    for line in pins.read_text(encoding="utf-8").splitlines():
         digest, name = line.split(maxsplit=1)
         expected[name] = digest
     found = {}
@@ -120,6 +123,21 @@ def test_run_all_with_two_workers_reproduces_the_pinned_digests(fixture_copy, mo
     monkeypatch.chdir(fixture_copy)
     assert run_cli("run-all", "--config", "config.cfg", "--set", "parallelism.workers=2") == 0
     assert pinned_digest_mismatches(fixture_copy / "out", echoed_workers="2") == []
+
+
+# Every eval.* key set, with the readers' alias headers, an extra
+# predicted-pairs column, a complete two-category grid and a five-category
+# grid missing one rating (so Fleiss kappa is left out).
+EVALUATE_DIR = DATA_DIR / "evaluate"
+EVALUATE_DIGESTS = DATA_DIR / "evaluate_out.sha256"
+
+
+def test_evaluate_reproduces_the_pinned_digests(tmp_path, monkeypatch):
+    inputs = tmp_path / "evaluate"
+    shutil.copytree(EVALUATE_DIR, inputs)
+    monkeypatch.chdir(inputs)
+    assert run_cli("evaluate", "--config", "config.cfg") == 0
+    assert pinned_digest_mismatches(inputs / "out", pins=EVALUATE_DIGESTS) == []
 
 
 def test_run_all_reads_each_registry_name_list_once(fixture_copy, monkeypatch):
@@ -426,6 +444,39 @@ def test_unknown_evaluation_label_names_file_and_line(
     assert_data_error_names(log, f"{labels}: line 3: unknown")
 
 
+# Files each reader accepts up to a missing column, or whose rows leave
+# their metric undefined: (key, content, what follows the path in the error).
+UNUSABLE_EVALUATION_FILES = {
+    "curation_binary_header_only": ("eval.curation_binary", b"mention,label\n", "k must"),
+    "curation_multi_header_only": ("eval.curation_multi", b"ID,mention,label\n", "k must"),
+    "linking_header_only": ("eval.linking", b"source,link_label\n", "no labeled links"),
+    "ratings_one_rater": (
+        "eval.ratings_two", b"item,rater,label\na,r1,x\nb,r1,y\n", "need at least two items"
+    ),
+    "ratings_header_only": ("eval.ratings_five", b"item,rater,label\n", "no ratings"),
+    "curation_no_mention_column": (
+        "eval.curation_binary", b"name,label\nSPSS,software\n", "line 1: no mention column"
+    ),
+    "ratings_no_rater_column": (
+        "eval.ratings_two", b"item,who,label\na,r1,x\n", "line 1: no rater column"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "key, text, message",
+    UNUSABLE_EVALUATION_FILES.values(),
+    ids=UNUSABLE_EVALUATION_FILES.keys(),
+)
+def test_unusable_evaluation_file_exits_2_naming_it(
+    fixture_copy, tmp_path, caplog, capsys, key, text, message
+):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(text)
+    assert run_stage(fixture_copy, "evaluate", "--set", f"{key}={path}") == 2
+    assert_data_error_names(caplog.text + capsys.readouterr().err, f"{path}: {message}")
+
+
 def test_truncated_gzip_corpus_names_file(fixture_copy, caplog, capsys):
     data = gzip.compress((fixture_copy / "corpus.tsv").read_bytes(), mtime=0)
     corpus = fixture_copy / "corpus.tsv.gz"
@@ -553,6 +604,33 @@ def test_config_file_parsing(tmp_path):
     bad.write_text("just words\n", encoding="utf-8")
     with pytest.raises(ValidationError):
         load_config(bad)
+
+
+# A --config file the pipeline cannot use: (its content, None for no file
+# or "dir" for a directory, and what follows the path in the error).
+BAD_CONFIG_FILES = {
+    "missing": (None, ": cannot read configuration file"),
+    "directory": ("dir", ": cannot read configuration file"),
+    "non_utf8": (b"dbscan.eps = 0.03\n# caf\xe9\n", ":2: not valid UTF-8"),
+    "unknown_key": (b"dbscan.min_pts = 2\ndbscan.epz = 0.1\n", ":2: unknown configuration key"),
+    "bad_value": (b"# wide\n\ndbscan.eps = wide\n", ":3: dbscan.eps: expected a number"),
+    "no_equals_sign": (b"dbscan.eps = 0.03\njust words\n", ":2: expected key = value"),
+}
+
+
+@pytest.mark.parametrize(
+    "content, message", BAD_CONFIG_FILES.values(), ids=BAD_CONFIG_FILES.keys()
+)
+def test_unusable_config_file_exits_1_naming_it(tmp_path, caplog, capsys, content, message):
+    path = tmp_path / "k.cfg"
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    assert run_cli("ingest", "--config", str(path)) == 1
+    log = caplog.text + capsys.readouterr().err
+    assert f"configuration error: {path}{message}" in log
+    assert "Traceback" not in log
 
 
 def test_config_validation_rules():

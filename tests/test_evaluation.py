@@ -101,13 +101,6 @@ def test_prf_hand_enumerated_confusion():
     assert result.f1 == pytest.approx(0.6)
 
 
-def test_prf_excluded_as_negative_switch():
-    rows, predicted = _ten_pair_fixture()
-    result = synonym_prf(predicted, rows, excluded_count_as_negative=True)
-    assert (result.tp, result.fp) == (3, 2)
-    assert result.precision == pytest.approx(0.6)
-
-
 def test_prf_pair_order_does_not_matter():
     rows, _ = _ten_pair_fixture()
     result = synonym_prf([("Image J", "ImageJ")], rows)
@@ -209,8 +202,6 @@ def test_curation_label_parsing():
     assert parse_curation_label(" unclear ") == CURATION_UNCLEAR
     with pytest.raises(FormatError):
         parse_curation_label("banana")
-    with pytest.raises(ValueError):
-        CurationLabelRow(mention="x", label="banana")
 
 
 @pytest.mark.parametrize("matrix,expected", FLEISS_FIXTURES)
@@ -297,8 +288,6 @@ def test_link_eval_summary_all_correct_and_errors():
     assert summary.overall["correct"] == (4, pytest.approx(100.0))
     with pytest.raises(ValueError):
         link_eval_summary([])
-    with pytest.raises(FormatError):
-        link_eval_summary([("PkgIndexPy", "great")])
 
 
 def test_verdict_parsing_aliases():
@@ -334,8 +323,6 @@ def test_read_curation_rows_csv(tmp_path):
     )
     rows = read_curation_rows(path)
     assert [r.label for r in rows] == [CURATION_SOFTWARE, CURATION_NOT_SOFTWARE, CURATION_UNCLEAR]
-    assert rows[0].multi_label == "software"
-    assert rows[2].multi_label is None
 
 
 def test_read_link_eval_csv_normalizes_sources(tmp_path):

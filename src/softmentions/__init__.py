@@ -35,8 +35,8 @@ from .graph import (
     post_process,
 )
 from .ingest import (
+    CorpusRow,
     FrequencyTable,
-    MentionRecord,
     assign_ids,
     compute_frequencies,
     parse_mentions,

@@ -25,10 +25,10 @@ import logging
 import sys
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Mapping, TypeVar
+from typing import Callable, Iterator, Mapping, TypeVar
 
 from . import clustering, evaluation, graph, ingest, linking, synonyms
-from .config import PipelineConfig, apply_settings, load_config
+from .config import PipelineConfig, Setting, read_config, resolve_config
 from .errors import (
     ConsistencyError,
     ExternalServiceError,
@@ -89,13 +89,13 @@ def write_manifest(cfg: PipelineConfig, stage: str, inputs: list[Path], counts: 
 
 def _read_corpus(
     cfg: PipelineConfig, id_table: Mapping[str, int] | None = None
-) -> list[ingest.MentionRecord]:
-    """The corpus records; with the ID table of mention2id.tsv, each mention must be in it."""
+) -> list[ingest.CorpusRow]:
+    """The corpus rows; with the ID table of mention2id.tsv, each mention must be in it."""
     corpus = _require(cfg.corpus, "corpus TSV (paths.corpus)")
     errors: list = []
     try:
         with open_text(corpus) as fh:
-            records = list(
+            rows = list(
                 ingest.parse_mentions(
                     fh, cfg.corpus_kind, lenient=not cfg.strict, errors=errors, known=id_table
                 )
@@ -105,7 +105,7 @@ def _read_corpus(
         raise ConsistencyError(f"{err}, which {id_path} does not list (rerun ingest)") from None
     for err in errors:
         logger.warning("skipped row: %s", err)
-    return records
+    return rows
 
 
 def _registry_names(cfg: PipelineConfig) -> RegistryNames:
@@ -149,7 +149,7 @@ class Products:
         return synonyms.read_synonyms_tsv(path, self.ids[1])
 
     @cached_property
-    def records(self) -> list[ingest.MentionRecord]:
+    def rows(self) -> list[ingest.CorpusRow]:
         """The corpus, which must hold no mention that mention2id.tsv lacks."""
         return _read_corpus(self.cfg, self.ids[0])
 
@@ -166,14 +166,14 @@ class Products:
 def stage_ingest(cfg: PipelineConfig, run: Products | None = None) -> None:
     """Parse the corpus, assign mention IDs and count papers."""
     run = run or Products(cfg)
-    records = _read_corpus(cfg)
-    id_table, mentions = ingest.assign_ids(r.software for r in records)
-    freq = ingest.compute_frequencies(records, id_table)
-    run.records, run.ids, run.freq = records, (id_table, mentions), freq
+    rows = _read_corpus(cfg)
+    id_table, mentions = ingest.assign_ids(row.software for row in rows)
+    freq = ingest.compute_frequencies(rows, id_table)
+    run.rows, run.ids, run.freq = rows, (id_table, mentions), freq
     ingest.write_id_table(run.out / MENTION2ID, mentions)
     ingest.write_frequencies(run.out / FREQUENCIES, freq, mentions)
     counts = {
-        "rows": len(records),
+        "rows": len(rows),
         "unique_mentions": len(mentions),
         "rows_missing_paper_key": freq.missing_paper_key_rows,
     }
@@ -223,7 +223,7 @@ def stage_cluster(cfg: PipelineConfig, run: Products | None = None) -> None:
     """Cluster the synonym pairs into named entities."""
     run = run or Products(cfg)
     out = run.out
-    (id_table, mentions), freq, pairs, records = run.ids, run.freq, run.pairs, run.records
+    (id_table, mentions), freq, pairs, rows = run.ids, run.freq, run.pairs, run.rows
     stoplist = (
         graph.read_stoplist(_require(cfg.stoplist, "stoplist"))
         if cfg.stoplist
@@ -240,7 +240,7 @@ def stage_cluster(cfg: PipelineConfig, run: Products | None = None) -> None:
     )
     run.clusters = result.clusters
     clustering.write_disambiguated_tsv(
-        out / DISAMBIGUATED, records, cfg.corpus_kind, id_table, result
+        out / DISAMBIGUATED, rows, cfg.corpus_kind, id_table, result
     )
     cluster_rows = [
         (str(idx), str(c.name_id), c.name, str(member), mentions[member])
@@ -449,7 +449,7 @@ def run_all(cfg: PipelineConfig) -> None:
     stage_ingest(cfg, run)
     stage_synonyms(cfg, run)
     stage_cluster(cfg, run)
-    del run.records, run.freq, run.pairs  # the corpus is the largest value; linking needs none
+    del run.rows, run.freq, run.pairs  # the corpus is the largest value; linking needs none
     if cfg.registry_py or cfg.registry_r or cfg.registry_bioc or cfg.kb_snapshots or cfg.codehost_snapshots:
         stage_link(cfg, run)
     if any(_eval_files(cfg)):
@@ -492,25 +492,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def configure(args: argparse.Namespace) -> PipelineConfig:
-    cfg = load_config(args.config) if args.config else PipelineConfig()
-    overrides = {}
-    for item in args.settings:
-        if "=" not in item:
-            raise ValidationError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, value = item.partition("=")
-        overrides[key.strip()] = value.strip()
-    # Each flag is an alias of its key's --set and wins over it.
-    flags = {
-        "paths.out_dir": args.out or None,
-        "linking.offline": args.offline,
-        "parallelism.workers": args.workers,
-        "parsing.strict": args.strict,
-    }
-    overrides.update((key, str(value)) for key, value in flags.items() if value is not None)
-    if overrides:
-        cfg = apply_settings(cfg, overrides)
-    cfg.validate()
-    return cfg
+    """The --config file's settings, then each --set, then the flags, validated."""
+
+    def settings() -> Iterator[Setting]:
+        if args.config:
+            yield from read_config(args.config)
+        for item in args.settings:
+            if "=" not in item:
+                raise ValidationError(f"--set expects KEY=VALUE, got {item!r}")
+            key, _, value = item.partition("=")
+            yield f"--set {item}", key.strip(), value.strip()
+        # Each flag is an alias of its key's --set and, coming last, wins over it.
+        flags = (
+            (f"--out {args.out}", "paths.out_dir", args.out or None),
+            ("--offline" if args.offline else "--online", "linking.offline", args.offline),
+            (f"--workers {args.workers}", "parallelism.workers", args.workers),
+            ("--strict" if args.strict else "--lenient", "parsing.strict", args.strict),
+        )
+        for origin, key, value in flags:
+            if value is not None:
+                yield origin, key, str(value)
+
+    return resolve_config(settings())
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .fileio import write_tsv
+from .fileio import write_text
 from .graph import (
     DEFAULT_STOPLIST,
     SimilarityGraph,
@@ -20,7 +20,7 @@ from .graph import (
     connected_components,
     post_process,
 )
-from .ingest import FrequencyTable, MentionRecord, corpus_rows
+from .ingest import CORPUS_FIELDS, CorpusRow, FrequencyTable
 from .synonyms import SynonymPair
 
 
@@ -185,16 +185,24 @@ def disambiguate_pairs(
 
 def write_disambiguated_tsv(
     path,
-    records: Sequence[MentionRecord],
+    rows: Iterable[CorpusRow],
     corpus_kind: str,
     id_table: Mapping[str, int],
     result: DisambiguationResult,
 ) -> None:
-    """Raw corpus rows plus mapped_to_software / mapped_to_software_ID."""
-    header, rows = corpus_rows(records, corpus_kind)
-    mapped = [(cluster.name, str(cluster.name_id)) for cluster in result.clusters]
+    """Raw corpus rows plus mapped_to_software / mapped_to_software_ID, streamed to ``path``.
+
+    Each row's line was cut from one corpus line at its tabs, so it is
+    written as it is, with the cluster's two cells appended.
+    """
+    header = (*CORPUS_FIELDS[corpus_kind], "mapped_to_software", "mapped_to_software_ID")
+    mapped = [f"\t{cluster.name}\t{cluster.name_id}\n" for cluster in result.clusters]
     mention_to_cluster = result.mention_to_cluster
-    for record, row in zip(records, rows):
-        cluster_idx = mention_to_cluster.get(id_table[record.software])
-        row += ("", "") if cluster_idx is None else mapped[cluster_idx]
-    write_tsv(path, (*header, "mapped_to_software", "mapped_to_software_ID"), rows)
+
+    def lines() -> Iterator[str]:
+        yield "\t".join(header) + "\n"
+        for row in rows:
+            cluster_idx = mention_to_cluster.get(id_table[row.software])
+            yield row.line + ("\t\t\n" if cluster_idx is None else mapped[cluster_idx])
+
+    write_text(path, lines())

@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .errors import ValidationError
 
@@ -58,21 +59,28 @@ class PipelineConfig:
     eval_ratings_five: str = ""
 
     def validate(self) -> None:
+        """Check every value's invariant; an error's ``keys`` are the keys its rule reads."""
         if not 0.0 < self.record_threshold <= 1.0:
-            raise ValidationError("thresholds.record must lie in (0, 1]")
+            raise ValidationError("thresholds.record must lie in (0, 1]", "thresholds.record")
         if not self.record_threshold <= self.use_threshold <= 1.0:
-            raise ValidationError("thresholds.use must lie in [thresholds.record, 1]")
+            raise ValidationError(
+                f"thresholds.use ({self.use_threshold}) must lie in "
+                f"[thresholds.record ({self.record_threshold}), 1]",
+                "thresholds.use", "thresholds.record",
+            )
         if self.eps <= 0:
-            raise ValidationError("dbscan.eps must be positive")
+            raise ValidationError("dbscan.eps must be positive", "dbscan.eps")
         if self.min_pts < 1:
-            raise ValidationError("dbscan.min_pts must be at least 1")
+            raise ValidationError("dbscan.min_pts must be at least 1", "dbscan.min_pts")
         if self.workers < 1:
-            raise ValidationError("parallelism.workers must be at least 1")
+            raise ValidationError("parallelism.workers must be at least 1", "parallelism.workers")
         if self.corpus_kind not in ("comm", "non_comm", "publishers"):
-            raise ValidationError(f"corpus.kind unknown: {self.corpus_kind!r}")
+            raise ValidationError(f"corpus.kind unknown: {self.corpus_kind!r}", "corpus.kind")
         unknown = [s for s in self.precedence if s not in DEFAULT_PRECEDENCE_NAMES]
         if unknown:
-            raise ValidationError(f"linking.precedence has unknown sources: {unknown}")
+            raise ValidationError(
+                f"linking.precedence has unknown sources: {unknown}", "linking.precedence"
+            )
 
     def kb_token(self) -> str:
         return os.environ.get(KB_TOKEN_ENV, "")
@@ -161,12 +169,17 @@ def apply_settings(config: PipelineConfig, settings: dict[str, str]) -> Pipeline
     return replace(config, **updates)
 
 
-def load_config(path) -> PipelineConfig:
-    """Parse a key = value file; '#' starts a comment, blank lines ignored.
+# A setting and where it was made: (origin, key, raw value), the origin
+# being "file:line", "--set KEY=VALUE" or a flag.
+Setting = tuple[str, str, str]
 
-    A file that cannot be read, is not UTF-8 or holds a line that is not a
-    known key with a valid value is a ValidationError naming the file and,
-    where there is one, the line.
+
+def read_config(path) -> Iterator[Setting]:
+    """Each setting of a key = value file, its origin ``path:line``.
+
+    '#' starts a comment, blank lines are ignored. A file that cannot be
+    read, is not UTF-8 or holds a line without '=' is a ValidationError
+    naming the file and, where there is one, the line.
     """
     try:
         data = Path(path).read_bytes()
@@ -177,7 +190,6 @@ def load_config(path) -> PipelineConfig:
     except UnicodeDecodeError as err:
         lineno = data.count(b"\n", 0, err.start) + 1
         raise ValidationError(f"{path}:{lineno}: not valid UTF-8") from None
-    config = PipelineConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -185,8 +197,37 @@ def load_config(path) -> PipelineConfig:
         if "=" not in stripped:
             raise ValidationError(f"{path}:{lineno}: expected key = value")
         key, _, value = stripped.partition("=")
+        yield f"{path}:{lineno}", key.strip(), value
+
+
+def _apply_in_order(settings: Iterable[Setting]) -> tuple[PipelineConfig, dict[str, str]]:
+    """The defaults with each setting applied in turn, and the origin of each key set."""
+    config, origins = PipelineConfig(), {}
+    for origin, key, value in settings:
         try:
-            config = apply_settings(config, {key.strip(): value})
+            config = apply_settings(config, {key: value})
         except ValidationError as err:
-            raise ValidationError(f"{path}:{lineno}: {err}") from None
+            raise ValidationError(f"{origin}: {err}") from None
+        origins[key] = origin
+    return config, origins
+
+
+def load_config(path) -> PipelineConfig:
+    """The settings of a key = value file, unvalidated; an unknown key or bad value names its line."""
+    return _apply_in_order(read_config(path))[0]
+
+
+def resolve_config(settings: Iterable[Setting]) -> PipelineConfig:
+    """The defaults with each setting applied in turn, validated.
+
+    Every error starts with the origin of the setting at fault; one that
+    breaks a rule over several keys starts with the origin of each of them
+    that was set.
+    """
+    config, origins = _apply_in_order(settings)
+    try:
+        config.validate()
+    except ValidationError as err:
+        where = ", ".join(origins[key] for key in err.keys if key in origins)
+        raise ValidationError(f"{where}: {err}" if where else str(err), *err.keys) from None
     return config

@@ -23,7 +23,11 @@ class ConsistencyError(SoftMentionsError):
 
 
 class ValidationError(SoftMentionsError):
-    """Configuration value violates its invariant."""
+    """Configuration value violates its invariant; ``keys`` are the settings it concerns."""
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = keys
 
 
 class ExternalServiceError(SoftMentionsError):

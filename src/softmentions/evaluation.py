@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Hashable, Iterable, Mapping, Sequence, TypeVar
+from typing import IO, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import FormatError, RowError
 from .fileio import decode_errors, iter_tsv, open_text
@@ -283,6 +283,20 @@ def link_eval_summary(rows: Sequence[tuple[str, str]]) -> LinkEvalSummary:
     )
 
 
+def _csv_records(fh: IO[str], path) -> Iterator[tuple[int, list[str]]]:
+    """Each CSV record with the line it ends on; a csv.Error becomes a RowError there.
+
+    A csv.Error (a field over the csv module's size limit, say) is not a
+    ValueError, so a UnicodeDecodeError still passes to decode_errors.
+    """
+    reader = csv.reader(fh)
+    try:
+        for fields in reader:
+            yield reader.line_num, fields
+    except csv.Error as err:
+        raise RowError(reader.line_num, str(err), path) from None
+
+
 def _read_csv(
     path, columns: Mapping[str, Sequence[str]], row: Callable[..., T]
 ) -> list[T]:
@@ -290,13 +304,14 @@ def _read_csv(
 
     ``columns`` maps each role to the column names it accepts; the first
     that the header holds is read. A missing header or role column, a row
-    with fewer fields than the header, a value ``row`` rejects and bytes
-    that are not UTF-8 are errors that read ``<file>: line N: ...``. Blank
-    lines are skipped and other columns are ignored.
+    with fewer fields than the header, a value ``row`` rejects, a line the
+    csv module cannot parse and bytes that are not UTF-8 are errors that
+    read ``<file>: line N: ...``. Blank lines are skipped and other columns
+    are ignored.
     """
     with open_text(path) as fh, decode_errors(path):
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        records = _csv_records(fh, path)
+        _, header = next(records, (1, None))
         if header is None:
             raise FormatError(f"{path}: line 1: empty CSV, header missing")
         position = {name: i for i, name in enumerate(header)}
@@ -307,13 +322,15 @@ def _read_csv(
                 raise FormatError(f"{path}: line 1: no {role} column among {header}")
             picked.append(found[0])
         out = []
-        for fields in filter(None, reader):
+        for lineno, fields in records:
+            if not fields:
+                continue
             try:
                 if len(fields) < len(header):
                     raise ValueError(f"expected {len(header)} columns, found {len(fields)}")
                 out.append(row(*(fields[i] for i in picked)))
             except (FormatError, ValueError) as err:
-                raise RowError(reader.line_num, str(err), path) from None
+                raise RowError(lineno, str(err), path) from None
     return out
 
 

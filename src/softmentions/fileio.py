@@ -34,26 +34,27 @@ def open_text(path: str | os.PathLike[str]) -> IO[str]:
     return io.TextIOWrapper(_open_bytes(path), encoding="utf-8", newline="")
 
 
-def write_text(path: str | os.PathLike[str], data: str) -> None:
-    """Write UTF-8 text; a .gz suffix selects gzip with mtime pinned to 0.
+def write_text(path: str | os.PathLike[str], data: str | Iterable[str]) -> None:
+    """Write UTF-8 text, given whole or as chunks; a .gz suffix selects gzip with mtime 0.
 
     Pinning mtime keeps gzipped outputs byte-identical across runs, which
     the determinism contract requires. The text goes to a temporary file
-    in the same directory that then replaces ``path``, so a failed write
-    leaves the previous file (or none), never a truncated one.
+    in the same directory that then replaces ``path``, so a failed write,
+    or chunks that raise partway, leave the previous file (or none), never
+    a truncated one.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    chunks = [data] if isinstance(data, str) else data
     try:
-        if path.suffix == ".gz":
+        with open(tmp, "wb") as raw:
             # The gzip header records the file name: keep the final one.
-            with open(tmp, "wb") as raw:
-                with gzip.GzipFile(str(path), "wb", fileobj=raw, mtime=0) as gz:
-                    gz.write(data.encode("utf-8"))
-        else:
-            with open(tmp, "w", encoding="utf-8", newline="") as fh:
-                fh.write(data)
+            gz = None
+            if path.suffix == ".gz":
+                gz = gzip.GzipFile(str(path), "wb", fileobj=raw, mtime=0)
+            with io.TextIOWrapper(gz or raw, encoding="utf-8", newline="") as fh:
+                fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

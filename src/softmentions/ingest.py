@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import IO, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import FormatError, RowError
@@ -50,32 +49,26 @@ CORPUS_FIELDS: dict[str, tuple[str, ...]] = {
 }
 
 
-class MentionRecord(NamedTuple):
-    """One NER-extracted software mention with its paper provenance.
+class CorpusRow(NamedTuple):
+    """One corpus row: what the pipeline reads of it, and its text.
 
-    An immutable, hashable named tuple; ``_replace`` makes a changed copy.
+    ``line`` is the row's cells joined by tabs in the corpus kind's column
+    order, with every integer cell in canonical decimal, an empty number as
+    0 and an empty curation_label as not_curated; it is the row as
+    disambiguated.tsv repeats it. pmcid is empty in a publishers corpus.
     """
 
     software: str
-    text: str = ""
-    license: str = ""
-    location: str = ""
-    pmcid: str = ""
-    pmid: str = ""
-    doi: str = ""
-    pubdate: int | None = None
-    source: str = ""
-    number: int = 0
-    version: str = ""
-    id: int | None = None
-    curation_label: str = "not_curated"
+    pmcid: str
+    doi: str
+    line: str
 
 
 @dataclass
 class FrequencyTable:
     """Distinct-paper counts per mention ID.
 
-    A mention appearing many times within one paper counts once; records
+    A mention appearing many times within one paper counts once; rows
     lacking both pmcid and doi fall into one synthetic paper per call and
     are tallied in missing_paper_key_rows.
     """
@@ -87,35 +80,14 @@ class FrequencyTable:
         return self.counts.get(mention_id, 0)
 
 
-# Each integer field's position, its name and the value an empty cell stands for.
-_INTEGERS = tuple(
-    (MentionRecord._fields.index(name), name, default)
-    for name, default in (("pubdate", None), ("number", 0), ("id", None))
-)
-_NUMBER = MentionRecord._fields.index("number")
-_LABEL = MentionRecord._fields.index("curation_label")
-
-
-def _corpus_layout(corpus_kind: str) -> tuple[tuple[str, ...], list[str]]:
-    """The corpus kind's header and the MentionRecord field of each column.
-
-    Every column is named after its field, ID after id.
-    """
-    try:
-        header = CORPUS_FIELDS[corpus_kind]
-    except KeyError:
-        raise FormatError(f"unknown corpus kind: {corpus_kind!r}") from None
-    return header, [name.lower() for name in header]
-
-
 def parse_mentions(
     stream: IO[str],
     corpus_kind: str,
     lenient: bool = False,
     errors: list[RowError] | None = None,
     known: Container[str] | None = None,
-) -> Iterator[MentionRecord]:
-    """Parse a raw mention TSV stream into MentionRecords.
+) -> Iterator[CorpusRow]:
+    """Parse a raw mention TSV stream into CorpusRows.
 
     The stream follows the TSV contract of ``fileio.iter_tsv`` with the
     corpus kind's field list as its header. Malformed data rows raise
@@ -123,59 +95,45 @@ def parse_mentions(
     is set. With ``known``, a row whose mention it lacks raises
     ConsistencyError, lenient or not.
     """
-    header, attrs = _corpus_layout(corpus_kind)
+    try:
+        header = CORPUS_FIELDS[corpus_kind]
+    except KeyError:
+        raise FormatError(f"unknown corpus kind: {corpus_kind!r}") from None
     if lenient and errors is None:
         errors = []
-    # Each field's column; a field the layout lacks reads the empty cell
-    # appended to every row, one past the last column.
-    missing = len(header)
-    take = itemgetter(
-        *(attrs.index(name) if name in attrs else missing for name in MentionRecord._fields)
-    )
+    software_at, doi_at = header.index("software"), header.index("doi")
+    number_at, label_at = header.index("number"), header.index("curation_label")
+    pmcid_at = header.index("pmcid") if "pmcid" in header else None  # publishers lack it
+    integers = [(header.index(name), name.lower()) for name in ("pubdate", "number", "ID")]
+    labels = frozenset(CURATION_LABELS)
 
-    def record(fields: list[str]) -> MentionRecord:
-        fields.append("")
-        values = [*take(fields)]
-        software = values[0]
+    def parse(fields: list[str]) -> CorpusRow:
+        software = fields[software_at]
         if not software.strip():
             raise ValueError("empty software mention")
-        for index, name, default in _INTEGERS:
-            value = values[index]
-            try:
-                values[index] = int(value) if value else default
-            except ValueError:
-                raise ValueError(f"{name} is not an integer: {value!r}") from None
-        if values[_NUMBER] < 0:
-            raise ValueError(f"negative number field: {values[_NUMBER]}")
-        label = values[_LABEL] = values[_LABEL] or "not_curated"
-        if label not in CURATION_LABELS:
+        for index, name in integers:
+            value = fields[index]
+            if value:
+                try:
+                    fields[index] = str(int(value))
+                except ValueError:
+                    raise ValueError(f"{name} is not an integer: {value!r}") from None
+        number = fields[number_at]
+        if not number:
+            fields[number_at] = "0"
+        elif number[0] == "-":
+            raise ValueError(f"negative number field: {number}")
+        label = fields[label_at]
+        if not label:
+            fields[label_at] = "not_curated"
+        elif label not in labels:
             raise ValueError(f"unknown curation_label: {label!r}")
         if known is not None and software not in known:
             raise KeyError(software)
-        return MentionRecord._make(values)
+        pmcid = "" if pmcid_at is None else fields[pmcid_at]
+        return CorpusRow(software, pmcid, fields[doi_at], "\t".join(fields))
 
-    return iter_tsv(stream, header, record, errors if lenient else None)
-
-
-def corpus_rows(
-    records: Iterable[MentionRecord], corpus_kind: str
-) -> tuple[tuple[str, ...], list[list[str]]]:
-    """The corpus kind's header and every record's fields in its column order.
-
-    An integer field is written as its decimal digits, or empty for None.
-    """
-    header, attrs = _corpus_layout(corpus_kind)
-    fields = MentionRecord._fields
-    values = itemgetter(*(fields.index(name) for name in attrs))
-    integers = [attrs.index(name) for _, name, _ in _INTEGERS]
-    rows = []
-    for rec in records:
-        row = [*values(rec)]
-        for index in integers:
-            value = row[index]
-            row[index] = "" if value is None else str(value)
-        rows.append(row)
-    return header, rows
+    return iter_tsv(stream, header, parse, errors if lenient else None)
 
 
 def assign_ids(mentions: Iterable[str]) -> tuple[dict[str, int], list[str]]:
@@ -190,7 +148,7 @@ def assign_ids(mentions: Iterable[str]) -> tuple[dict[str, int], list[str]]:
 
 
 def compute_frequencies(
-    records: Iterable[MentionRecord], id_table: Mapping[str, int]
+    rows: Iterable[CorpusRow], id_table: Mapping[str, int]
 ) -> FrequencyTable:
     """Count the number of distinct papers each mention appears in.
 
@@ -201,12 +159,12 @@ def compute_frequencies(
     # counts as the same paper as an equal doi; None is the synthetic paper.
     papers: dict[int, tuple[set[str], set[str | None]]] = defaultdict(lambda: (set(), set()))
     missing = 0
-    for rec in records:
-        pmcids, dois = papers[id_table[rec.software]]
-        if rec.pmcid:
-            pmcids.add(rec.pmcid)
-        elif rec.doi:
-            dois.add(rec.doi)
+    for row in rows:
+        pmcids, dois = papers[id_table[row.software]]
+        if row.pmcid:
+            pmcids.add(row.pmcid)
+        elif row.doi:
+            dois.add(row.doi)
         else:
             missing += 1
             dois.add(None)

@@ -7,7 +7,7 @@ from typing import NamedTuple
 import pytest
 
 from softmentions.clustering import DisambiguationResult, disambiguate_pairs
-from softmentions.ingest import FrequencyTable, MentionRecord, assign_ids, compute_frequencies
+from softmentions.ingest import FrequencyTable, assign_ids, compute_frequencies
 from softmentions.synonyms import generate_synonym_pairs
 
 TESTS_DIR = Path(__file__).parent
@@ -16,6 +16,8 @@ FIXTURE_DIR = DATA_DIR / "fixture"
 VARIANTS_DIR = DATA_DIR / "variants"
 
 sys.path.insert(0, str(TESTS_DIR))
+
+from oracles import MentionRecord, corpus_row_reference  # noqa: E402
 
 BASE_NAMES = {
     "limma": "limma",
@@ -52,6 +54,7 @@ def fixture_copy(tmp_path) -> Path:
 
 
 def make_record(software: str, pmcid: str = "", doi: str = "", **kwargs):
+    """A comm corpus row for ``software``; ``kwargs`` set further MentionRecord fields."""
     defaults = dict(
         software=software,
         text=f"We used {software}.",
@@ -63,7 +66,7 @@ def make_record(software: str, pmcid: str = "", doi: str = "", **kwargs):
         doi=doi,
     )
     defaults.update(kwargs)
-    return MentionRecord(**defaults)
+    return corpus_row_reference(MentionRecord(**defaults), "comm")
 
 
 class Chain(NamedTuple):
@@ -75,14 +78,14 @@ class Chain(NamedTuple):
     result: DisambiguationResult
 
 
-def run_chain(records, registries=(), kb=None, **cluster_params) -> Chain:
-    """The compute functions run-all chains, from records to named clusters.
+def run_chain(rows, registries=(), kb=None, **cluster_params) -> Chain:
+    """The compute functions run-all chains, from corpus rows to named clusters.
 
     ``cluster_params`` (stoplist, eps, min_pts, ...) go to disambiguate_pairs.
     """
-    records = list(records)
-    id_table, mentions = assign_ids(r.software for r in records)
-    freq = compute_frequencies(records, id_table)
+    rows = list(rows)
+    id_table, mentions = assign_ids(row.software for row in rows)
+    freq = compute_frequencies(rows, id_table)
     pairs = generate_synonym_pairs(id_table, registries=registries, kb=kb)
     result = disambiguate_pairs(pairs, mentions=mentions, freq=freq, **cluster_params)
     return Chain(id_table, mentions, freq, result)

@@ -9,9 +9,10 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
+from typing import NamedTuple
 
-from softmentions.fileio import iter_tsv
-from softmentions.ingest import CORPUS_FIELDS, CURATION_LABELS, MentionRecord
+from softmentions.fileio import format_tsv, iter_tsv
+from softmentions.ingest import CORPUS_FIELDS, CURATION_LABELS, CorpusRow
 
 
 def jaro_reference(a: str, b: str) -> float:
@@ -209,6 +210,24 @@ def keyword_pairs_reference(
     return sorted(pairs), skipped
 
 
+class MentionRecord(NamedTuple):
+    """One corpus row with every column as a typed field; absent columns read empty."""
+
+    software: str
+    text: str = ""
+    license: str = ""
+    location: str = ""
+    pmcid: str = ""
+    pmid: str = ""
+    doi: str = ""
+    pubdate: int | None = None
+    source: str = ""
+    number: int = 0
+    version: str = ""
+    id: int | None = None
+    curation_label: str = "not_curated"
+
+
 def _record_from_fields(fields: dict[str, str]) -> MentionRecord:
     """A record from one row's values keyed by attribute; bad values raise ValueError."""
     if not fields["software"].strip():
@@ -228,10 +247,10 @@ def _record_from_fields(fields: dict[str, str]) -> MentionRecord:
 
 
 def parse_mentions_reference(stream, corpus_kind, lenient=False, errors=None, known=None):
-    """The corpus parser as a dict per row, keyed by attribute, then keyword construction.
+    """The corpus parser as a typed record per row: a dict keyed by attribute, then keywords.
 
-    It shares the TSV row loop and the record type with the package; only
-    the conversion of a row into a record is its own.
+    It shares the TSV row loop with the package; only the conversion of a
+    row into a record is its own.
     """
     header = CORPUS_FIELDS[corpus_kind]
     attrs = [name.lower() for name in header]
@@ -245,3 +264,35 @@ def parse_mentions_reference(stream, corpus_kind, lenient=False, errors=None, kn
         return rec
 
     return iter_tsv(stream, header, record, errors if lenient else None)
+
+
+def corpus_rows_reference(records, corpus_kind) -> tuple[tuple[str, ...], list[list[str]]]:
+    """The corpus kind's header and each record's cells in its column order.
+
+    An integer field is written as its decimal digits, or empty for None.
+    """
+    header = CORPUS_FIELDS[corpus_kind]
+    rows = []
+    for rec in records:
+        values = [getattr(rec, name.lower()) for name in header]
+        rows.append(["" if value is None else str(value) for value in values])
+    return header, rows
+
+
+def corpus_row_reference(record: MentionRecord, corpus_kind: str) -> CorpusRow:
+    """The package's row type for a typed record, its line rendered from the fields."""
+    (cells,) = corpus_rows_reference([record], corpus_kind)[1]
+    return CorpusRow(record.software, record.pmcid, record.doi, "\t".join(cells))
+
+
+def disambiguated_tsv_reference(records, corpus_kind, id_table, result) -> str:
+    """disambiguated.tsv rendered from typed records: every cell, then the row's cluster."""
+    header, rows = corpus_rows_reference(records, corpus_kind)
+    for rec, row in zip(records, rows):
+        cluster_idx = result.mention_to_cluster.get(id_table[rec.software])
+        if cluster_idx is None:
+            row += ["", ""]
+        else:
+            cluster = result.clusters[cluster_idx]
+            row += [cluster.name, str(cluster.name_id)]
+    return format_tsv((*header, "mapped_to_software", "mapped_to_software_ID"), rows)

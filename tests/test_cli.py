@@ -460,6 +460,13 @@ UNUSABLE_EVALUATION_FILES = {
     "ratings_no_rater_column": (
         "eval.ratings_two", b"item,who,label\na,r1,x\n", "line 1: no rater column"
     ),
+    "linking_oversized_field": (
+        "eval.linking", b"source,link_label\nPyPI," + b"x" * 200_000 + b"\n",
+        "line 2: field larger than field limit",
+    ),
+    "curation_oversized_header": (
+        "eval.curation_binary", b"mention,label," + b"x" * 200_000 + b"\n", "line 1: field larger",
+    ),
 }
 
 
@@ -630,6 +637,41 @@ def test_unusable_config_file_exits_1_naming_it(tmp_path, caplog, capsys, conten
     assert run_cli("ingest", "--config", str(path)) == 1
     log = caplog.text + capsys.readouterr().err
     assert f"configuration error: {path}{message}" in log
+    assert "Traceback" not in log
+
+
+# A valid file and flags whose values break a validation rule: (the
+# --config file's content, further arguments, the message after
+# "configuration error: " with {path} for the file).
+INVALID_SETTINGS = {
+    "file": ("dbscan.eps = 0\n", (), "{path}:1: dbscan.eps must be positive"),
+    "set_flag": ("", ("--set", "dbscan.eps=0"), "--set dbscan.eps=0: dbscan.eps must be positive"),
+    "set_wins_over_file": (
+        "# eps\ndbscan.eps = 0.03\n", ("--set", "dbscan.eps=-1"),
+        "--set dbscan.eps=-1: dbscan.eps must be positive",
+    ),
+    "workers_flag": ("", ("--workers", "0"), "--workers 0: parallelism.workers must be at least 1"),
+    "cross_key": (
+        "\nthresholds.use = 0.95\n", ("--set", "thresholds.record=0.96"),
+        "{path}:2, --set thresholds.record=0.96: "
+        "thresholds.use (0.95) must lie in [thresholds.record (0.96), 1]",
+    ),
+    "cross_key_one_set": (
+        "thresholds.record = 0.98\n", (),
+        "{path}:1: thresholds.use (0.97) must lie in [thresholds.record (0.98), 1]",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "content, extra, message", INVALID_SETTINGS.values(), ids=INVALID_SETTINGS.keys()
+)
+def test_invalid_value_names_where_it_was_set(tmp_path, caplog, capsys, content, extra, message):
+    path = tmp_path / "k.cfg"
+    path.write_text(content, encoding="utf-8")
+    assert run_cli("ingest", "--config", str(path), *extra) == 1
+    log = caplog.text + capsys.readouterr().err
+    assert f"configuration error: {message.format(path=path)}\n" in log
     assert "Traceback" not in log
 
 

@@ -1,6 +1,8 @@
+import io
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from softmentions.clustering import (
     dbscan,
@@ -8,12 +10,19 @@ from softmentions.clustering import (
     to_distance,
     write_disambiguated_tsv,
 )
+from softmentions.fileio import format_tsv, open_text, read_lines
 from softmentions.graph import connected_components
-from softmentions.ingest import FrequencyTable, assign_ids
-from softmentions.synonyms import Registry, RegistryIndex
+from softmentions.ingest import CURATION_LABELS, FrequencyTable, assign_ids, parse_mentions
+from softmentions.synonyms import Registry, RegistryIndex, read_kb_dict
 
-from conftest import make_record, run_chain
-from oracles import dbscan_reference
+from conftest import FIXTURE_DIR, make_record, run_chain
+from oracles import (
+    MentionRecord,
+    corpus_rows_reference,
+    dbscan_reference,
+    disambiguated_tsv_reference,
+    parse_mentions_reference,
+)
 
 def test_to_distance_values():
     sub = {(0, 1): 1.0, (0, 2): 0.99, (1, 2): 0.97}
@@ -242,3 +251,63 @@ def test_write_disambiguated_tsv(tmp_path):
     assert rows["limma"] == ["limma", limma_id]
     assert rows["R package limma"] == ["limma", limma_id]
     assert rows["Bowtie"] == ["", ""]
+
+
+def _write_both(path, text, corpus_kind, **chain_params):
+    """Write disambiguated.tsv from the parsed text; return the reference writer's text."""
+    rows = list(parse_mentions(io.StringIO(text), corpus_kind))
+    chain = run_chain(rows, **chain_params)
+    write_disambiguated_tsv(path, rows, corpus_kind, chain.id_table, chain.result)
+    records = list(parse_mentions_reference(io.StringIO(text), corpus_kind))
+    return disambiguated_tsv_reference(records, corpus_kind, chain.id_table, chain.result)
+
+
+_VOCABULARY = ["ImageJ", "Image J", "ImageJ2", "BLAST", "Blast", "limma", "R package limma", "solo"]
+
+
+@given(
+    st.sampled_from(["comm", "publishers"]),
+    st.lists(
+        st.builds(
+            MentionRecord,
+            software=st.sampled_from(_VOCABULARY),
+            pmcid=st.sampled_from(["", "1", "2"]),
+            doi=st.sampled_from(["", "10.1/a"]),
+            pubdate=st.one_of(st.none(), st.integers(1990, 2030)),
+            number=st.integers(0, 9),
+            id=st.one_of(st.none(), st.integers(0, 99)),
+            text=st.text(alphabet="ab \"'é", max_size=6),
+            **dict.fromkeys(("license", "location", "pmid", "source", "version"), st.just("x")),
+            curation_label=st.sampled_from(CURATION_LABELS),
+        ),
+        max_size=12,
+    ),
+)
+def test_write_disambiguated_tsv_matches_reference_writer(tmp_path_factory, corpus_kind, records):
+    if corpus_kind == "publishers":
+        records = [rec._replace(pmcid="") for rec in records]
+    text = format_tsv(*corpus_rows_reference(records, corpus_kind))
+    path = tmp_path_factory.mktemp("out") / "disambiguated.tsv"
+    want = _write_both(
+        path, text, corpus_kind,
+        registries=[RegistryIndex(Registry.BIOC, {"limma"})], kb={"BLAST": ["Blast"]},
+    )
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("name", ["disambiguated.tsv", "disambiguated.tsv.gz"])
+def test_fixture_disambiguated_tsv_matches_reference_writer(tmp_path, name):
+    with open_text(FIXTURE_DIR / "corpus.tsv") as fh:
+        text = fh.read()
+    registries = [
+        RegistryIndex(registry, set(read_lines(FIXTURE_DIR / f"registry_{suffix}.txt")))
+        for registry, suffix in ((Registry.PY, "py"), (Registry.R, "r"), (Registry.BIOC, "bioc"))
+    ]
+    want = _write_both(
+        tmp_path / name, text, "comm", registries=registries,
+        kb=read_kb_dict(FIXTURE_DIR / "kb_synonyms.tsv"),
+        stoplist=read_lines(FIXTURE_DIR / "stoplist.txt"),
+    )
+    with open_text(tmp_path / name) as fh:
+        assert fh.read() == want
+    assert "\tlimma\t" in want  # some rows carry a cluster

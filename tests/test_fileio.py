@@ -25,6 +25,36 @@ def test_failed_write_keeps_previous_file(tmp_path, name):
     assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
+def _chunks_failing_after(count):
+    for index in range(count):
+        yield f"row {index}\n" * 1000
+    raise RuntimeError("source failed")
+
+
+@pytest.mark.parametrize("name", ["out.tsv", "out.tsv.gz"])
+@pytest.mark.parametrize("previous", [None, "old\n"], ids=["no_file", "old_file"])
+def test_chunks_raising_partway_keep_previous_file(tmp_path, name, previous):
+    path = tmp_path / name
+    if previous is not None:
+        write_text(path, previous)
+    before = path.read_bytes() if previous is not None else None
+    with pytest.raises(RuntimeError, match="source failed"):
+        write_text(path, _chunks_failing_after(50))  # past the first buffer flushes
+    assert (path.read_bytes() if path.exists() else None) == before
+    assert [p.name for p in tmp_path.iterdir()] == ([name] if previous is not None else [])
+
+
+@pytest.mark.parametrize("name", ["out.tsv", "out.tsv.gz"])
+def test_text_written_in_chunks_equals_text_written_at_once(tmp_path, name):
+    chunks = ["head\tcol\n", *(f"caf\u00e9 {i}\t{i * i}\n" for i in range(20000)), "", "tail"]
+    whole, chunked = tmp_path / "whole" / name, tmp_path / "chunked" / name
+    write_text(whole, "".join(chunks))
+    write_text(chunked, iter(chunks))
+    assert chunked.read_bytes() == whole.read_bytes()
+    if name.endswith(".gz"):
+        assert gzip.decompress(chunked.read_bytes()).decode("utf-8") == "".join(chunks)
+
+
 def test_format_tsv_rejects_tabs_and_line_breaks(tmp_path):
     assert format_tsv(("a", "b"), [("x", "y")]) == "a\tb\nx\ty\n"
     for bad in ("y\tz", "y\nz", "y\rz"):

@@ -9,10 +9,9 @@ from softmentions.fileio import format_tsv
 from softmentions.ingest import (
     CORPUS_FIELDS,
     CURATION_LABELS,
-    MentionRecord,
+    CorpusRow,
     assign_ids,
     compute_frequencies,
-    corpus_rows,
     parse_mentions,
     read_frequencies,
     read_id_table,
@@ -21,7 +20,12 @@ from softmentions.ingest import (
 )
 
 from conftest import make_record
-from oracles import parse_mentions_reference
+from oracles import (
+    MentionRecord,
+    corpus_row_reference,
+    corpus_rows_reference,
+    parse_mentions_reference,
+)
 
 MAIN_HEADER = "\t".join(CORPUS_FIELDS["comm"])
 
@@ -50,23 +54,26 @@ def comm_row(software="SPSS", source="materials and methods", number="3", **kw):
     return "\t".join(fields[name] for name in CORPUS_FIELDS["comm"])
 
 
+def cells(row: CorpusRow, corpus_kind: str = "comm") -> dict[str, str]:
+    """The row's line as a cell per column."""
+    return dict(zip(CORPUS_FIELDS[corpus_kind], row.line.split("\t"), strict=True))
+
+
 def test_parse_maps_fields_directly():
-    records = list(parse_mentions(comm_tsv(comm_row()), "comm"))
-    assert len(records) == 1
-    rec = records[0]
-    assert rec.software == "SPSS"
-    assert rec.source == "materials and methods"
-    assert rec.number == 3
-    assert rec.pmcid == "8475362"
-    assert rec.pubdate == 2021
-    assert rec.curation_label == "not_curated"
+    rows = list(parse_mentions(comm_tsv(comm_row()), "comm"))
+    assert len(rows) == 1
+    row = rows[0]
+    assert (row.software, row.pmcid, row.doi) == ("SPSS", "8475362", "10.1000/j.1")
+    assert row.line == comm_row(curation_label="not_curated")
+    assert cells(row)["source"] == "materials and methods"
+    assert (cells(row)["number"], cells(row)["pubdate"]) == ("3", "2021")
 
 
 def test_embedded_quotes_are_literal():
-    row = comm_row(software='R package "limma"', text='He said "quote" here')
-    rec = next(parse_mentions(comm_tsv(row), "comm"))
-    assert rec.software == 'R package "limma"'
-    assert rec.text == 'He said "quote" here'
+    line = comm_row(software='R package "limma"', text='He said "quote" here')
+    row = next(parse_mentions(comm_tsv(line), "comm"))
+    assert row.software == 'R package "limma"'
+    assert cells(row)["text"] == 'He said "quote" here'
 
 
 def test_wrong_column_count_is_a_row_error_with_line_number():
@@ -106,11 +113,10 @@ def test_publishers_layout():
     row = "\t".join(
         ["10.1000/x", "2020", "paper_abstract", "0", "Used ImageJ.", "ImageJ", "7", "software"]
     )
-    rec = next(parse_mentions(io.StringIO(header + "\n" + row + "\n"), "publishers"))
-    assert rec.software == "ImageJ"
-    assert rec.license == ""
-    assert rec.id == 7
-    assert rec.curation_label == "software"
+    parsed = next(parse_mentions(io.StringIO(header + "\n" + row + "\n"), "publishers"))
+    assert (parsed.software, parsed.pmcid, parsed.doi) == ("ImageJ", "", "10.1000/x")
+    assert parsed.line == row
+    assert cells(parsed, "publishers")["ID"] == "7"
 
 
 def test_unknown_corpus_kind():
@@ -155,31 +161,29 @@ def _records(corpus_kind):
 )
 def test_serialize_parse_round_trip(corpus):
     corpus_kind, records = corpus
-    text = format_tsv(*corpus_rows(records, corpus_kind))
+    text = format_tsv(*corpus_rows_reference(records, corpus_kind))
     parsed = list(parse_mentions(io.StringIO(text), corpus_kind))
-    assert parsed == records
-    assert format_tsv(*corpus_rows(parsed, corpus_kind)) == text
+    assert parsed == [corpus_row_reference(rec, corpus_kind) for rec in records]
+    assert [row.line for row in parsed] == text.split("\n")[1:-1]
 
 
 def test_corpus_rows_normalize_integer_columns():
-    row = comm_row(pubdate="02021", number="+3", ID=" 7", curation_label="")
-    records = list(parse_mentions(comm_tsv(row), "comm"))
-    _, rows = corpus_rows(records, "comm")
-    written = dict(zip(CORPUS_FIELDS["comm"], rows[0]))
-    assert (written["pubdate"], written["number"], written["ID"]) == ("2021", "3", "7")
-    assert written["curation_label"] == "not_curated"
+    odd = comm_row(pubdate="02021", number="+3", ID=" 7", curation_label="")
+    empty = comm_row(pubdate="", number="", ID="٣")
+    first, second = (cells(row) for row in parse_mentions(comm_tsv(odd, empty), "comm"))
+    assert (first["pubdate"], first["number"], first["ID"]) == ("2021", "3", "7")
+    assert first["curation_label"] == "not_curated"
+    assert (second["pubdate"], second["number"], second["ID"]) == ("", "0", "3")
 
 
-def test_mention_record_is_immutable_and_hashable():
-    rec = make_record("SPSS", pmcid="1")
+def test_corpus_row_is_immutable_and_hashable():
+    row = make_record("SPSS", pmcid="1")
     with pytest.raises(AttributeError):
-        rec.software = "ImageJ"
+        row.software = "ImageJ"
     twin = make_record("SPSS", pmcid="1")
-    assert twin == rec and twin is not rec
-    assert hash(twin) == hash(rec)
-    assert len({rec, twin, make_record("SPSS", pmcid="2")}) == 2
-    assert MentionRecord("X") == MentionRecord(software="X")
-    assert MentionRecord("X").curation_label == "not_curated"
+    assert twin == row and twin is not row
+    assert hash(twin) == hash(row)
+    assert len({row, twin, make_record("SPSS", pmcid="2")}) == 2
 
 
 # Valid cell values for the parser oracle, some of them unusual integers.
@@ -220,17 +224,17 @@ def _oracle_corpus(draw, corpus_kind):
     return "\n".join(lines) + "\n"
 
 
-def _parse_outcome(parse, text, corpus_kind, lenient, known):
-    """Every record, every skipped row and the raised error, as comparable values."""
-    records, skipped, raised = [], [], None
+def _parse_outcome(parse, text, corpus_kind, lenient, known, convert=lambda row: row):
+    """Every row (through ``convert``), every skipped row and the raised error."""
+    rows, skipped, raised = [], [], None
     try:
-        for rec in parse(
+        for parsed in parse(
             io.StringIO(text), corpus_kind, lenient=lenient, errors=skipped, known=known
         ):
-            records.append(repr(rec))
+            rows.append(convert(parsed))
     except SoftMentionsError as err:
         raised = (type(err).__name__, getattr(err, "line_number", None), str(err))
-    return records, [(err.line_number, str(err)) for err in skipped], raised
+    return rows, [(err.line_number, str(err)) for err in skipped], raised
 
 
 _SEVERAL_FAULTS = "\n".join([
@@ -253,8 +257,36 @@ _SEVERAL_FAULTS = "\n".join([
 def test_parse_mentions_matches_reference_parser(corpus, lenient, known):
     corpus_kind, text = corpus
     got = _parse_outcome(parse_mentions, text, corpus_kind, lenient, known)
-    want = _parse_outcome(parse_mentions_reference, text, corpus_kind, lenient, known)
+    want = _parse_outcome(
+        parse_mentions_reference, text, corpus_kind, lenient, known,
+        lambda rec: corpus_row_reference(rec, corpus_kind),
+    )
     assert got == want
+
+
+@st.composite
+def _valid_corpus(draw, corpus_kind):
+    """A corpus text of valid rows, with unusual integer cells and empty labels."""
+    header = CORPUS_FIELDS[corpus_kind]
+    rows = [
+        "\t".join(draw(_oracle_cells.get(name, _safe_text)) for name in header)
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    return "\n".join(["\t".join(header), *rows]) + "\n"
+
+
+@given(
+    st.sampled_from(["comm", "publishers"]).flatmap(
+        lambda kind: st.tuples(st.just(kind), _valid_corpus(kind))
+    )
+)
+def test_row_line_equals_reference_rendering(corpus):
+    corpus_kind, text = corpus
+    rows = list(parse_mentions(io.StringIO(text), corpus_kind))
+    records = list(parse_mentions_reference(io.StringIO(text), corpus_kind))
+    _, reference = corpus_rows_reference(records, corpus_kind)
+    assert [row.line for row in rows] == ["\t".join(cells) for cells in reference]
+    assert rows == [corpus_row_reference(rec, corpus_kind) for rec in records]
 
 
 @pytest.mark.parametrize(
@@ -281,8 +313,8 @@ def test_first_failing_check_names_the_row(faults, message):
 
 @pytest.mark.parametrize("lenient", [False, True])
 def test_parse_mentions_rejects_a_mention_missing_from_known(lenient):
-    records = [make_record("BLAST", pmcid="1"), make_record("BrandNewTool", pmcid="2")]
-    text = format_tsv(*corpus_rows(records, "comm"))
+    rows = [make_record("BLAST", pmcid="1"), make_record("BrandNewTool", pmcid="2")]
+    text = "\n".join([MAIN_HEADER, *(row.line for row in rows)]) + "\n"
     parsed = parse_mentions(io.StringIO(text), "comm", lenient=lenient, known={"BLAST"})
     with pytest.raises(ConsistencyError, match="line 3: unknown mention 'BrandNewTool'"):
         list(parsed)
@@ -390,5 +422,5 @@ def test_gzip_corpus_supported(tmp_path):
     with gzip.open(path, "wt", encoding="utf-8") as fh:
         fh.write(MAIN_HEADER + "\n" + comm_row() + "\n")
     with open_text(path) as fh:
-        records = list(parse_mentions(fh, "comm"))
-    assert records[0].software == "SPSS"
+        rows = list(parse_mentions(fh, "comm"))
+    assert rows[0].software == "SPSS"

@@ -1,0 +1,19 @@
+import contextlib
+import io
+import re
+
+from conftest import TESTS_DIR
+
+README = TESTS_DIR.parent / "README.md"
+
+
+def test_library_use_snippet_runs_on_the_fixture_corpus(fixture_dir, monkeypatch):
+    section = README.read_text(encoding="utf-8").split("## Library use", 1)[1]
+    snippet = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    monkeypatch.chdir(fixture_dir)  # the snippet reads corpus.tsv and writes nothing
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(snippet, str(README), "exec"), {})
+    lines = printed.getvalue().splitlines()
+    assert any(line.startswith("limma ") for line in lines[:-1])
+    assert lines[-1].startswith("Accounting(no_significant_synonyms=")

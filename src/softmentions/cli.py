@@ -242,11 +242,11 @@ def stage_cluster(cfg: PipelineConfig, run: Products | None = None) -> None:
     clustering.write_disambiguated_tsv(
         out / DISAMBIGUATED, rows, cfg.corpus_kind, id_table, result
     )
-    cluster_rows = [
+    cluster_rows = (
         (str(idx), str(c.name_id), c.name, str(member), mentions[member])
         for idx, c in enumerate(result.clusters)
         for member in c.members
-    ]
+    )
     write_tsv(out / CLUSTERS, CLUSTERS_HEADER, cluster_rows)
     if cfg.write_matrix:
         graph.write_matrix_tsv(out / MATRIX, result.graph)
@@ -270,16 +270,31 @@ def stage_cluster(cfg: PipelineConfig, run: Products | None = None) -> None:
 
 
 def _read_clusters(path, mentions: list[str]) -> list[clustering.Cluster]:
-    def row(fields: list[str]) -> tuple[int, int, int]:
-        name_id, member_id = int(fields[1]), int(fields[3])
+    """The clusters of clusters.tsv: one name_id each, among its members; one cluster per member."""
+    grouped: dict[int, tuple[int, list[int]]] = {}
+    seen: set[int] = set()
+
+    def row(fields: list[str]) -> None:
+        idx, name_id, member_id = int(fields[0]), int(fields[1]), int(fields[3])
         for mention_id in (name_id, member_id):
             if not 0 <= mention_id < len(mentions):
                 raise KeyError(mention_id)
-        return int(fields[0]), name_id, member_id
+        if member_id in seen:
+            raise ValueError(f"member {member_id} is listed again")
+        seen.add(member_id)
+        if grouped.setdefault(idx, (name_id, []))[0] != name_id:
+            raise ValueError(f"cluster {idx} already has name_id {grouped[idx][0]}")
+        grouped[idx][1].append(member_id)
 
-    grouped: dict[int, tuple[int, list[int]]] = {}
-    for idx, name_id, member_id in read_tsv(path, CLUSTERS_HEADER, row):
-        grouped.setdefault(idx, (name_id, []))[1].append(member_id)
+    read_tsv(path, CLUSTERS_HEADER, row)
+    unnamed = {idx for idx, (name_id, members) in grouped.items() if name_id not in members}
+
+    def named(fields: list[str]) -> None:
+        if int(fields[0]) in unnamed:
+            raise ValueError(f"name_id {fields[1]} is not a member of cluster {fields[0]}")
+
+    if unnamed:
+        read_tsv(path, CLUSTERS_HEADER, named)  # again, only to find the line to name
     return [
         clustering.Cluster(
             members=tuple(sorted(members)), name_id=name_id, name=mentions[name_id]

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .fileio import write_text
+from .fileio import write_tsv
 from .graph import (
     DEFAULT_STOPLIST,
     SimilarityGraph,
@@ -192,17 +192,10 @@ def write_disambiguated_tsv(
 ) -> None:
     """Raw corpus rows plus mapped_to_software / mapped_to_software_ID, streamed to ``path``.
 
-    Each row's line was cut from one corpus line at its tabs, so it is
-    written as it is, with the cluster's two cells appended.
+    Each row goes to write_tsv as its line and its cluster's two cells
+    joined by a tab (two empty cells for a mention in no cluster).
     """
     header = (*CORPUS_FIELDS[corpus_kind], "mapped_to_software", "mapped_to_software_ID")
-    mapped = [f"\t{cluster.name}\t{cluster.name_id}\n" for cluster in result.clusters]
-    mention_to_cluster = result.mention_to_cluster
-
-    def lines() -> Iterator[str]:
-        yield "\t".join(header) + "\n"
-        for row in rows:
-            cluster_idx = mention_to_cluster.get(id_table[row.software])
-            yield row.line + ("\t\t\n" if cluster_idx is None else mapped[cluster_idx])
-
-    write_text(path, lines())
+    mapped = [f"{cluster.name}\t{cluster.name_id}" for cluster in result.clusters]
+    cells = {member: mapped[idx] for member, idx in result.mention_to_cluster.items()}
+    write_tsv(path, header, ((row.line, cells.get(id_table[row.software], "\t")) for row in rows))

@@ -145,16 +145,12 @@ def _coerce(key: str, raw: str):
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ValidationError(f"{key}: expected true/false, got {raw!r}")
-    if kind == "int":
+    if kind in ("int", "float"):
         try:
-            return int(raw)
+            return int(raw) if kind == "int" else float(raw)
         except ValueError:
-            raise ValidationError(f"{key}: expected an integer, got {raw!r}") from None
-    if kind == "float":
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValidationError(f"{key}: expected a number, got {raw!r}") from None
+            expected = "an integer" if kind == "int" else "a number"
+            raise ValidationError(f"{key}: expected {expected}, got {raw!r}") from None
     if kind == "tuple[str, ...]":
         return tuple(part.strip() for part in raw.split(",") if part.strip())
     return raw

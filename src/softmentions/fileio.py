@@ -2,7 +2,7 @@
 
 Tab-separated files in this project carry no quoting semantics: embedded
 quote characters are literal content, fields may not contain tabs or
-newlines. Comma-separated evaluation files do follow the usual CSV
+line breaks. Comma-separated evaluation files do follow the usual CSV
 conventions and are handled with the csv module where they are read.
 """
 from __future__ import annotations
@@ -12,6 +12,7 @@ import io
 import os
 import zlib
 from contextlib import contextmanager
+from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -108,8 +109,10 @@ def iter_tsv(
     """Convert each data row of a headed TSV stream with ``row(fields)``.
 
     The first line must equal ``header`` exactly, blank lines are skipped
-    and every other line must have one field per header column. A
-    ValueError raised by ``row`` becomes a RowError (appended to
+    and every other line must have one field per header column. A line
+    that still holds a carriage return once its terminator is stripped
+    (open_text splits lines there, a stream such as io.StringIO does not)
+    or a ValueError raised by ``row`` becomes a RowError (appended to
     ``skipped`` instead, when given), a KeyError (an unknown mention) a
     ConsistencyError; each names the stream's file, if any, and the line.
     """
@@ -123,10 +126,13 @@ def iter_tsv(
         if found != header:
             raise FormatError(f"{where} 1: expected header {header}, found {found}")
         for lineno, line in enumerate(stream, start=2):
-            fields = line.rstrip("\n").rstrip("\r").split("\t")
+            line = line.rstrip("\n").rstrip("\r")
+            fields = line.split("\t")
             if fields == [""]:
                 continue
             try:
+                if "\r" in line:
+                    raise ValueError("carriage return inside the line")
                 if len(fields) != width:
                     raise ValueError(f"expected {width} columns, found {len(fields)}")
                 item = row(fields)
@@ -149,34 +155,47 @@ def read_tsv(
         return list(iter_tsv(fh, header, row))
 
 
-def format_tsv(header: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
-    """Tab-join the header and rows; a field holding a tab or newline is an error.
+# About 40 KB of corpus lines: little memory, still in cache when counted.
+CHUNK_LINES = 256
 
-    Every line holds one tab fewer than it has fields, so counting tabs and
-    line breaks over the whole text finds a bad field without a per-field
-    scan; the fields are inspected only to name the culprit.
-    """
-    rows = list(rows)
-    lines = ["\t".join(header)]
-    lines.extend("\t".join(row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    tabs = len(header) - 1 + sum(map(len, rows)) - len(rows)
-    if text.count("\t") != tabs or text.count("\n") != len(lines) or "\r" in text:
-        for lineno, fields in enumerate([header, *rows], start=1):
-            for column, value in zip(header, fields):
-                if "\t" in value or "\n" in value or "\r" in value:
-                    raise FormatError(
-                        f"line {lineno}: column {column!r} holds a tab or line break: {value!r}"
-                    )
-    return text
+
+def _line_fault(header: Sequence[str], row: Sequence[str]) -> str | None:
+    """What keeps ``row`` from being one line of ``header``'s fields, if anything."""
+    fields = row if len(row) == len(header) else "\t".join(row).split("\t")
+    for column, value in zip(header, fields):
+        if "\t" in value or "\n" in value or "\r" in value:
+            return f"column {column!r} holds a tab or line break: {value!r}"
+    if len(fields) != len(header):
+        return f"expected {len(header)} fields, found {len(fields)}"
+    return None
 
 
 def write_tsv(path: str | os.PathLike[str], header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    try:
-        text = format_tsv(header, rows)
-    except FormatError as err:
-        raise FormatError(f"{path}: {err}") from None
-    write_text(path, text)
+    """Stream a headed TSV artifact to ``path`` through write_text, CHUNK_LINES lines at a time.
+
+    A row's cells may join several columns ahead if its line has one field
+    per column. A chunk must hold one tab fewer than the header has columns
+    per line, one newline per line and no carriage return (a line short of
+    fields passes only beside one with as many tabs too many). Only a chunk
+    that fails is searched for its first bad line, which raises FormatError
+    naming ``path``, the line and, where it can, the column.
+    """
+    tabs = len(header) - 1
+    lines = chain([header], rows)
+
+    def chunks() -> Iterator[str]:
+        start = 1
+        while batch := list(islice(lines, CHUNK_LINES)):
+            # The "" after the last line gives it its newline without copying the text.
+            text, count = "\n".join(chain(map("\t".join, batch), [""])), len(batch)
+            if text.count("\t") != tabs * count or text.count("\n") != count or "\r" in text:
+                for lineno, row in enumerate(batch, start):
+                    if fault := _line_fault(header, row):
+                        raise FormatError(f"{path}: line {lineno}: {fault}")
+            yield text
+            start += count
+
+    write_text(path, chunks())
 
 
 def read_lines(path: str | os.PathLike[str]) -> list[str]:

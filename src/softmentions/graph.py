@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError
@@ -132,13 +132,7 @@ def post_process(graph: SimilarityGraph) -> SimilarityGraph:
     multi-token and equal case-insensitively, are promoted to 1.0. Edges
     touching a stoplisted mention are removed.
     """
-    stripped: dict[int, str] = {}
-
-    def strip(i: int) -> str:
-        if i not in stripped:
-            stripped[i] = strip_for_comparison(graph.mentions[i])
-        return stripped[i]
-
+    strip = cache(lambda i: strip_for_comparison(graph.mentions[i]))
     entries: dict[tuple[int, int], tuple[float, SynonymSource]] = {}
     for (i, j), (value, source) in graph.entries.items():
         a, b = graph.mentions[i], graph.mentions[j]
@@ -211,8 +205,8 @@ MATRIX_HEADER = ("i", "j", "value", "source")
 
 
 def write_matrix_tsv(path, graph: SimilarityGraph) -> None:
-    rows = [
+    rows = (
         (str(i), str(j), repr(value), source.value)
         for (i, j), (value, source) in sorted(graph.entries.items())
-    ]
+    )
     write_tsv(path, MATRIX_HEADER, rows)

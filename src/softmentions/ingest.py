@@ -31,16 +31,8 @@ MAIN_FIELDS = (
     "ID",
     "curation_label",
 )
-PUBLISHERS_FIELDS = (
-    "doi",
-    "pubdate",
-    "source",
-    "number",
-    "text",
-    "software",
-    "ID",
-    "curation_label",
-)
+_PUBLISHERS_LACK = ("license", "location", "pmcid", "pmid", "version")
+PUBLISHERS_FIELDS = tuple(name for name in MAIN_FIELDS if name not in _PUBLISHERS_LACK)
 
 CORPUS_FIELDS: dict[str, tuple[str, ...]] = {
     "comm": MAIN_FIELDS,
@@ -172,8 +164,12 @@ def compute_frequencies(
     return FrequencyTable(counts=counts, missing_paper_key_rows=missing)
 
 
+ID_TABLE_HEADER = ("mention", "id")
+FREQUENCIES_HEADER = ("mention", "frequency")
+
+
 def write_id_table(path, mentions: Sequence[str]) -> None:
-    write_tsv(path, ("mention", "id"), ((m, str(i)) for i, m in enumerate(mentions)))
+    write_tsv(path, ID_TABLE_HEADER, ((m, str(i)) for i, m in enumerate(mentions)))
 
 
 def read_id_table(path) -> tuple[dict[str, int], list[str]]:
@@ -188,17 +184,26 @@ def read_id_table(path) -> tuple[dict[str, int], list[str]]:
             raise ValueError(f"mention {mention!r} already has ID {id_table[mention]}")
         return mention
 
-    mentions = read_tsv(path, ("mention", "id"), row)
+    mentions = read_tsv(path, ID_TABLE_HEADER, row)
     return id_table, mentions
 
 
 def write_frequencies(path, freq: FrequencyTable, mentions: Sequence[str]) -> None:
     rows = sorted(freq.counts.items())
-    write_tsv(
-        path, ("mention", "frequency"), ((mentions[i], str(n)) for i, n in rows)
-    )
+    write_tsv(path, FREQUENCIES_HEADER, ((mentions[i], str(n)) for i, n in rows))
 
 
 def read_frequencies(path, id_table: Mapping[str, int]) -> FrequencyTable:
-    rows = read_tsv(path, ("mention", "frequency"), lambda f: (id_table[f[0]], int(f[1])))
-    return FrequencyTable(counts=dict(rows))
+    """Each listed mention's paper count; a mention is listed once, with a count of 0 or more."""
+    counts: dict[int, int] = {}
+
+    def row(fields: list[str]) -> None:
+        mention_id, count = id_table[fields[0]], int(fields[1])
+        if count < 0:
+            raise ValueError(f"negative frequency {count}")
+        if mention_id in counts:
+            raise ValueError(f"mention {fields[0]!r} is listed again")
+        counts[mention_id] = count
+
+    read_tsv(path, FREQUENCIES_HEADER, row)
+    return FrequencyTable(counts=counts)

@@ -405,23 +405,9 @@ def link_report(linked: Mapping[int, LinkedMetadata]) -> list[tuple[str, int, fl
     return [(source, counts[source], pct) for source, pct in source_shares(counts)]
 
 
-MASTER_HEADER = (
-    "ID",
-    "software_mention",
-    "mapped_to",
-    "source",
-    "platform",
-    "package_url",
-    "description",
-    "homepage_url",
-    "other_urls",
-    "license",
-    "github_repo",
-    "github_repo_licenses",
-    "exact_match",
-    "RRID",
-    "reference",
-    "scicrunch_synonyms",
+# The LinkedMetadata fields as metadata.tsv and the normalized CSVs name them.
+MASTER_HEADER = tuple(
+    {"id": "ID", "rrid": "RRID"}.get(f.name, f.name) for f in fields(LinkedMetadata)
 )
 _SOURCE_COLUMN = MASTER_HEADER.index("source")
 _metadata_values = attrgetter(*(f.name for f in fields(LinkedMetadata)))

@@ -38,20 +38,11 @@ class Registry(str, Enum):
 
 # Per-registry keyword lists used to qualify containment matches. Matching
 # is case-sensitive; the lists carry both case variants on purpose.
+_R_KEYWORDS = ("R", "r", "package", "Package", "R-package", "R-Package", "r-package")
 REGISTRY_KEYWORDS: dict[Registry, tuple[str, ...]] = {
     Registry.PY: ("python", "Python", "API"),
-    Registry.R: ("R", "r", "package", "Package", "R-package", "R-Package", "r-package"),
-    Registry.BIOC: (
-        "R",
-        "r",
-        "package",
-        "Package",
-        "R-package",
-        "R-Package",
-        "r-package",
-        "bioconductor",
-        "Bioconductor",
-    ),
+    Registry.R: _R_KEYWORDS,
+    Registry.BIOC: (*_R_KEYWORDS, "bioconductor", "Bioconductor"),
 }
 
 KB_CONFIDENCE = 1.0
@@ -451,10 +442,10 @@ SYNONYMS_HEADER = (
 
 
 def write_synonyms_tsv(path, pairs: Iterable[SynonymPair], mentions: Sequence[str]) -> None:
-    rows = [
+    rows = (
         (str(p.a), str(p.b), mentions[p.a], mentions[p.b], repr(p.confidence), p.source.value)
         for p in sorted(pairs, key=lambda p: (p.a, p.b, p.source.value))
-    ]
+    )
     write_tsv(path, SYNONYMS_HEADER, rows)
 
 

@@ -11,7 +11,7 @@ import re
 from collections import Counter
 from typing import NamedTuple
 
-from softmentions.fileio import format_tsv, iter_tsv
+from softmentions.fileio import iter_tsv
 from softmentions.ingest import CORPUS_FIELDS, CURATION_LABELS, CorpusRow
 
 
@@ -266,6 +266,19 @@ def parse_mentions_reference(stream, corpus_kind, lenient=False, errors=None, kn
     return iter_tsv(stream, header, record, errors if lenient else None)
 
 
+def tsv_text_reference(header, rows) -> str:
+    """A headed TSV text: each line's cells joined by tabs, each line ended by a newline.
+
+    A cell holding a tab or line break fails the assertion, since no line
+    could carry it.
+    """
+    text = []
+    for cells in [header, *rows]:
+        assert not any(ch in cell for cell in cells for ch in "\t\n\r"), cells
+        text.append("\t".join(cells) + "\n")
+    return "".join(text)
+
+
 def corpus_rows_reference(records, corpus_kind) -> tuple[tuple[str, ...], list[list[str]]]:
     """The corpus kind's header and each record's cells in its column order.
 
@@ -295,4 +308,4 @@ def disambiguated_tsv_reference(records, corpus_kind, id_table, result) -> str:
         else:
             cluster = result.clusters[cluster_idx]
             row += [cluster.name, str(cluster.name_id)]
-    return format_tsv((*header, "mapped_to_software", "mapped_to_software_ID"), rows)
+    return tsv_text_reference((*header, "mapped_to_software", "mapped_to_software_ID"), rows)

@@ -352,6 +352,18 @@ CORRUPT_ARTIFACTS = {
     # A negative ID must not wrap around to index the mention list from its end.
     "negative_synonym_id": ("synonyms.tsv", "cluster", 2, lambda f: [f[0], "-1", *f[2:]]),
     "negative_cluster_member": ("clusters.tsv", "link", 2, lambda f: [*f[:3], "-1", f[4]]),
+    "repeated_frequency_mention": ("frequencies.tsv", "cluster", None, lambda f: ["(BLAST", "1"]),
+    "negative_frequency": ("frequencies.tsv", "cluster", 2, lambda f: [f[0], "-7"]),
+    # Member 0 is in cluster 0 already.
+    "clusters_repeated_member": (
+        "clusters.tsv", "link", None, lambda f: ["1", "183", "SPSS", "0", "(BLAST"]
+    ),
+    "clusters_disagree_on_name_id": ("clusters.tsv", "link", 3, lambda f: [f[0], "0", *f[2:]]),
+    # Line 236 is the first row of cluster 6 and lists its name, MATLAB (109);
+    # mention 2 is in no cluster.
+    "clusters_name_id_not_a_member": (
+        "clusters.tsv", "link", 236, lambda f: [*f[:3], "2", f[4]]
+    ),
 }
 
 
@@ -495,13 +507,8 @@ def test_truncated_gzip_corpus_names_file(fixture_copy, caplog, capsys):
     assert not (fixture_copy / "out" / "mention2id.tsv").exists()
 
 
-def test_cli_import_leaves_process_pool_and_http_client_unloaded():
-    # Both are needed only by --workers > 1 and online fetches; importing
-    # them costs every run tens of milliseconds.
-    code = (
-        "import sys, softmentions.cli; "
-        "print([m for m in ('concurrent.futures.process', 'urllib.request') if m in sys.modules])"
-    )
+def _fresh_python(code: str) -> str:
+    """What ``code`` prints in a new interpreter that finds this package first."""
     package_root = str(Path(softmentions.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])
@@ -509,7 +516,28 @@ def test_cli_import_leaves_process_pool_and_http_client_unloaded():
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_process_pool_and_http_client_unloaded():
+    # Both are needed only by --workers > 1 and online fetches; importing
+    # them costs every run tens of milliseconds.
+    code = (
+        "import sys, softmentions.cli; "
+        "print([m for m in ('concurrent.futures.process', 'urllib.request') if m in sys.modules])"
+    )
+    assert _fresh_python(code) == "[]"
+
+
+def test_cli_import_loads_the_standard_library_only():
+    # numpy and scipy are installed alongside, so an import of either would
+    # go unnoticed until the package ran where they are not.
+    code = (
+        "import sys; before = set(sys.modules); import softmentions.cli; "
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+        "print(sorted(loaded - set(sys.stdlib_module_names) - {'softmentions'}))"
+    )
+    assert _fresh_python(code) == "[]"
 
 
 @pytest.mark.parametrize("content", ['{"limma": ', '{"limma": "Bioconductor"}', "[]"])

@@ -1,5 +1,6 @@
 import io
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +11,8 @@ from softmentions.clustering import (
     to_distance,
     write_disambiguated_tsv,
 )
-from softmentions.fileio import format_tsv, open_text, read_lines
+from softmentions.errors import FormatError
+from softmentions.fileio import open_text, read_lines
 from softmentions.graph import connected_components
 from softmentions.ingest import CURATION_LABELS, FrequencyTable, assign_ids, parse_mentions
 from softmentions.synonyms import Registry, RegistryIndex, read_kb_dict
@@ -22,6 +24,7 @@ from oracles import (
     dbscan_reference,
     disambiguated_tsv_reference,
     parse_mentions_reference,
+    tsv_text_reference,
 )
 
 def test_to_distance_values():
@@ -253,6 +256,16 @@ def test_write_disambiguated_tsv(tmp_path):
     assert rows["Bowtie"] == ["", ""]
 
 
+def test_write_disambiguated_tsv_rejects_a_line_break_in_a_row(tmp_path):
+    rows = [make_record("SPSS", pmcid="1"), make_record("SPSS", pmcid="2", text="Used\rSPSS.")]
+    chain = run_chain(rows)
+    out = tmp_path / "disambiguated.tsv"
+    message = f"{out}: line 3: column 'text' holds a tab or line break: 'Used\\rSPSS.'"
+    with pytest.raises(FormatError, match=re.escape(message)):
+        write_disambiguated_tsv(out, rows, "comm", chain.id_table, chain.result)
+    assert list(tmp_path.iterdir()) == []
+
+
 def _write_both(path, text, corpus_kind, **chain_params):
     """Write disambiguated.tsv from the parsed text; return the reference writer's text."""
     rows = list(parse_mentions(io.StringIO(text), corpus_kind))
@@ -286,7 +299,7 @@ _VOCABULARY = ["ImageJ", "Image J", "ImageJ2", "BLAST", "Blast", "limma", "R pac
 def test_write_disambiguated_tsv_matches_reference_writer(tmp_path_factory, corpus_kind, records):
     if corpus_kind == "publishers":
         records = [rec._replace(pmcid="") for rec in records]
-    text = format_tsv(*corpus_rows_reference(records, corpus_kind))
+    text = tsv_text_reference(*corpus_rows_reference(records, corpus_kind))
     path = tmp_path_factory.mktemp("out") / "disambiguated.tsv"
     want = _write_both(
         path, text, corpus_kind,

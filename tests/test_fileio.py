@@ -1,11 +1,14 @@
 import gzip
 import io
+import os
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from softmentions.errors import ConsistencyError, FormatError, RowError
 from softmentions.fileio import (
-    format_tsv,
+    CHUNK_LINES,
     iter_tsv,
     open_text,
     read_tsv,
@@ -55,14 +58,81 @@ def test_text_written_in_chunks_equals_text_written_at_once(tmp_path, name):
         assert gzip.decompress(chunked.read_bytes()).decode("utf-8") == "".join(chunks)
 
 
-def test_format_tsv_rejects_tabs_and_line_breaks(tmp_path):
-    assert format_tsv(("a", "b"), [("x", "y")]) == "a\tb\nx\ty\n"
+def test_write_tsv_rejects_tabs_and_line_breaks(tmp_path):
+    path = tmp_path / "t.tsv"
+    write_tsv(path, ("a", "b"), [("x", "y")])
+    assert path.read_bytes() == b"a\tb\nx\ty\n"
     for bad in ("y\tz", "y\nz", "y\rz"):
-        with pytest.raises(FormatError, match="line 3: column 'b'"):
-            format_tsv(("a", "b"), [("x", "y"), ("x", bad)])
-    with pytest.raises(FormatError, match="bad.tsv: line 2: column 'a'"):
-        write_tsv(tmp_path / "bad.tsv", ("a", "b"), [("x\ty", "z")])
-    assert not (tmp_path / "bad.tsv").exists()
+        with pytest.raises(FormatError, match="t.tsv: line 3: column 'b' holds a tab or line"):
+            write_tsv(path, ("a", "b"), [("x", "y"), ("x", bad)])
+    assert path.read_bytes() == b"a\tb\nx\ty\n"
+    with pytest.raises(FormatError, match=re.escape(r"bad.tsv: line 1: column 'a\r'")):
+        write_tsv(tmp_path / "bad.tsv", ("a\r", "b"), [])
+    assert [p.name for p in tmp_path.iterdir()] == ["t.tsv"]
+
+
+def test_write_tsv_takes_cells_joined_ahead_if_each_line_has_one_field_per_column(tmp_path):
+    path = tmp_path / "t.tsv"
+    write_tsv(path, ("a", "b", "c"), [("x\ty", "z"), ("x", "y\tz")])
+    assert path.read_bytes() == b"a\tb\tc\nx\ty\tz\nx\ty\tz\n"
+    cases = [
+        (("x", "y"), "line 3: expected 3 fields, found 2"),
+        (("x\ty\tz", "w"), "line 3: expected 3 fields, found 4"),
+        (("x\ty\rw", "z"), r"line 3: column 'b' holds a tab or line break: 'y\rw'"),
+    ]
+    for row, message in cases:
+        with pytest.raises(FormatError, match=re.escape(f"t.tsv: {message}")):
+            write_tsv(path, ("a", "b", "c"), [("x\ty", "z"), row])
+    assert path.read_bytes() == b"a\tb\tc\nx\ty\tz\nx\ty\tz\n"
+
+
+# Any text a cell may hold; open_text must not split lines at the separators
+# other than \n and \r that str.splitlines knows.
+_CELLS = st.text(
+    st.one_of(
+        st.sampled_from("\u2028\u2029\x85\x0b\x0c\x1c"),
+        st.characters(exclude_characters="\t\n\r", exclude_categories=("Cs",)),
+    ),
+    max_size=6,
+)
+
+
+@st.composite
+def _tables(draw):
+    """A header of 2-4 columns and rows repeating a few drawn rows over up to three chunks."""
+    width = draw(st.integers(2, 4))
+    row = st.lists(_CELLS, min_size=width, max_size=width)
+    header, distinct = draw(row), draw(st.lists(row, min_size=1, max_size=4))
+    count = draw(st.integers(0, 3 * CHUNK_LINES))
+    return header, [distinct[i % len(distinct)] for i in range(count)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(table=_tables(), name=st.sampled_from(["t.tsv", "t.tsv.gz"]))
+def test_write_tsv_then_read_tsv_returns_the_rows(tmp_path_factory, table, name):
+    header, rows = table
+    path = tmp_path_factory.mktemp("tsv") / name
+    write_tsv(path, header, rows)
+    assert read_tsv(path, header, list) == rows
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    lineno=st.integers(CHUNK_LINES + 1, 3 * CHUNK_LINES + 1),
+    column=st.sampled_from(["name", "n"]),
+    bad=st.sampled_from(["\t", "\n", "\r", "\r\n"]),
+    name=st.sampled_from(["t.tsv", "t.tsv.gz"]),
+)
+def test_bad_cell_in_a_later_chunk_keeps_previous_file(tmp_path_factory, lineno, column, bad, name):
+    path = tmp_path_factory.mktemp("tsv") / name
+    write_text(path, "previous\n")
+    before = path.read_bytes()
+    rows = [{"name": f"m{i}", "n": str(i)} for i in range(3 * CHUNK_LINES)]
+    rows[lineno - 2][column] += bad
+    with pytest.raises(FormatError, match=f"{name}: line {lineno}: column '{column}'"):
+        write_tsv(path, ("name", "n"), ([row["name"], row["n"]] for row in rows))
+    assert path.read_bytes() == before
+    assert os.listdir(path.parent) == [name]
 
 
 def test_read_tsv_contract(tmp_path):

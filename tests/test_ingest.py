@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from softmentions.errors import ConsistencyError, FormatError, RowError, SoftMentionsError
-from softmentions.fileio import format_tsv
 from softmentions.ingest import (
     CORPUS_FIELDS,
     CURATION_LABELS,
@@ -25,6 +24,7 @@ from oracles import (
     corpus_row_reference,
     corpus_rows_reference,
     parse_mentions_reference,
+    tsv_text_reference,
 )
 
 MAIN_HEADER = "\t".join(CORPUS_FIELDS["comm"])
@@ -161,7 +161,7 @@ def _records(corpus_kind):
 )
 def test_serialize_parse_round_trip(corpus):
     corpus_kind, records = corpus
-    text = format_tsv(*corpus_rows_reference(records, corpus_kind))
+    text = tsv_text_reference(*corpus_rows_reference(records, corpus_kind))
     parsed = list(parse_mentions(io.StringIO(text), corpus_kind))
     assert parsed == [corpus_row_reference(rec, corpus_kind) for rec in records]
     assert [row.line for row in parsed] == text.split("\n")[1:-1]
@@ -309,6 +309,19 @@ def test_first_failing_check_names_the_row(faults, message):
     with pytest.raises(RowError) as ref:
         list(parse_mentions_reference(comm_tsv(comm_row(), row), "comm"))
     assert str(ref.value) == str(err.value)
+
+
+def test_carriage_return_inside_a_line_is_a_row_error():
+    # io.StringIO splits lines at newlines only, so the carriage return reaches
+    # the row loop; open_text would have split the line there.
+    bad = comm_row(text="Used\rSPSS.")
+    with pytest.raises(RowError, match="^line 3: carriage return inside the line$"):
+        list(parse_mentions(comm_tsv(comm_row(), bad), "comm"))
+    errors = []
+    stream = comm_tsv(comm_row(), bad, comm_row(software="BLAST"))
+    parsed = parse_mentions(stream, "comm", lenient=True, errors=errors)
+    assert [row.software for row in parsed] == ["SPSS", "BLAST"]
+    assert [err.line_number for err in errors] == [3]
 
 
 @pytest.mark.parametrize("lenient", [False, True])

@@ -28,7 +28,6 @@ from .evaluation import (
     synonym_prf,
 )
 from .graph import (
-    Component,
     SimilarityGraph,
     build_matrix,
     connected_components,

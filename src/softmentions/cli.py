@@ -270,15 +270,22 @@ def stage_cluster(cfg: PipelineConfig, run: Products | None = None) -> None:
 
 
 def _read_clusters(path, mentions: list[str]) -> list[clustering.Cluster]:
-    """The clusters of clusters.tsv: one name_id each, among its members; one cluster per member."""
+    """The clusters of clusters.tsv: one name_id each, among its members; one cluster per member.
+
+    Each row's name and member must be the mentions of its name_id and member_id.
+    """
     grouped: dict[int, tuple[int, list[int]]] = {}
     seen: set[int] = set()
 
     def row(fields: list[str]) -> None:
         idx, name_id, member_id = int(fields[0]), int(fields[1]), int(fields[3])
-        for mention_id in (name_id, member_id):
+        checks = (("name", name_id, fields[2]), ("member", member_id, fields[4]))
+        for column, mention_id, text in checks:
             if not 0 <= mention_id < len(mentions):
                 raise KeyError(mention_id)
+            if text != mentions[mention_id]:
+                want = mentions[mention_id]
+                raise ValueError(f"{column} {text!r} is not mention {mention_id}, {want!r}")
         if member_id in seen:
             raise ValueError(f"member {member_id} is listed again")
         seen.add(member_id)
@@ -314,16 +321,22 @@ def _read_registry_details(path: Path) -> dict[str, dict]:
     return details
 
 
+def _details_files(cfg: PipelineConfig, names: RegistryNames) -> dict[synonyms.Registry, Path]:
+    """The page-details file of each configured package index that has one."""
+    if not cfg.registry_details:
+        return {}
+    paths = {registry: Path(cfg.registry_details) / f"{registry.value}.json" for registry in names}
+    return {registry: path for registry, path in paths.items() if path.exists()}
+
+
 def build_link_sources(cfg: PipelineConfig, names: RegistryNames) -> linking.Backends:
     """The configured lookup backends, in linking.precedence order."""
     backends = {}
+    details_files = _details_files(cfg, names)
     for registry, entries in names.items():
         source = linking.LinkSource(registry.value)
-        details = {}
-        if cfg.registry_details:
-            details_path = Path(cfg.registry_details) / f"{source.value}.json"
-            if details_path.exists():
-                details = _read_registry_details(details_path)
+        path = details_files.get(registry)
+        details = _read_registry_details(path) if path else {}
         backends[source] = linking.RegistrySnapshot(source=source, names=entries, details=details)
     if cfg.kb_snapshots:
         fetcher = None
@@ -353,16 +366,12 @@ def stage_link(cfg: PipelineConfig, run: Products | None = None) -> None:
     """Link every mention and propagate cluster links."""
     run = run or Products(cfg)
     out = run.out
-    (id_table, mentions), clusters = run.ids, run.clusters
+    mentions, clusters = run.ids[1], run.clusters
     sources = build_link_sources(cfg, run.names)
     soft_errors: list[str] = []
     collected: dict[linking.LinkSource, list[dict]] = {}
     links = linking.link_mentions(
-        mentions,
-        id_table,
-        sources,
-        soft_errors=soft_errors,
-        collect_raw=collected,
+        mentions, sources, soft_errors=soft_errors, collect_raw=collected
     )
     propagated = linking.propagate_links(clusters, mentions, links)
     rows = [linking.metadata_row(propagated[mention_id]) for mention_id in sorted(propagated)]
@@ -382,6 +391,7 @@ def stage_link(cfg: PipelineConfig, run: Products | None = None) -> None:
         for p in (cfg.registry_py, cfg.registry_r, cfg.registry_bioc)
         if p
     ]
+    inputs += _details_files(cfg, run.names).values()
     write_manifest(cfg, "link", inputs, counts)
     logger.info("link: %d mentions linked", len(propagated))
 

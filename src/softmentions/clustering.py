@@ -126,10 +126,9 @@ class Accounting:
 
 @dataclass
 class DisambiguationResult:
-    """The named clusters, each member's cluster index, the accounting and the graph."""
+    """The named clusters, the accounting and the graph."""
 
     clusters: list[Cluster]
-    mention_to_cluster: dict[int, int]
     accounting: Accounting
     graph: SimilarityGraph
 
@@ -144,9 +143,9 @@ def cluster_graph(
     """Run DBSCAN on every connected component and name the clusters."""
     raw_clusters: list[tuple[int, ...]] = []
     noise: list[int] = []
-    for component in connected_components(graph):
-        distances = to_distance(graph.submatrix(component.members))
-        found, component_noise = dbscan(distances, component.members, eps, min_pts)
+    for members in connected_components(graph):
+        distances = to_distance(graph.submatrix(members))
+        found, component_noise = dbscan(distances, members, eps, min_pts)
         raw_clusters.extend(found)
         noise.extend(component_noise)
     return name_clusters(raw_clusters, freq, mentions), tuple(sorted(noise))
@@ -162,25 +161,14 @@ def disambiguate_pairs(
     min_pts: int = 2,
 ) -> DisambiguationResult:
     """Cluster synonym pairs over ``mentions``, where mention i has ID i."""
-    graph = post_process(
-        build_matrix(pairs, mentions, use_threshold=use_threshold, stoplist=stoplist)
-    )
+    graph = post_process(build_matrix(pairs, mentions, use_threshold=use_threshold), stoplist)
     clusters, noise = cluster_graph(graph, freq, mentions, eps=eps, min_pts=min_pts)
-    mention_to_cluster = {
-        member: idx for idx, cluster in enumerate(clusters) for member in cluster.members
-    }
-    covered = graph.covered_vertices()
     accounting = Accounting(
-        no_significant_synonyms=len(mentions) - len(covered),
+        no_significant_synonyms=len(mentions) - len(graph.covered_vertices()),
         no_cluster_output=len(noise),
-        disambiguated=len(mention_to_cluster),
+        disambiguated=sum(len(cluster.members) for cluster in clusters),
     )
-    return DisambiguationResult(
-        clusters=clusters,
-        mention_to_cluster=mention_to_cluster,
-        accounting=accounting,
-        graph=graph,
-    )
+    return DisambiguationResult(clusters=clusters, accounting=accounting, graph=graph)
 
 
 def write_disambiguated_tsv(
@@ -196,6 +184,7 @@ def write_disambiguated_tsv(
     joined by a tab (two empty cells for a mention in no cluster).
     """
     header = (*CORPUS_FIELDS[corpus_kind], "mapped_to_software", "mapped_to_software_ID")
-    mapped = [f"{cluster.name}\t{cluster.name_id}" for cluster in result.clusters]
-    cells = {member: mapped[idx] for member, idx in result.mention_to_cluster.items()}
+    cells: dict[int, str] = {}
+    for cluster in result.clusters:
+        cells.update(dict.fromkeys(cluster.members, f"{cluster.name}\t{cluster.name_id}"))
     write_tsv(path, header, ((row.line, cells.get(id_table[row.software], "\t")) for row in rows))

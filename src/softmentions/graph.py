@@ -28,20 +28,12 @@ _PRECEDENCE = {
 }
 
 
-@dataclass(frozen=True)
-class Component:
-    """A maximal set of mentions mutually reachable over stored edges."""
-
-    members: tuple[int, ...]
-
-
 @dataclass
 class SimilarityGraph:
     """Stored edges by mention pair; never mutated once built or post-processed."""
 
     mentions: Sequence[str]
     entries: dict[tuple[int, int], tuple[float, SynonymSource]]
-    stoplist: frozenset[str] = frozenset(DEFAULT_STOPLIST)
 
     def covered_vertices(self) -> set[int]:
         covered: set[int] = set()
@@ -76,7 +68,6 @@ def build_matrix(
     pairs: Iterable[SynonymPair],
     mentions: Sequence[str],
     use_threshold: float = 0.97,
-    stoplist: Iterable[str] = DEFAULT_STOPLIST,
 ) -> SimilarityGraph:
     """Assemble the similarity matrix from canonical synonym pairs.
 
@@ -109,7 +100,7 @@ def build_matrix(
         if rank > best_rank.get(key, 0):
             best_rank[key] = rank
             entries[key] = (value, pair.source)
-    return SimilarityGraph(mentions=mentions, entries=entries, stoplist=frozenset(stoplist))
+    return SimilarityGraph(mentions=mentions, entries=entries)
 
 
 def strip_for_comparison(text: str) -> str:
@@ -125,18 +116,21 @@ def strip_for_comparison(text: str) -> str:
     )
 
 
-def post_process(graph: SimilarityGraph) -> SimilarityGraph:
+def post_process(
+    graph: SimilarityGraph, stoplist: Iterable[str] = DEFAULT_STOPLIST
+) -> SimilarityGraph:
     """Apply the promotion and stoplist rules; idempotent.
 
     Stored pairs whose strings are equal once stripped, or that are
     multi-token and equal case-insensitively, are promoted to 1.0. Edges
     touching a stoplisted mention are removed.
     """
+    stoplist = frozenset(stoplist)
     strip = cache(lambda i: strip_for_comparison(graph.mentions[i]))
     entries: dict[tuple[int, int], tuple[float, SynonymSource]] = {}
     for (i, j), (value, source) in graph.entries.items():
         a, b = graph.mentions[i], graph.mentions[j]
-        if a in graph.stoplist or b in graph.stoplist:
+        if a in stoplist or b in stoplist:
             continue
         if value < 1.0 and (
             strip(i) == strip(j)
@@ -145,56 +139,28 @@ def post_process(graph: SimilarityGraph) -> SimilarityGraph:
             entries[(i, j)] = (1.0, SynonymSource.POST_PROCESS)
         else:
             entries[(i, j)] = (value, source)
-    return SimilarityGraph(mentions=graph.mentions, entries=entries, stoplist=graph.stoplist)
+    return SimilarityGraph(mentions=graph.mentions, entries=entries)
 
 
-class UnionFind:
-    """Disjoint sets with path compression and union by size."""
-
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-        self.size: dict[int, int] = {}
-
-    def add(self, x: int) -> None:
-        if x not in self.parent:
-            self.parent[x] = x
-            self.size[x] = 1
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.size[rx] < self.size[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        self.size[rx] += self.size[ry]
-
-
-def connected_components(graph: SimilarityGraph) -> list[Component]:
-    """Components over stored edges, ordered by smallest member ID.
+def connected_components(graph: SimilarityGraph) -> list[tuple[int, ...]]:
+    """Components over stored edges as sorted member tuples, ordered by smallest member.
 
     Vertices without edges belong to no component; they are the mentions
     with no significant synonyms.
     """
-    uf = UnionFind()
+    parent = list(range(len(graph.mentions)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]  # path halving
+        return x
+
     for i, j in graph.entries:
-        uf.add(i)
-        uf.add(j)
-        uf.union(i, j)
+        parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
-    for vertex in uf.parent:
-        groups.setdefault(uf.find(vertex), []).append(vertex)
-    components = [Component(members=tuple(sorted(g))) for g in groups.values()]
-    components.sort(key=lambda c: c.members[0])
-    return components
+    for vertex in sorted(graph.covered_vertices()):
+        groups.setdefault(find(vertex), []).append(vertex)
+    return sorted(map(tuple, groups.values()))
 
 
 def read_stoplist(path) -> frozenset[str]:

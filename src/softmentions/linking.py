@@ -329,25 +329,25 @@ def exact_match_lookup(
 
 
 def link_mentions(
-    names: Iterable[str],
-    name_ids: Mapping[str, int],
+    mentions: Sequence[str],
     sources: Backends,
     soft_errors: list[str] | None = None,
     collect_raw: dict[LinkSource, list[dict]] | None = None,
 ) -> dict[int, LinkedMetadata]:
-    """Exact-match every name; keep the highest-precedence usable record.
+    """Exact-match every mention; keep the highest-precedence usable record.
 
-    mapped_to aggregates the names reported by every matching source, so
+    Mention i has ID i, and the result maps IDs to records. mapped_to
+    aggregates the names reported by every matching source, so
     lower-precedence hits stay visible in the final record.
     """
     linked: dict[int, LinkedMetadata] = {}
-    for name in sorted(set(names)):
+    for mention_id, name in enumerate(mentions):
         candidates = exact_match_lookup(name, sources, soft_errors=soft_errors)
         if collect_raw is not None:
             for source, raw in candidates:
                 collect_raw.setdefault(source, []).append(dict(raw))
         normalized = [
-            normalize_metadata(raw, source, mention_id=name_ids[name], software_mention=name)
+            normalize_metadata(raw, source, mention_id=mention_id, software_mention=name)
             for source, raw in candidates
         ]
         chosen = next((meta for meta in normalized if meta.package_url), None)
@@ -356,7 +356,7 @@ def link_mentions(
         for other in normalized:
             if other is not chosen:
                 _append_values(chosen.mapped_to, other.mapped_to)
-        linked[name_ids[name]] = chosen
+        linked[mention_id] = chosen
     return linked
 
 
@@ -372,19 +372,13 @@ def propagate_links(
     own exact-match link applies. Mentions with neither stay unlinked.
     Inherited records share their lists with the name's record.
     """
-    propagated: dict[int, LinkedMetadata] = {}
-    inherited: dict[int, LinkedMetadata] = {}
+    propagated = dict(links)
     for cluster in clusters:
         name_link = links.get(cluster.name_id)
         if name_link is None:
             continue
         for member in cluster.members:
-            inherited[member] = replace(name_link, id=member, software_mention=mentions[member])
-    for mention_id in range(len(mentions)):
-        if mention_id in inherited:
-            propagated[mention_id] = inherited[mention_id]
-        elif mention_id in links:
-            propagated[mention_id] = links[mention_id]
+            propagated[member] = replace(name_link, id=member, software_mention=mentions[member])
     return propagated
 
 

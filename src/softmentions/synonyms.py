@@ -449,6 +449,10 @@ def write_synonyms_tsv(path, pairs: Iterable[SynonymPair], mentions: Sequence[st
     write_tsv(path, SYNONYMS_HEADER, rows)
 
 
+# The sources a generator writes; PostProcess only marks edges the graph promotes.
+_PAIR_SOURCES = {s.value: s for s in SynonymSource if s is not SynonymSource.POST_PROCESS}
+
+
 def read_synonyms_tsv(path, mentions: Sequence[str]) -> list[SynonymPair]:
     """The pairs of synonyms.tsv; both IDs of each must index ``mentions``."""
 
@@ -457,6 +461,9 @@ def read_synonyms_tsv(path, mentions: Sequence[str]) -> list[SynonymPair]:
         for mention_id in (a, b):
             if not 0 <= mention_id < len(mentions):
                 raise KeyError(mention_id)
-        return SynonymPair.of(a, b, float(fields[4]), SynonymSource(fields[5]))
+        confidence, source = float(fields[4]), _PAIR_SOURCES.get(fields[5])
+        if source is None:
+            raise ValueError(f"synonym_source {fields[5]!r} is not one of {sorted(_PAIR_SOURCES)}")
+        return SynonymPair.of(a, b, confidence, source)
 
     return read_tsv(path, SYNONYMS_HEADER, row)

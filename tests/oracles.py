@@ -301,11 +301,11 @@ def corpus_row_reference(record: MentionRecord, corpus_kind: str) -> CorpusRow:
 def disambiguated_tsv_reference(records, corpus_kind, id_table, result) -> str:
     """disambiguated.tsv rendered from typed records: every cell, then the row's cluster."""
     header, rows = corpus_rows_reference(records, corpus_kind)
+    cluster_of = {member: cluster for cluster in result.clusters for member in cluster.members}
     for rec, row in zip(records, rows):
-        cluster_idx = result.mention_to_cluster.get(id_table[rec.software])
-        if cluster_idx is None:
+        cluster = cluster_of.get(id_table[rec.software])
+        if cluster is None:
             row += ["", ""]
         else:
-            cluster = result.clusters[cluster_idx]
             row += [cluster.name, str(cluster.name_id)]
     return tsv_text_reference((*header, "mapped_to_software", "mapped_to_software_ID"), rows)

@@ -29,7 +29,7 @@ from softmentions.evaluation import (
     synonym_prf,
 )
 from softmentions.fileio import open_text, read_lines
-from softmentions.graph import build_matrix, connected_components, post_process
+from softmentions.graph import DEFAULT_STOPLIST, build_matrix, connected_components, post_process
 from softmentions.ingest import parse_mentions
 from softmentions.linking import (
     LinkedMetadata,
@@ -188,8 +188,8 @@ def test_criterion_post_processing():
         assert post_process(once).entries == once.entries
         assert len(once.entries) <= len(raw.entries)
         for (i, j), (value, _) in once.entries.items():
-            assert raw.mentions[i] not in raw.stoplist
-            assert raw.mentions[j] not in raw.stoplist
+            assert raw.mentions[i] not in DEFAULT_STOPLIST
+            assert raw.mentions[j] not in DEFAULT_STOPLIST
             assert value >= 0.97
 
 
@@ -207,8 +207,7 @@ def test_criterion_connected_components():
         graph = build_matrix(
             [SynonymPair.of(i, j, 1.0, KB) for i, j in edges], mentions
         )
-        got = [c.members for c in connected_components(graph)]
-        assert got == bfs_components(n, edges)
+        assert connected_components(graph) == bfs_components(n, edges)
     assert time.perf_counter() - started < 10.0
 
 
@@ -424,7 +423,7 @@ def test_criterion_linking(fixture_pipeline):
     assert rrid_checked and description_checked
 
     _, chain, _ = fixture_pipeline
-    links = link_mentions(chain.mentions, chain.id_table, sources)
+    links = link_mentions(chain.mentions, sources)
     propagated = propagate_links(chain.result.clusters, chain.mentions, links)
     sk_url = "https://pypi.org/project/scikit-learn"
     assert propagated[chain.id_table["sklearn"]].package_url == sk_url

@@ -327,6 +327,8 @@ def test_registry_page_details_enrich_linking(fixture_copy):
             break
     else:
         pytest.fail("scikit-learn row missing from metadata.tsv")
+    manifest = json.loads((fixture_copy / "out" / "manifest_link.json").read_text(encoding="utf-8"))
+    assert str(details_dir / "PkgIndexPy.json") in manifest["inputs"]
 
 
 # Each case: the artifact, the stage that reads it, the 1-based line to
@@ -338,6 +340,10 @@ CORRUPT_ARTIFACTS = {
     ),
     "bad_synonym_conf": ("synonyms.tsv", "cluster", 3, lambda f: f[:4] + ["high", f[5]]),
     "unknown_synonym_source": ("synonyms.tsv", "cluster", 3, lambda f: f[:5] + ["Oracle"]),
+    # PostProcess is a valid source of a graph edge, but no synonym generator writes it.
+    "post_process_synonym_source": (
+        "synonyms.tsv", "cluster", 3, lambda f: f[:5] + ["PostProcess"]
+    ),
     "clusters_wrong_header": ("clusters.tsv", "link", 1, lambda f: f[:4]),
     "clusters_unknown_name_id": ("clusters.tsv", "link", 2, lambda f: [f[0], "9999", *f[2:]]),
     "clusters_short_row": ("clusters.tsv", "link", None, lambda f: ["0"]),
@@ -358,12 +364,20 @@ CORRUPT_ARTIFACTS = {
     "clusters_repeated_member": (
         "clusters.tsv", "link", None, lambda f: ["1", "183", "SPSS", "0", "(BLAST"]
     ),
-    "clusters_disagree_on_name_id": ("clusters.tsv", "link", 3, lambda f: [f[0], "0", *f[2:]]),
+    "clusters_disagree_on_name_id": (
+        "clusters.tsv", "link", 3, lambda f: [f[0], "0", "(BLAST", *f[3:]]
+    ),
     # Line 236 is the first row of cluster 6 and lists its name, MATLAB (109);
     # mention 2 is in no cluster.
     "clusters_name_id_not_a_member": (
-        "clusters.tsv", "link", 236, lambda f: [*f[:3], "2", f[4]]
+        "clusters.tsv", "link", 236,
+        lambda f: [*f[:3], "2", "(Statistical Package for Social Science)"],
     ),
+    # Line 2 is member 0, (BLAST, of cluster 0, named BLAST (6).
+    "clusters_name_not_its_mention": (
+        "clusters.tsv", "link", 2, lambda f: [*f[:2], "NotBLAST", *f[3:]]
+    ),
+    "clusters_member_not_its_mention": ("clusters.tsv", "link", 2, lambda f: [*f[:4], "Whatever"]),
 }
 
 

@@ -218,7 +218,7 @@ def test_clusters_never_span_components():
     comps = connected_components(result.graph)
     comp_of = {}
     for idx, comp in enumerate(comps):
-        for member in comp.members:
+        for member in comp:
             comp_of[member] = idx
     for cluster in result.clusters:
         assert len({comp_of[m] for m in cluster.members}) == 1

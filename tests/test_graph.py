@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from softmentions.errors import ConsistencyError
 from softmentions.graph import (
-    Component,
     DEFAULT_STOPLIST,
     build_matrix,
     connected_components,
@@ -101,6 +100,7 @@ def test_post_process_removes_stoplisted_edges():
     processed = post_process(graph)
     assert (0, 1) not in processed.entries
     assert (1, 2) in processed.entries
+    assert post_process(graph, stoplist={"limma"}).entries.keys() == {(0, 1)}
 
 
 def test_post_process_promotion_preserves_kb_source():
@@ -140,7 +140,7 @@ def test_post_process_idempotent_on_random_graphs():
 
 def test_components_path_graph():
     graph = build_matrix([pair(0, 1, 1.0, KB), pair(1, 2, 1.0, KB)], ["a", "b", "c"])
-    assert connected_components(graph) == [Component(members=(0, 1, 2))]
+    assert connected_components(graph) == [(0, 1, 2)]
 
 
 def test_components_empty_graph():
@@ -154,22 +154,27 @@ def test_components_isolated_vertices_excluded_and_order_deterministic():
         [pair(5, 6, 1.0, KB), pair(0, 2, 1.0, KB)], mentions
     )
     comps = connected_components(graph)
-    assert comps == [Component(members=(0, 2)), Component(members=(5, 6))]
+    assert comps == [(0, 2), (5, 6)]
     assert graph.covered_vertices() == {0, 2, 5, 6}
 
 
 def test_components_match_bfs_oracle_on_random_graphs():
     rng = random.Random(7)
+    cases = []
     for _ in range(60):
         n = rng.randint(2, 60)
-        mentions = [f"m{i}" for i in range(n)]
         edges = set()
         for _ in range(rng.randint(0, n)):
             i, j = rng.sample(range(n), 2)
             edges.add((min(i, j), max(i, j)))
-        graph = build_matrix([pair(i, j, 1.0, KB) for i, j in edges], mentions)
-        got = [c.members for c in connected_components(graph)]
-        assert got == bfs_components(n, edges)
+        cases.append((n, list(edges)))
+    # Long paths, their edges added in descending and ascending order, build
+    # deep union-find trees.
+    path = [(i, i + 1) for i in range(19_999)]
+    cases += [(20_000, path[::-1]), (20_000, path)]
+    for n, edges in cases:
+        graph = build_matrix([pair(i, j, 1.0, KB) for i, j in edges], [f"m{i}" for i in range(n)])
+        assert connected_components(graph) == bfs_components(n, set(edges))
 
 
 def test_submatrix_restricts_to_members():
@@ -202,8 +207,7 @@ def test_submatrix_matches_full_edge_scan(case):
     n, ends, subsets = case
     pairs = [pair(i, j, 0.97 + (i * j % 4) / 100, SS) for i, j in ends if i != j]
     graph = build_matrix(pairs, [f"m{i}" for i in range(n)])
-    components = [c.members for c in connected_components(graph)]
-    for members in components + [tuple(s) for s in subsets]:
+    for members in connected_components(graph) + [tuple(s) for s in subsets]:
         assert graph.submatrix(members) == full_scan_submatrix(graph, members)
 
 

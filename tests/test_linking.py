@@ -216,13 +216,13 @@ def test_schema_covers_every_source_and_targets_record_fields():
 
 
 def test_link_mentions_precedence_and_mapped_to_aggregation(tmp_path):
-    id_table, _ = assign_ids(["limma", "numpy"])
+    id_table, mentions = assign_ids(["limma", "numpy"])
     sources = {
         LinkSource.PKG_INDEX_BIOC: bioc_registry("limma"),
         LinkSource.PKG_INDEX_PY: py_registry("limma", "numpy"),
     }
     collected = {}
-    links = link_mentions(["limma", "numpy"], id_table, sources, collect_raw=collected)
+    links = link_mentions(mentions, sources, collect_raw=collected)
     limma = links[id_table["limma"]]
     assert limma.source == "PkgIndexBioc"
     assert limma.package_url == "https://www.bioconductor.org/packages/limma"
@@ -329,13 +329,13 @@ def test_metadata_row_requires_package_url(tmp_path):
 
 
 def test_link_mentions_deterministic():
-    id_table, _ = assign_ids(["limma", "numpy", "absent-thing"])
+    _, mentions = assign_ids(["limma", "numpy", "absent-thing"])
     sources = {
         LinkSource.PKG_INDEX_BIOC: bioc_registry("limma"),
         LinkSource.PKG_INDEX_PY: py_registry("limma", "numpy"),
     }
-    first = link_mentions(id_table, id_table, sources)
-    second = link_mentions(id_table, id_table, sources)
+    first = link_mentions(mentions, sources)
+    second = link_mentions(mentions, sources)
     assert first == second
 
 

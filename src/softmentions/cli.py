@@ -76,14 +76,14 @@ def _digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(cfg: PipelineConfig, stage: str, inputs: list[Path], counts: dict) -> None:
+def write_manifest(run: Products, stage: str, inputs: list[Path], counts: dict) -> None:
     manifest = {
         "stage": stage,
-        "inputs": {str(p): _digest(p) for p in sorted(inputs)},
-        "config": cfg.snapshot(),
+        "inputs": {str(p): run.digest(p) for p in sorted(inputs)},
+        "config": run.cfg.snapshot(),
         "row_counts": counts,
     }
-    out = Path(cfg.out_dir) / f"manifest_{stage}.json"
+    out = run.out / f"manifest_{stage}.json"
     write_text(out, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
@@ -132,6 +132,13 @@ class Products:
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         self.out = Path(cfg.out_dir)
+        self.digests: dict[Path, str] = {}
+
+    def digest(self, path: Path) -> str:
+        """``path``'s SHA-256, read once per run: no stage rewrites what an earlier one read."""
+        if path not in self.digests:
+            self.digests[path] = _digest(path)
+        return self.digests[path]
 
     @cached_property
     def ids(self) -> IdTables:
@@ -177,7 +184,7 @@ def stage_ingest(cfg: PipelineConfig, run: Products | None = None) -> None:
         "unique_mentions": len(mentions),
         "rows_missing_paper_key": freq.missing_paper_key_rows,
     }
-    write_manifest(cfg, "ingest", [Path(cfg.corpus)], counts)
+    write_manifest(run, "ingest", [Path(cfg.corpus)], counts)
     logger.info("ingest: %(rows)d rows, %(unique_mentions)d unique mentions", counts)
 
 
@@ -215,7 +222,7 @@ def stage_synonyms(cfg: PipelineConfig, run: Products | None = None) -> None:
     inputs = [run.out / MENTION2ID] + [
         Path(p) for p in (cfg.registry_py, cfg.registry_r, cfg.registry_bioc, cfg.kb_dict) if p
     ]
-    write_manifest(cfg, "synonyms", inputs, counts)
+    write_manifest(run, "synonyms", inputs, counts)
     logger.info("synonyms: %d pairs", len(pairs))
 
 
@@ -261,7 +268,7 @@ def stage_cluster(cfg: PipelineConfig, run: Products | None = None) -> None:
     inputs = [out / MENTION2ID, out / FREQUENCIES, out / SYNONYMS, Path(cfg.corpus)]
     if cfg.stoplist:
         inputs.append(Path(cfg.stoplist))
-    write_manifest(cfg, "cluster", inputs, counts)
+    write_manifest(run, "cluster", inputs, counts)
     logger.info(
         "cluster: %(disambiguated)d mentions in %(clusters)d entities, "
         "%(no_significant_synonyms)d without synonyms, %(no_cluster_output)d noise",
@@ -392,7 +399,7 @@ def stage_link(cfg: PipelineConfig, run: Products | None = None) -> None:
         if p
     ]
     inputs += _details_files(cfg, run.names).values()
-    write_manifest(cfg, "link", inputs, counts)
+    write_manifest(run, "link", inputs, counts)
     logger.info("link: %d mentions linked", len(propagated))
 
 
@@ -404,8 +411,9 @@ def _eval_files(cfg: PipelineConfig) -> list[str]:
     ]
 
 
-def stage_evaluate(cfg: PipelineConfig) -> dict:
+def stage_evaluate(cfg: PipelineConfig, run: Products | None = None) -> dict:
     """Score each configured evaluation file with its metric."""
+    run = run or Products(cfg)
     if not any(_eval_files(cfg)):
         raise SoftMentionsError("missing input: no evaluation files configured (eval.*)")
     metrics: dict = {}
@@ -452,7 +460,7 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
                 metrics.setdefault("agreement", {})[key] = evaluation.agreement(grid)
     except ValueError as err:
         raise FormatError(f"{inputs[-1]}: {err}") from None
-    out = Path(cfg.out_dir)
+    out = run.out
     write_text(out / METRICS_JSON, json.dumps(metrics, sort_keys=True, indent=2) + "\n")
     lines = []
     def flatten(prefix: str, value) -> None:
@@ -463,7 +471,7 @@ def stage_evaluate(cfg: PipelineConfig) -> dict:
             lines.append(f"{prefix} = {value}")
     flatten("", metrics)
     write_text(out / METRICS_TXT, "\n".join(lines) + "\n")
-    write_manifest(cfg, "evaluate", inputs, {"metrics": len(lines)})
+    write_manifest(run, "evaluate", inputs, {"metrics": len(lines)})
     logger.info("evaluate: wrote %d metric values", len(lines))
     return metrics
 
@@ -478,7 +486,7 @@ def run_all(cfg: PipelineConfig) -> None:
     if cfg.registry_py or cfg.registry_r or cfg.registry_bioc or cfg.kb_snapshots or cfg.codehost_snapshots:
         stage_link(cfg, run)
     if any(_eval_files(cfg)):
-        stage_evaluate(cfg)
+        stage_evaluate(cfg, run)
 
 
 COMMANDS = {

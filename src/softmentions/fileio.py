@@ -12,7 +12,7 @@ import io
 import os
 import zlib
 from contextlib import contextmanager
-from itertools import chain, islice
+from itertools import chain, count, islice, repeat
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -21,6 +21,14 @@ from .errors import ConsistencyError, FormatError, RowError
 T = TypeVar("T")
 
 GZIP_MAGIC = b"\x1f\x8b"
+
+# About 40 KB of corpus lines: little memory, still in cache when counted.
+CHUNK_LINES = 256
+
+# Chunks that iter_tsv reads line by line, without offering them to its bulk
+# converter, after one where the converter left over a quarter of the lines
+# to the row parser.
+BULK_REST = 15
 
 
 def _open_bytes(path: str | os.PathLike[str]) -> IO[bytes]:
@@ -105,6 +113,7 @@ def iter_tsv(
     header: Sequence[str],
     row: Callable[[list[str]], T],
     skipped: list[RowError] | None = None,
+    bulk: Callable[[str], list[T | None]] | None = None,
 ) -> Iterator[T]:
     """Convert each data row of a headed TSV stream with ``row(fields)``.
 
@@ -115,6 +124,15 @@ def iter_tsv(
     or a ValueError raised by ``row`` becomes a RowError (appended to
     ``skipped`` instead, when given), a KeyError (an unknown mention) a
     ConsistencyError; each names the stream's file, if any, and the line.
+
+    Lines are read CHUNK_LINES at a time. With ``bulk``, a chunk without a
+    carriage return is first offered whole to ``bulk(text)``, which returns
+    one entry per line: the item ``row`` would give for it, or None to send
+    the line through ``row``. It must return None for every line that
+    ``row`` would change, reject or raise on, blank lines included. After a
+    chunk with a carriage return or with over a quarter of its lines sent
+    through ``row``, the next BULK_REST chunks go through ``row`` without
+    being offered.
     """
     name = getattr(stream, "name", None)
     where = "line" if name is None else f"{name}: line"
@@ -125,26 +143,55 @@ def iter_tsv(
         found = first.rstrip("\n").rstrip("\r").split("\t") if first else None
         if found != header:
             raise FormatError(f"{where} 1: expected header {header}, found {found}")
-        for lineno, line in enumerate(stream, start=2):
-            line = line.rstrip("\n").rstrip("\r")
-            fields = line.split("\t")
-            if fields == [""]:
-                continue
+        start, rest = 2, 0
+        while True:
+            batch: list[str] = []
+            failure = None
             try:
-                if "\r" in line:
-                    raise ValueError("carriage return inside the line")
-                if len(fields) != width:
-                    raise ValueError(f"expected {width} columns, found {len(fields)}")
-                item = row(fields)
-            except ValueError as err:
-                if skipped is None:
-                    raise RowError(lineno, str(err), name) from None
-                skipped.append(RowError(lineno, str(err), name))
-                continue
-            except KeyError as err:
-                message = f"{where} {lineno}: unknown mention {err.args[0]!r}"
-                raise ConsistencyError(message) from None
-            yield item
+                # list.extend keeps the lines read before a read fails, so they
+                # are converted before the failure is raised, as line by line.
+                batch.extend(islice(stream, CHUNK_LINES))
+            except (UnicodeDecodeError, EOFError, OSError, zlib.error) as err:
+                failure = err
+            items = None
+            if rest:
+                rest -= 1
+            elif bulk is not None and batch:
+                text = "".join(batch)
+                if "\r" not in text:
+                    items = bulk(text)
+                # Where bulk refuses over a quarter of a chunk's lines, offering
+                # the chunk costs about as much as it saves.
+                if items is None or 4 * items.count(None) > len(items):
+                    rest = BULK_REST
+            for lineno, line, item in zip(count(start), batch, items or repeat(None)):
+                if item is not None:
+                    yield item
+                    continue
+                line = line.rstrip("\n").rstrip("\r")
+                fields = line.split("\t")
+                if fields == [""]:
+                    continue
+                try:
+                    if "\r" in line:
+                        raise ValueError("carriage return inside the line")
+                    if len(fields) != width:
+                        raise ValueError(f"expected {width} columns, found {len(fields)}")
+                    item = row(fields)
+                except ValueError as err:
+                    if skipped is None:
+                        raise RowError(lineno, str(err), name) from None
+                    skipped.append(RowError(lineno, str(err), name))
+                    continue
+                except KeyError as err:
+                    message = f"{where} {lineno}: unknown mention {err.args[0]!r}"
+                    raise ConsistencyError(message) from None
+                yield item
+            if failure is not None:
+                raise failure
+            if len(batch) < CHUNK_LINES:
+                return
+            start += CHUNK_LINES
 
 
 def read_tsv(
@@ -153,10 +200,6 @@ def read_tsv(
     """Read a headed TSV artifact: every row ``iter_tsv`` converts from it."""
     with open_text(path) as fh:
         return list(iter_tsv(fh, header, row))
-
-
-# About 40 KB of corpus lines: little memory, still in cache when counted.
-CHUNK_LINES = 256
 
 
 def _line_fault(header: Sequence[str], row: Sequence[str]) -> str | None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import IO, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import FormatError, RowError
@@ -99,6 +100,8 @@ def parse_mentions(
     integers = [(header.index(name), name.lower()) for name in ("pubdate", "number", "ID")]
     labels = frozenset(CURATION_LABELS)
 
+    # parse_chunk below must return None for every line that parse would
+    # rewrite or reject: a check added here goes into parse_lines too.
     def parse(fields: list[str]) -> CorpusRow:
         software = fields[software_at]
         if not software.strip():
@@ -125,7 +128,63 @@ def parse_mentions(
         pmcid = "" if pmcid_at is None else fields[pmcid_at]
         return CorpusRow(software, pmcid, fields[doi_at], "\t".join(fields))
 
-    return iter_tsv(stream, header, parse, errors if lenient else None)
+    width = len(header)
+
+    def parse_chunk(text: str) -> list[CorpusRow | None]:
+        """Each line's row where parse would keep the line as it is and raise nothing, else None."""
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()  # the empty string after the last line's newline
+        tabs = list(map(str.count, lines, repeat("\t")))
+        if tabs.count(width - 1) == len(lines):
+            return parse_lines(lines)
+        # Blank lines and lines with a wrong column count are left to parse.
+        rows: list[CorpusRow | None] = [None] * len(lines)
+        at = [i for i, n in enumerate(tabs) if n == width - 1]
+        for i, row in zip(at, parse_lines([lines[i] for i in at])):
+            rows[i] = row
+        return rows
+
+    def parse_lines(lines: list[str]) -> list[CorpusRow | None]:
+        """parse_chunk for lines of ``width`` cells each."""
+        cells = "\t".join(lines).split("\t")
+        software = cells[software_at::width]
+        pmcids = repeat("") if pmcid_at is None else cells[pmcid_at::width]
+        columns = zip(software, pmcids, cells[doi_at::width], lines)
+        rows = list(map(tuple.__new__, repeat(CorpusRow), columns))
+        # Each column is checked whole at C speed; only a column that fails
+        # is checked cell by cell, to leave just its faulty lines to parse.
+        checks = [
+            (software, str.strip),
+            (cells[number_at::width], len),
+            (cells[label_at::width], labels.__contains__),
+        ]
+        if known is not None:
+            checks.append((software, known.__contains__))
+        for column, keep in checks:
+            if not all(map(keep, column)):
+                rows = [row if ok else None for row, ok in zip(rows, map(keep, column))]
+        for index, _ in integers:
+            column = cells[index::width]
+            if not _canonical(column):
+                rows = [row if ok else None for row, ok in zip(rows, map(_canonical_cell, column))]
+        return rows
+
+    return iter_tsv(stream, header, parse, errors if lenient else None, parse_chunk)
+
+
+def _canonical(cells: list[str]) -> bool:
+    """Whether each cell is empty or ASCII digits with no leading zero, which int and str keep."""
+    digits = "".join(cells)
+    if digits and not (digits.isascii() and digits.isdigit()):
+        return False
+    # Each cell that starts with a zero must be "0" itself.
+    return ("\t" + "\t".join(cells)).count("\t0") == cells.count("0")
+
+
+def _canonical_cell(cell: str) -> bool:
+    """_canonical for one cell, to find the cells of a column that fails it."""
+    return not cell or (cell.isascii() and cell.isdigit() and (cell[0] != "0" or cell == "0"))
 
 
 def assign_ids(mentions: Iterable[str]) -> tuple[dict[str, int], list[str]]:

@@ -467,7 +467,7 @@ def test_criterion_determinism(tmp_path):
             cwd=workdir,
             env=env,
             capture_output=True,
-            text=True,
+            encoding="utf-8",
         )
         assert proc.returncode == 0, proc.stderr
         return {

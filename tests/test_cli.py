@@ -81,6 +81,40 @@ def test_stages_run_separately_match_run_all(fixture_copy):
         assert found[name] == data, name
 
 
+def test_run_all_over_crlf_corpus_writes_the_same_outputs(fixture_copy):
+    # CRLF line ends send every chunk of the corpus through the per-line
+    # parser; the LF corpus takes the bulk one.
+    assert run_stage(fixture_copy, "run-all") == 0
+    out = fixture_copy / "out"
+    lf = output_files(out)
+    shutil.rmtree(out)
+    corpus = fixture_copy / "corpus.tsv"
+    corpus.write_bytes(corpus.read_bytes().replace(b"\n", b"\r\n"))
+    assert run_stage(fixture_copy, "run-all") == 0
+    crlf = output_files(out)
+    for name in ("disambiguated.tsv", "clusters.tsv", "synonyms.tsv", "metadata.tsv"):
+        assert crlf[name] == lf[name], name
+
+
+def test_run_all_digests_each_input_once(fixture_copy, monkeypatch):
+    digested = []
+    original = cli._digest
+    monkeypatch.setattr(cli, "_digest", lambda path: digested.append(path) or original(path))
+    assert run_stage(fixture_copy, "run-all") == 0
+    assert digested and len(set(digested)) == len(digested)
+    corpus = fixture_copy / "corpus.tsv"
+    manifests = [fixture_copy / "out" / f"manifest_{stage}.json" for stage in ("ingest", "cluster")]
+    for path in manifests:
+        recorded = json.loads(path.read_text(encoding="utf-8"))["inputs"][str(corpus)]
+        assert recorded == hashlib.sha256(corpus.read_bytes()).hexdigest()
+    # Each run digests afresh: an edited corpus is not taken for the old one.
+    corpus.write_bytes(corpus.read_bytes() + corpus.read_bytes().splitlines(keepends=True)[-1])
+    assert run_stage(fixture_copy, "run-all") == 0
+    for path in manifests:
+        recorded = json.loads(path.read_text(encoding="utf-8"))["inputs"][str(corpus)]
+        assert recorded == hashlib.sha256(corpus.read_bytes()).hexdigest()
+
+
 # sha256sum lines ("<digest>  <path under out/>") for run-all on the fixture.
 # Every later change must reproduce them; rewrite them only together with
 # a deliberate change to an output format.
@@ -528,7 +562,7 @@ def _fresh_python(code: str) -> str:
         filter(None, [package_root, os.environ.get("PYTHONPATH")])
     ))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=env, capture_output=True, encoding="utf-8", check=True
     )
     return proc.stdout.strip()
 

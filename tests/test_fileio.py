@@ -6,6 +6,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from softmentions import fileio
 from softmentions.errors import ConsistencyError, FormatError, RowError
 from softmentions.fileio import (
     CHUNK_LINES,
@@ -133,6 +134,32 @@ def test_bad_cell_in_a_later_chunk_keeps_previous_file(tmp_path_factory, lineno,
         write_tsv(path, ("name", "n"), ([row["name"], row["n"]] for row in rows))
     assert path.read_bytes() == before
     assert os.listdir(path.parent) == [name]
+
+
+@pytest.mark.parametrize(
+    "refused, offered, via_row",
+    [
+        # Half of chunk 4-7 is refused, so chunk 8-11 rests; a quarter of 12-15 is not enough.
+        ({4, 5, 13}, [range(0, 4), range(4, 8), range(12, 16)], {4, 5, 8, 9, 10, 11, 13}),
+        # A carriage return keeps chunk 0-3 from bulk and rests chunk 4-7.
+        ({"crlf"}, [range(8, 12), range(12, 16)], set(range(8))),
+    ],
+)
+def test_iter_tsv_sends_only_refused_lines_through_row(monkeypatch, refused, offered, via_row):
+    monkeypatch.setattr(fileio, "CHUNK_LINES", 4)
+    monkeypatch.setattr(fileio, "BULK_REST", 1)
+    ends = ["\r\n" if "crlf" in refused and i == 1 else "\n" for i in range(16)]
+    stream = io.StringIO("n\n" + "".join(f"{i}{end}" for i, end in enumerate(ends)))
+    seen = []
+
+    def bulk(text):
+        numbers = [int(line) for line in text.split()]
+        seen.append(numbers)
+        return [None if n in refused else ("bulk", n) for n in numbers]
+
+    got = list(iter_tsv(stream, ["n"], lambda fields: ("row", int(fields[0])), bulk=bulk))
+    assert seen == [list(chunk) for chunk in offered]
+    assert got == [("row" if n in via_row else "bulk", n) for n in range(16)]
 
 
 def test_read_tsv_contract(tmp_path):

@@ -1,10 +1,15 @@
+import gzip
 import io
 import random
+from itertools import product
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from softmentions import fileio, ingest
 from softmentions.errors import ConsistencyError, FormatError, RowError, SoftMentionsError
+from softmentions.fileio import open_text
 from softmentions.ingest import (
     CORPUS_FIELDS,
     CURATION_LABELS,
@@ -264,6 +269,173 @@ def test_parse_mentions_matches_reference_parser(corpus, lenient, known):
     assert got == want
 
 
+# Cells a corpus row may carry as they are; the line separators other than
+# "\n" must stay inside their cell.
+_plain_cells = st.sampled_from(
+    ["", "x", "caf\u00e9 au lait", '"quoted"', "a\x85b", "a\u2028b", "\x0c"]
+)
+_canonical_software = ["SPSS", "ImageJ", 'R package "limma"']
+_canonical_cells = {
+    "software": st.sampled_from(_canonical_software),
+    "pubdate": st.sampled_from(["", "2021", "1999"]),
+    "number": st.sampled_from(["0", "3", "40"]),
+    "ID": st.sampled_from(["", "0", "7", "120"]),
+    "curation_label": st.sampled_from(CURATION_LABELS),
+}
+# Valid cells that parse rewrites or, for "-5", that carry a sign.
+_rewritten_cells = {
+    "pubdate": ["02021", " 1999", "1_999", "-5", "\u0663"],
+    "number": ["", "+4", "007", "-0"],
+    "ID": ["-2", "\u0663", "00"],
+    "curation_label": [""],
+}
+# Each way one line can stop being a row that parse leaves as it is.
+_LINE_CHANGES = [
+    *(("cell", column, value) for column, values in _rewritten_cells.items() for value in values),
+    *(
+        ("cell", column, value)
+        for column, values in _oracle_faults.items() if column != "width"
+        for value in values
+    ),
+    ("cell", "software", "ImageJ"),  # unknown where known holds SPSS alone
+    ("cell", "text", "Used\rSPSS."),
+    *(("width", "", value) for value in _oracle_faults["width"]),
+    ("blank", "", ""),
+    ("crlf", "", ""),
+]
+
+
+def _changed_line(cells: dict[str, str], change: tuple) -> str:
+    """The line of a row's ``cells`` after one of _LINE_CHANGES."""
+    kind, column, value = change
+    if kind == "blank":
+        return ""
+    values = list({**cells, column: value}.values()) if kind == "cell" else list(cells.values())
+    if kind == "width":
+        values = values[:value] if value < 0 else values + ["extra"] * value
+    return "\t".join(values) + ("\r" if kind == "crlf" else "")
+
+
+def _chunked_outcomes(text, corpus_kind, chunk_lines, lenient, known, rest=0):
+    """parse_mentions' outcome over ``chunk_lines``-line chunks, and the reference's.
+
+    ``rest`` stands for fileio.BULK_REST. The reference reads the whole text
+    as one chunk, line by line, so the line numbers it gives owe nothing to
+    where chunks start.
+    """
+    assert text.count("\n") < fileio.CHUNK_LINES
+    want = _parse_outcome(
+        parse_mentions_reference, text, corpus_kind, lenient, known,
+        lambda rec: corpus_row_reference(rec, corpus_kind),
+    )
+    with mock.patch.multiple(fileio, CHUNK_LINES=chunk_lines, BULK_REST=rest):
+        got = _parse_outcome(parse_mentions, text, corpus_kind, lenient, known)
+    return got, want
+
+
+@st.composite
+def _chunked_corpus(draw, corpus_kind, chunk_lines):
+    """A corpus text of up to five chunks of rows that parse leaves as they are.
+
+    A few drawn lines, often a chunk's first or last, take one of _LINE_CHANGES.
+    """
+    header = CORPUS_FIELDS[corpus_kind]
+    count = draw(st.integers(0, 5 * chunk_lines))
+    rows = [
+        {name: draw(_canonical_cells.get(name, _plain_cells)) for name in header}
+        for _ in range(count)
+    ]
+    lines = ["\t".join(row.values()) for row in rows]
+    starts = range(0, count, chunk_lines)
+    edges = [at for first in starts for at in (first, first + chunk_lines - 1) if at < count]
+    for _ in range(draw(st.integers(0, 6)) if count else 0):
+        at = draw(st.sampled_from(edges) | st.integers(0, count - 1))
+        lines[at] = _changed_line(rows[at], draw(st.sampled_from(_LINE_CHANGES)))
+    return "\n".join(["\t".join(header), *lines]) + "\n"
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda chunk_lines: st.tuples(
+            st.just(chunk_lines),
+            st.sampled_from(["comm", "publishers"]).flatmap(
+                lambda kind: st.tuples(st.just(kind), _chunked_corpus(kind, chunk_lines))
+            ),
+        )
+    ),
+    st.booleans(),
+    st.sampled_from([None, frozenset(_canonical_software), frozenset(["SPSS"])]),
+    st.sampled_from([0, 1, 15]),
+)
+# Line 2 lacks its last cell and line 3 has one too many, so the chunk has
+# as many tabs as two good lines and every column check passes on it.
+@example(
+    (4, ("comm", comm_tsv(
+        "\t".join(comm_row().split("\t")[:-1]),
+        comm_row(license="software", source="3", text="5", version="SPSS", curation_label="7")
+        + "\tnot_curated",
+    ).getvalue())),
+    False,
+    None,
+    0,
+)
+def test_parse_mentions_over_several_chunks_matches_reference_parser(drawn, lenient, known, rest):
+    chunk_lines, (corpus_kind, text) = drawn
+    got, want = _chunked_outcomes(text, corpus_kind, chunk_lines, lenient, known, rest)
+    assert got == want
+
+
+@pytest.mark.parametrize("corpus_kind", ["comm", "publishers"])
+def test_each_line_change_at_a_chunk_edge_matches_reference_parser(corpus_kind):
+    # Twelve rows in chunks of four; one line of the second chunk changes.
+    header = CORPUS_FIELDS[corpus_kind]
+    canonical = {"software": "SPSS", "pubdate": "2021", "number": "3", "ID": "7",
+                 "curation_label": "software"}
+    cells = {name: canonical.get(name, "x") for name in header}
+    for change, at, lenient, known in product(
+        _LINE_CHANGES, (4, 5, 7), (False, True), (None, frozenset(["SPSS"]))
+    ):
+        lines = ["\t".join(cells.values())] * 12
+        lines[at] = _changed_line(cells, change)
+        text = "\n".join(["\t".join(header), *lines]) + "\n"
+        got, want = _chunked_outcomes(text, corpus_kind, 4, lenient, known)
+        assert got == want, (change, at, lenient, known)
+
+
+def test_bulk_path_leaves_only_changed_lines_to_parse(monkeypatch):
+    # Three chunks of four rows; lines 7 and 9 hold a cell parse rewrites and
+    # line 11 is blank. The bulk converter vouches for every other line.
+    def row(**cells):
+        return comm_row(**{"curation_label": "software", **cells})
+
+    lines = [row(software=f"tool {i}", number=str(i)) for i in range(12)]
+    lines[7 - 2] = row(number="007")
+    lines[9 - 2] = row(curation_label="")
+    lines[11 - 2] = ""
+    text = comm_tsv(*lines).getvalue()
+    verdicts = []
+
+    def recording_iter_tsv(stream, header, row, skipped, bulk):
+        def recording_bulk(chunk):
+            items = bulk(chunk)
+            verdicts.append([item is not None for item in items])
+            return items
+
+        return fileio.iter_tsv(stream, header, row, skipped, recording_bulk)
+
+    monkeypatch.setattr(ingest, "iter_tsv", recording_iter_tsv)
+    monkeypatch.setattr(fileio, "CHUNK_LINES", 4)
+    monkeypatch.setattr(fileio, "BULK_REST", 0)
+    got = _parse_outcome(parse_mentions, text, "comm", False, None)
+    want = _parse_outcome(
+        parse_mentions_reference, text, "comm", False, None,
+        lambda rec: corpus_row_reference(rec, "comm"),
+    )
+    assert got == want
+    assert verdicts == [[True] * 4, [True, False, True, False], [True, False, True, True]]
+
+
 @st.composite
 def _valid_corpus(draw, corpus_kind):
     """A corpus text of valid rows, with unusual integer cells and empty labels."""
@@ -427,13 +599,29 @@ def test_id_and_frequency_tables_round_trip(tmp_path):
 
 
 def test_gzip_corpus_supported(tmp_path):
-    import gzip
-
-    from softmentions.fileio import open_text
-
     path = tmp_path / "c.tsv.gz"
     with gzip.open(path, "wt", encoding="utf-8") as fh:
         fh.write(MAIN_HEADER + "\n" + comm_row() + "\n")
     with open_text(path) as fh:
         rows = list(parse_mentions(fh, "comm"))
     assert rows[0].software == "SPSS"
+
+
+@pytest.mark.parametrize("name", ["corpus.tsv", "corpus.tsv.gz"])
+def test_row_error_read_before_a_decoding_error_is_raised_first(tmp_path, name):
+    # Lines 260 and 500 share the second chunk (lines 258-513). The byte that
+    # is not UTF-8, on line 500, lies past the text decoded when 260 is read.
+    rows = [comm_row(software=f"tool {i}", number=str(i)) for i in range(700)]
+    rows[260 - 2] = comm_row(pubdate="20x1")
+    data = comm_tsv(*rows).getvalue().encode("utf-8")
+    data = data.replace(b"tool 498\t", b"tool \xff\t")
+    path = tmp_path / name
+    path.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+    with open_text(path) as fh, pytest.raises(RowError) as err:
+        list(parse_mentions(fh, "comm"))
+    assert str(err.value) == f"{path}: line 260: pubdate is not an integer: '20x1'"
+    errors = []
+    with open_text(path) as fh, pytest.raises(RowError) as err:
+        list(parse_mentions(fh, "comm", lenient=True, errors=errors))
+    assert str(err.value) == f"{path}: line 500: not valid UTF-8"
+    assert [e.line_number for e in errors] == [260]

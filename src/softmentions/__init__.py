@@ -35,7 +35,6 @@ from .graph import (
 )
 from .ingest import (
     CorpusRow,
-    FrequencyTable,
     assign_ids,
     compute_frequencies,
     parse_mentions,
@@ -50,7 +49,6 @@ from .linking import (
     propagate_links,
 )
 from .synonyms import (
-    RegistryIndex,
     Registry,
     SynonymPair,
     SynonymSource,

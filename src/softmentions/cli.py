@@ -146,7 +146,7 @@ class Products:
         return ingest.read_id_table(path)
 
     @cached_property
-    def freq(self) -> ingest.FrequencyTable:
+    def freq(self) -> dict[int, int]:
         path = _require(self.out / FREQUENCIES, "frequencies.tsv (run ingest first)")
         return ingest.read_frequencies(path, self.ids[0])
 
@@ -175,14 +175,14 @@ def stage_ingest(cfg: PipelineConfig, run: Products | None = None) -> None:
     run = run or Products(cfg)
     rows = _read_corpus(cfg)
     id_table, mentions = ingest.assign_ids(row.software for row in rows)
-    freq = ingest.compute_frequencies(rows, id_table)
+    freq, missing_paper_key = ingest.compute_frequencies(rows, id_table)
     run.rows, run.ids, run.freq = rows, (id_table, mentions), freq
     ingest.write_id_table(run.out / MENTION2ID, mentions)
     ingest.write_frequencies(run.out / FREQUENCIES, freq, mentions)
     counts = {
         "rows": len(rows),
         "unique_mentions": len(mentions),
-        "rows_missing_paper_key": freq.missing_paper_key_rows,
+        "rows_missing_paper_key": missing_paper_key,
     }
     write_manifest(run, "ingest", [Path(cfg.corpus)], counts)
     logger.info("ingest: %(rows)d rows, %(unique_mentions)d unique mentions", counts)
@@ -192,16 +192,12 @@ def stage_synonyms(cfg: PipelineConfig, run: Products | None = None) -> None:
     """Generate the synonym pairs of the ID table."""
     run = run or Products(cfg)
     id_table, mentions = run.ids
-    registries = [
-        synonyms.RegistryIndex(registry=registry, entries=entries)
-        for registry, entries in run.names.items()
-    ]
     kb = synonyms.read_kb_dict(_require(cfg.kb_dict, "KB dictionary")) if cfg.kb_dict else None
     skip_report: list[str] = []
     unmatched: list[tuple[str, str]] = []
     pairs = synonyms.generate_synonym_pairs(
         id_table,
-        registries=registries,
+        registries=run.names,
         kb=kb,
         record_threshold=cfg.record_threshold,
         workers=cfg.workers,

@@ -20,7 +20,7 @@ from .graph import (
     connected_components,
     post_process,
 )
-from .ingest import CORPUS_FIELDS, CorpusRow, FrequencyTable
+from .ingest import CORPUS_FIELDS, CorpusRow
 from .synonyms import SynonymPair
 
 
@@ -94,17 +94,17 @@ class Cluster:
 
 def name_clusters(
     clusters: Iterable[Sequence[int]],
-    freq: FrequencyTable,
+    freq: Mapping[int, int],
     mentions: Sequence[str],
 ) -> list[Cluster]:
     """Name each cluster after its highest-frequency member.
 
     Ties break on the lexicographically smallest mention string, then the
-    smallest ID. Members without a recorded frequency count as 0.
+    smallest ID. Members absent from ``freq`` count as 0.
     """
     named = []
     for members in clusters:
-        name_id = min(members, key=lambda m: (-freq.get(m), mentions[m], m))
+        name_id = min(members, key=lambda m: (-freq.get(m, 0), mentions[m], m))
         named.append(
             Cluster(members=tuple(sorted(members)), name_id=name_id, name=mentions[name_id])
         )
@@ -135,7 +135,7 @@ class DisambiguationResult:
 
 def cluster_graph(
     graph: SimilarityGraph,
-    freq: FrequencyTable,
+    freq: Mapping[int, int],
     mentions: Sequence[str],
     eps: float = 0.03,
     min_pts: int = 2,
@@ -154,7 +154,7 @@ def cluster_graph(
 def disambiguate_pairs(
     pairs: Iterable[SynonymPair],
     mentions: Sequence[str],
-    freq: FrequencyTable,
+    freq: Mapping[int, int],
     stoplist: Iterable[str] = DEFAULT_STOPLIST,
     use_threshold: float = 0.97,
     eps: float = 0.03,

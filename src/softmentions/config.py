@@ -6,8 +6,9 @@ snapshots in manifests stay free of secrets.
 """
 from __future__ import annotations
 
+import io
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -27,36 +28,41 @@ DEFAULT_PRECEDENCE_NAMES = (
 )
 
 
+def _setting(key: str, default):
+    """A PipelineConfig field that the dotted configuration ``key`` sets."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass
 class PipelineConfig:
-    corpus: str = ""
-    corpus_kind: str = "comm"
-    registry_py: str = ""
-    registry_r: str = ""
-    registry_bioc: str = ""
-    registry_details: str = ""
-    kb_dict: str = ""
-    stoplist: str = ""
-    kb_snapshots: str = ""
-    codehost_snapshots: str = ""
-    out_dir: str = "out"
-    record_threshold: float = 0.9
-    use_threshold: float = 0.97
-    eps: float = 0.03
-    min_pts: int = 2
-    offline: bool = True
-    precedence: tuple[str, ...] = DEFAULT_PRECEDENCE_NAMES
-    kb_api_url: str = ""
-    workers: int = 1
-    strict: bool = True
-    write_matrix: bool = False
-    eval_synonyms: str = ""
-    eval_predicted_pairs: str = ""
-    eval_curation_multi: str = ""
-    eval_curation_binary: str = ""
-    eval_linking: str = ""
-    eval_ratings_two: str = ""
-    eval_ratings_five: str = ""
+    corpus: str = _setting("paths.corpus", "")
+    corpus_kind: str = _setting("corpus.kind", "comm")
+    registry_py: str = _setting("paths.registry_py", "")
+    registry_r: str = _setting("paths.registry_r", "")
+    registry_bioc: str = _setting("paths.registry_bioc", "")
+    registry_details: str = _setting("paths.registry_details", "")
+    kb_dict: str = _setting("paths.kb_dict", "")
+    stoplist: str = _setting("paths.stoplist", "")
+    kb_snapshots: str = _setting("paths.kb_snapshots", "")
+    codehost_snapshots: str = _setting("paths.codehost_snapshots", "")
+    out_dir: str = _setting("paths.out_dir", "out")
+    record_threshold: float = _setting("thresholds.record", 0.9)
+    use_threshold: float = _setting("thresholds.use", 0.97)
+    eps: float = _setting("dbscan.eps", 0.03)
+    min_pts: int = _setting("dbscan.min_pts", 2)
+    offline: bool = _setting("linking.offline", True)
+    precedence: tuple[str, ...] = _setting("linking.precedence", DEFAULT_PRECEDENCE_NAMES)
+    kb_api_url: str = _setting("linking.kb_api_url", "")
+    workers: int = _setting("parallelism.workers", 1)
+    strict: bool = _setting("parsing.strict", True)
+    write_matrix: bool = _setting("output.matrix", False)
+    eval_synonyms: str = _setting("eval.synonyms", "")
+    eval_predicted_pairs: str = _setting("eval.predicted_pairs", "")
+    eval_curation_multi: str = _setting("eval.curation_multi", "")
+    eval_curation_binary: str = _setting("eval.curation_binary", "")
+    eval_linking: str = _setting("eval.linking", "")
+    eval_ratings_two: str = _setting("eval.ratings_two", "")
+    eval_ratings_five: str = _setting("eval.ratings_five", "")
 
     def validate(self) -> None:
         """Check every value's invariant; an error's ``keys`` are the keys its rule reads."""
@@ -91,8 +97,8 @@ class PipelineConfig:
     def snapshot(self) -> dict[str, str]:
         """Flat string view of the effective settings, for manifests."""
         out = {}
-        for key in sorted(_KEY_TO_FIELD):
-            value = getattr(self, _KEY_TO_FIELD[key])
+        for key in sorted(_FIELDS):
+            value = getattr(self, _FIELDS[key].name)
             if isinstance(value, tuple):
                 value = ",".join(value)
             elif isinstance(value, bool):
@@ -101,43 +107,12 @@ class PipelineConfig:
         return out
 
 
-_KEY_TO_FIELD = {
-    "paths.corpus": "corpus",
-    "corpus.kind": "corpus_kind",
-    "paths.registry_py": "registry_py",
-    "paths.registry_r": "registry_r",
-    "paths.registry_bioc": "registry_bioc",
-    "paths.registry_details": "registry_details",
-    "paths.kb_dict": "kb_dict",
-    "paths.stoplist": "stoplist",
-    "paths.kb_snapshots": "kb_snapshots",
-    "paths.codehost_snapshots": "codehost_snapshots",
-    "paths.out_dir": "out_dir",
-    "thresholds.record": "record_threshold",
-    "thresholds.use": "use_threshold",
-    "dbscan.eps": "eps",
-    "dbscan.min_pts": "min_pts",
-    "linking.offline": "offline",
-    "linking.precedence": "precedence",
-    "linking.kb_api_url": "kb_api_url",
-    "parallelism.workers": "workers",
-    "parsing.strict": "strict",
-    "output.matrix": "write_matrix",
-    "eval.synonyms": "eval_synonyms",
-    "eval.predicted_pairs": "eval_predicted_pairs",
-    "eval.curation_multi": "eval_curation_multi",
-    "eval.curation_binary": "eval_curation_binary",
-    "eval.linking": "eval_linking",
-    "eval.ratings_two": "eval_ratings_two",
-    "eval.ratings_five": "eval_ratings_five",
-}
-
-_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+# Each configuration key's field; a field without a key fails here, at import.
+_FIELDS = {f.metadata["key"]: f for f in fields(PipelineConfig)}
 
 
 def _coerce(key: str, raw: str):
-    name = _KEY_TO_FIELD[key]
-    kind = _FIELD_TYPES[name]
+    kind = _FIELDS[key].type
     raw = raw.strip()
     if kind == "bool":
         if raw.lower() in ("true", "1", "yes"):
@@ -159,9 +134,9 @@ def _coerce(key: str, raw: str):
 def apply_settings(config: PipelineConfig, settings: dict[str, str]) -> PipelineConfig:
     updates = {}
     for key, raw in settings.items():
-        if key not in _KEY_TO_FIELD:
+        if key not in _FIELDS:
             raise ValidationError(f"unknown configuration key: {key!r}")
-        updates[_KEY_TO_FIELD[key]] = _coerce(key, raw)
+        updates[_FIELDS[key].name] = _coerce(key, raw)
     return replace(config, **updates)
 
 
@@ -173,7 +148,9 @@ Setting = tuple[str, str, str]
 def read_config(path) -> Iterator[Setting]:
     """Each setting of a key = value file, its origin ``path:line``.
 
-    '#' starts a comment, blank lines are ignored. A file that cannot be
+    A line ends at \\n, \\r\\n or \\r, as in ``fileio.open_text``. A line
+    whose first non-blank character is '#' is a comment, blank lines are
+    ignored; a '#' after a value belongs to the value. A file that cannot be
     read, is not UTF-8 or holds a line without '=' is a ValidationError
     naming the file and, where there is one, the line.
     """
@@ -186,7 +163,7 @@ def read_config(path) -> Iterator[Setting]:
     except UnicodeDecodeError as err:
         lineno = data.count(b"\n", 0, err.start) + 1
         raise ValidationError(f"{path}:{lineno}: not valid UTF-8") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(io.StringIO(text, newline=""), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

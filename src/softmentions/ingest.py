@@ -8,7 +8,6 @@ one header row, and embedded quote characters are literal content.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import IO, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -55,22 +54,6 @@ class CorpusRow(NamedTuple):
     pmcid: str
     doi: str
     line: str
-
-
-@dataclass
-class FrequencyTable:
-    """Distinct-paper counts per mention ID.
-
-    A mention appearing many times within one paper counts once; rows
-    lacking both pmcid and doi fall into one synthetic paper per call and
-    are tallied in missing_paper_key_rows.
-    """
-
-    counts: dict[int, int] = field(default_factory=dict)
-    missing_paper_key_rows: int = 0
-
-    def get(self, mention_id: int) -> int:
-        return self.counts.get(mention_id, 0)
 
 
 def parse_mentions(
@@ -200,11 +183,12 @@ def assign_ids(mentions: Iterable[str]) -> tuple[dict[str, int], list[str]]:
 
 def compute_frequencies(
     rows: Iterable[CorpusRow], id_table: Mapping[str, int]
-) -> FrequencyTable:
-    """Count the number of distinct papers each mention appears in.
+) -> tuple[dict[int, int], int]:
+    """Each mention ID's number of distinct papers, and the number of rows without a paper key.
 
-    A paper is its pmcid, else its doi; rows with neither share one
-    synthetic paper.
+    A paper is its pmcid, else its doi, so a mention appearing many times
+    within one paper counts once; rows with neither share one synthetic
+    paper.
     """
     # Each mention's distinct pmcids and dois, kept apart so that a pmcid never
     # counts as the same paper as an equal doi; None is the synthetic paper.
@@ -220,7 +204,7 @@ def compute_frequencies(
             missing += 1
             dois.add(None)
     counts = {mention_id: len(pmcids) + len(dois) for mention_id, (pmcids, dois) in papers.items()}
-    return FrequencyTable(counts=counts, missing_paper_key_rows=missing)
+    return counts, missing
 
 
 ID_TABLE_HEADER = ("mention", "id")
@@ -247,12 +231,12 @@ def read_id_table(path) -> tuple[dict[str, int], list[str]]:
     return id_table, mentions
 
 
-def write_frequencies(path, freq: FrequencyTable, mentions: Sequence[str]) -> None:
-    rows = sorted(freq.counts.items())
+def write_frequencies(path, freq: Mapping[int, int], mentions: Sequence[str]) -> None:
+    rows = sorted(freq.items())
     write_tsv(path, FREQUENCIES_HEADER, ((mentions[i], str(n)) for i, n in rows))
 
 
-def read_frequencies(path, id_table: Mapping[str, int]) -> FrequencyTable:
+def read_frequencies(path, id_table: Mapping[str, int]) -> dict[int, int]:
     """Each listed mention's paper count; a mention is listed once, with a count of 0 or more."""
     counts: dict[int, int] = {}
 
@@ -265,4 +249,4 @@ def read_frequencies(path, id_table: Mapping[str, int]) -> FrequencyTable:
         counts[mention_id] = count
 
     read_tsv(path, FREQUENCIES_HEADER, row)
-    return FrequencyTable(counts=counts)
+    return counts

@@ -78,18 +78,6 @@ class SynonymPair:
         return cls(a, b, confidence, source)
 
 
-@dataclass
-class RegistryIndex:
-    """A package-registry snapshot: entry names plus qualifying keywords."""
-
-    registry: Registry
-    entries: set[str]
-
-    @property
-    def keywords(self) -> tuple[str, ...]:
-        return REGISTRY_KEYWORDS[self.registry]
-
-
 _TOKEN_SPLIT = re.compile(r"[\W_]+", re.UNICODE)
 
 
@@ -111,11 +99,12 @@ def contains_tokens(haystack: tuple[str, ...], needle: tuple[str, ...]) -> bool:
 
 
 def generate_keyword_synonyms(
-    index: RegistryIndex,
+    registry: Registry,
+    entries: Iterable[str],
     id_table: Mapping[str, int],
     skip_report: list[str] | None = None,
 ) -> list[SynonymPair]:
-    """Pair registry entries with mentions that contain them plus a keyword.
+    """Pair registry entries with mentions that contain them plus one of its REGISTRY_KEYWORDS.
 
     Containment means the entry appears literally inside the mention AND on
     whole-token boundaries, so "R" never matches inside "PRISM" and a
@@ -130,9 +119,9 @@ def generate_keyword_synonyms(
     for mention, mention_id in id_table.items():
         for tok in set(mention_tokens[mention]):
             by_token.setdefault(tok, []).append((mention, mention_id))
-    keyword_token_seqs = [tokens(k) for k in index.keywords]
+    keyword_token_seqs = [tokens(k) for k in REGISTRY_KEYWORDS[registry]]
     pairs: list[SynonymPair] = []
-    for entry in sorted(index.entries):
+    for entry in sorted(entries):
         if len(entry) < 2:
             if skip_report is not None:
                 skip_report.append(entry)
@@ -410,7 +399,7 @@ KbSynonymDict = Mapping[str, Sequence[str]]
 
 def generate_synonym_pairs(
     id_table: Mapping[str, int],
-    registries: Sequence[RegistryIndex] = (),
+    registries: Mapping[Registry, Iterable[str]] | None = None,
     kb: KbSynonymDict | None = None,
     record_threshold: float = 0.9,
     workers: int = 1,
@@ -419,12 +408,14 @@ def generate_synonym_pairs(
 ) -> list[SynonymPair]:
     """Run all three channels and return their pairs, sorted.
 
+    ``registries`` holds the entry names of each package registry.
+
     Duplicate coverage across channels is kept; matrix assembly resolves
     precedence.
     """
     pairs: list[SynonymPair] = []
-    for index in registries:
-        pairs.extend(generate_keyword_synonyms(index, id_table, skip_report))
+    for registry, entries in (registries or {}).items():
+        pairs.extend(generate_keyword_synonyms(registry, entries, id_table, skip_report))
     if kb:
         pairs.extend(load_kb_synonyms(kb, id_table, unmatched))
     pairs.extend(all_pairs_similarity(id_table, record_threshold, workers=workers))

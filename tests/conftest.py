@@ -7,7 +7,7 @@ from typing import NamedTuple
 import pytest
 
 from softmentions.clustering import DisambiguationResult, disambiguate_pairs
-from softmentions.ingest import FrequencyTable, assign_ids, compute_frequencies
+from softmentions.ingest import assign_ids, compute_frequencies
 from softmentions.synonyms import generate_synonym_pairs
 
 TESTS_DIR = Path(__file__).parent
@@ -74,18 +74,18 @@ class Chain(NamedTuple):
 
     id_table: dict[str, int]
     mentions: list[str]
-    frequencies: FrequencyTable
+    frequencies: dict[int, int]
     result: DisambiguationResult
 
 
-def run_chain(rows, registries=(), kb=None, **cluster_params) -> Chain:
+def run_chain(rows, registries=None, kb=None, **cluster_params) -> Chain:
     """The compute functions run-all chains, from corpus rows to named clusters.
 
     ``cluster_params`` (stoplist, eps, min_pts, ...) go to disambiguate_pairs.
     """
     rows = list(rows)
     id_table, mentions = assign_ids(row.software for row in rows)
-    freq = compute_frequencies(rows, id_table)
+    freq, _ = compute_frequencies(rows, id_table)
     pairs = generate_synonym_pairs(id_table, registries=registries, kb=kb)
     result = disambiguate_pairs(pairs, mentions=mentions, freq=freq, **cluster_params)
     return Chain(id_table, mentions, freq, result)

@@ -42,7 +42,6 @@ from softmentions.linking import (
 )
 from softmentions.synonyms import (
     Registry,
-    RegistryIndex,
     SynonymPair,
     SynonymSource,
     jaro_winkler,
@@ -81,11 +80,11 @@ def fixture_pipeline():
     """One full disambiguation run over the bundled corpus."""
     with open_text(FIXTURE_DIR / "corpus.tsv") as fh:
         records = list(parse_mentions(fh, "comm"))
-    registries = [
-        RegistryIndex(Registry.PY, set(read_lines(FIXTURE_DIR / "registry_py.txt"))),
-        RegistryIndex(Registry.R, set(read_lines(FIXTURE_DIR / "registry_r.txt"))),
-        RegistryIndex(Registry.BIOC, set(read_lines(FIXTURE_DIR / "registry_bioc.txt"))),
-    ]
+    registries = {
+        Registry.PY: set(read_lines(FIXTURE_DIR / "registry_py.txt")),
+        Registry.R: set(read_lines(FIXTURE_DIR / "registry_r.txt")),
+        Registry.BIOC: set(read_lines(FIXTURE_DIR / "registry_bioc.txt")),
+    }
     kb = read_kb_dict(FIXTURE_DIR / "kb_synonyms.tsv")
     stoplist = read_lines(FIXTURE_DIR / "stoplist.txt")
     started = time.perf_counter()
@@ -282,8 +281,7 @@ def test_criterion_accounting_identity(fixture_pipeline):
         records = [make_record(s, pmcid=str(i % 3)) for i, s in enumerate(strings)]
         res = run_chain(
             records,
-            registries=[RegistryIndex(Registry.BIOC, {"limma"}),
-                        RegistryIndex(Registry.PY, {"interface"})],
+            registries={Registry.BIOC: {"limma"}, Registry.PY: {"interface"}},
             kb={"BLAST": ["Blast"]},
             min_pts=rng.choice([1, 2, 3]),
             eps=rng.choice([0.01, 0.02, 0.03]),

@@ -675,10 +675,13 @@ def test_config_file_parsing(tmp_path):
     cfg_path = tmp_path / "c.cfg"
     cfg_path.write_text(
         "# comment\nthresholds.use = 0.98\ndbscan.min_pts = 3\n"
-        "linking.offline = false\nlinking.precedence = PkgIndexPy,CodeHostAPI\n",
+        "linking.offline = false\nlinking.precedence = PkgIndexPy,CodeHostAPI\n"
+        # Only \n, \r\n and \r end a line, not the other breaks str.splitlines knows.
+        "paths.corpus = a\x0bb\x85c\u2028d\n",
         encoding="utf-8",
     )
     cfg = load_config(cfg_path)
+    assert cfg.corpus == "a\x0bb\x85c\u2028d"
     assert cfg.use_threshold == 0.98
     assert cfg.min_pts == 3
     assert cfg.offline is False
@@ -696,6 +699,9 @@ BAD_CONFIG_FILES = {
     "directory": ("dir", ": cannot read configuration file"),
     "non_utf8": (b"dbscan.eps = 0.03\n# caf\xe9\n", ":2: not valid UTF-8"),
     "unknown_key": (b"dbscan.min_pts = 2\ndbscan.epz = 0.1\n", ":2: unknown configuration key"),
+    "form_feed_line_count": (
+        b"# page\x0c\ndbscan.eps = 0.03\r\n\rdbscan.epz = 0.1\n", ":4: unknown configuration key"
+    ),
     "bad_value": (b"# wide\n\ndbscan.eps = wide\n", ":3: dbscan.eps: expected a number"),
     "no_equals_sign": (b"dbscan.eps = 0.03\njust words\n", ":2: expected key = value"),
 }

@@ -14,8 +14,8 @@ from softmentions.clustering import (
 from softmentions.errors import FormatError
 from softmentions.fileio import open_text, read_lines
 from softmentions.graph import connected_components
-from softmentions.ingest import CURATION_LABELS, FrequencyTable, assign_ids, parse_mentions
-from softmentions.synonyms import Registry, RegistryIndex, read_kb_dict
+from softmentions.ingest import CURATION_LABELS, assign_ids, parse_mentions
+from softmentions.synonyms import Registry, read_kb_dict
 
 from conftest import FIXTURE_DIR, make_record, run_chain
 from oracles import (
@@ -131,9 +131,7 @@ def test_dbscan_core_partition_invariant_under_relabeling():
 
 def test_name_clusters_highest_frequency_wins():
     id_table, mentions = assign_ids(["ImageJ", "Image J", "Image-J"])
-    freq = FrequencyTable(counts={
-        id_table["ImageJ"]: 5000, id_table["Image J"]: 1200, id_table["Image-J"]: 40,
-    })
+    freq = {id_table["ImageJ"]: 5000, id_table["Image J"]: 1200, id_table["Image-J"]: 40}
     named = name_clusters([tuple(id_table.values())], freq, mentions)
     assert named[0].name == "ImageJ"
     assert named[0].name_id == id_table["ImageJ"]
@@ -141,7 +139,7 @@ def test_name_clusters_highest_frequency_wins():
 
 def test_name_clusters_singleton_and_ties():
     id_table, mentions = assign_ids(["abc", "abd", "only"])
-    freq = FrequencyTable(counts={i: 3 for i in range(len(mentions))})
+    freq = {i: 3 for i in range(len(mentions))}
     named = name_clusters([(id_table["only"],)], freq, mentions)
     assert named[0].name == "only"
     named = name_clusters([(id_table["abd"], id_table["abc"])], freq, mentions)
@@ -155,16 +153,14 @@ def test_name_clusters_monotone_frequency_invariance():
     ids = range(len(ordered))
     counts = {i: rng.randint(0, 50) for i in ids}
     clusters = [tuple(rng.sample(ids, rng.randint(1, 6))) for _ in range(5)]
-    base = name_clusters(clusters, FrequencyTable(counts=counts), ordered)
-    scaled = name_clusters(
-        clusters, FrequencyTable(counts={i: 3 * c + 1 for i, c in counts.items()}), ordered
-    )
+    base = name_clusters(clusters, counts, ordered)
+    scaled = name_clusters(clusters, {i: 3 * c + 1 for i, c in counts.items()}, ordered)
     assert [c.name_id for c in base] == [c.name_id for c in scaled]
 
 
 def test_missing_frequency_defaults_to_zero():
     id_table, mentions = assign_ids(["a", "b"])
-    named = name_clusters([(0, 1)], FrequencyTable(counts={1: 5}), mentions)
+    named = name_clusters([(0, 1)], {1: 5}, mentions)
     assert named[0].name == "b"
 
 
@@ -191,8 +187,7 @@ def test_disambiguate_accounting_identity_random_corpora():
         kb = {"BLAST": ["Blast"], "SPSS": ["spss"]}
         chain = run_chain(
             records,
-            registries=[RegistryIndex(Registry.BIOC, {"limma"}),
-                        RegistryIndex(Registry.PY, {"interface"})],
+            registries={Registry.BIOC: {"limma"}, Registry.PY: {"interface"}},
             kb=kb,
             min_pts=rng.choice([1, 2, 3]),
             eps=rng.choice([0.01, 0.03]),
@@ -230,7 +225,7 @@ def test_limma_variants_form_single_cluster(variant_lists):
     for idx, variant in enumerate(variants):
         records.append(make_record(variant, pmcid=f"v{idx}"))
     result = run_chain(
-        records, registries=[RegistryIndex(Registry.BIOC, {"limma"})]
+        records, registries={Registry.BIOC: {"limma"}}
     ).result
     assert len(result.clusters) == 1
     cluster = result.clusters[0]
@@ -242,7 +237,7 @@ def test_write_disambiguated_tsv(tmp_path):
     records = [make_record("limma", pmcid="1"), make_record("limma", pmcid="4"),
                make_record("R package limma", pmcid="2"), make_record("Bowtie", pmcid="3")]
     chain = run_chain(
-        records, registries=[RegistryIndex(Registry.BIOC, {"limma"})]
+        records, registries={Registry.BIOC: {"limma"}}
     )
     out = tmp_path / "disambiguated.tsv"
     write_disambiguated_tsv(out, records, "comm", chain.id_table, chain.result)
@@ -303,7 +298,7 @@ def test_write_disambiguated_tsv_matches_reference_writer(tmp_path_factory, corp
     path = tmp_path_factory.mktemp("out") / "disambiguated.tsv"
     want = _write_both(
         path, text, corpus_kind,
-        registries=[RegistryIndex(Registry.BIOC, {"limma"})], kb={"BLAST": ["Blast"]},
+        registries={Registry.BIOC: {"limma"}}, kb={"BLAST": ["Blast"]},
     )
     assert path.read_bytes() == want.encode("utf-8")
 
@@ -312,10 +307,10 @@ def test_write_disambiguated_tsv_matches_reference_writer(tmp_path_factory, corp
 def test_fixture_disambiguated_tsv_matches_reference_writer(tmp_path, name):
     with open_text(FIXTURE_DIR / "corpus.tsv") as fh:
         text = fh.read()
-    registries = [
-        RegistryIndex(registry, set(read_lines(FIXTURE_DIR / f"registry_{suffix}.txt")))
+    registries = {
+        registry: set(read_lines(FIXTURE_DIR / f"registry_{suffix}.txt"))
         for registry, suffix in ((Registry.PY, "py"), (Registry.R, "r"), (Registry.BIOC, "bioc"))
-    ]
+    }
     want = _write_both(
         tmp_path / name, text, "comm", registries=registries,
         kb=read_kb_dict(FIXTURE_DIR / "kb_synonyms.tsv"),

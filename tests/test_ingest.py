@@ -436,6 +436,26 @@ def test_bulk_path_leaves_only_changed_lines_to_parse(monkeypatch):
     assert verdicts == [[True] * 4, [True, False, True, False], [True, False, True, True]]
 
 
+# Cells an integer column may hold: ASCII and other digits, signs, "_",
+# spaces and leading zeros.
+_integer_cells = st.one_of(
+    st.text(alphabet="0123456789\u0663\u06f7\u0967\uff11\u00b2+-_ ", max_size=6),
+    st.builds(
+        "{}{}".format,
+        st.sampled_from(["0", "00", "-0", "+0", " 0"]),
+        st.text(alphabet="0123456789", max_size=3),
+    ),
+)
+
+
+@given(st.lists(_integer_cells, max_size=8))
+def test_canonical_column_check_agrees_with_its_cells_and_with_int(cells):
+    assert ingest._canonical(cells) == all(map(ingest._canonical_cell, cells))
+    for cell in filter(ingest._canonical_cell, cells):
+        # Not the converse: "-1" is refused, so that parse can reject a negative number.
+        assert not cell or (str(int(cell)) == cell and cell[0] not in "+-")
+
+
 @st.composite
 def _valid_corpus(draw, corpus_kind):
     """A corpus text of valid rows, with unusual integer cells and empty labels."""
@@ -535,10 +555,10 @@ def test_frequency_counts_distinct_papers():
         make_record("ImageJ", pmcid="", doi="10.1/y"),
     ]
     id_table, _ = assign_ids(r.software for r in records)
-    freq = compute_frequencies(records, id_table)
-    assert freq.get(id_table["SPSS"]) == 2
-    assert freq.get(id_table["ImageJ"]) == 2
-    assert freq.missing_paper_key_rows == 0
+    freq, missing = compute_frequencies(records, id_table)
+    assert freq[id_table["SPSS"]] == 2
+    assert freq[id_table["ImageJ"]] == 2
+    assert missing == 0
 
 
 def test_frequency_pmcid_preferred_over_doi():
@@ -547,7 +567,7 @@ def test_frequency_pmcid_preferred_over_doi():
         make_record("SPSS", pmcid="1", doi="10.1/b"),
     ]
     id_table, _ = assign_ids(r.software for r in records)
-    assert compute_frequencies(records, id_table).get(id_table["SPSS"]) == 1
+    assert compute_frequencies(records, id_table)[0][id_table["SPSS"]] == 1
 
 
 def test_frequency_sum_equals_pairs_without_in_paper_duplicates():
@@ -557,16 +577,16 @@ def test_frequency_sum_equals_pairs_without_in_paper_duplicates():
         make_record("B", pmcid="1"),
     ]
     id_table, _ = assign_ids(r.software for r in records)
-    freq = compute_frequencies(records, id_table)
-    assert sum(freq.counts.values()) == len({(r.software, r.pmcid) for r in records})
+    freq, _ = compute_frequencies(records, id_table)
+    assert sum(freq.values()) == len({(r.software, r.pmcid) for r in records})
 
 
 def test_frequency_missing_keys_use_synthetic_paper_and_tally():
     records = [make_record("X"), make_record("X"), make_record("X", pmcid="5")]
     id_table, _ = assign_ids(r.software for r in records)
-    freq = compute_frequencies(records, id_table)
-    assert freq.missing_paper_key_rows == 2
-    assert freq.get(id_table["X"]) == 2  # synthetic key + pmcid 5
+    freq, missing = compute_frequencies(records, id_table)
+    assert missing == 2
+    assert freq[id_table["X"]] == 2  # synthetic key + pmcid 5
 
 
 def test_frequencies_match_brute_force_oracle():
@@ -577,25 +597,25 @@ def test_frequencies_match_brute_force_oracle():
         make_record(rng.choice(mentions), pmcid=rng.choice(papers)) for _ in range(120)
     ]
     id_table, _ = assign_ids(r.software for r in records)
-    freq = compute_frequencies(records, id_table)
+    freq, _ = compute_frequencies(records, id_table)
     oracle = {}
     for rec in records:
         oracle.setdefault(rec.software, set()).add(rec.pmcid)
-    assert freq.counts == {id_table[m]: len(p) for m, p in oracle.items()}
+    assert freq == {id_table[m]: len(p) for m, p in oracle.items()}
     pair_count = len({(r.software, r.pmcid) for r in records})
-    assert sum(freq.counts.values()) <= pair_count
+    assert sum(freq.values()) <= pair_count
 
 
 def test_id_and_frequency_tables_round_trip(tmp_path):
     records = [make_record("b", pmcid="1"), make_record("a", pmcid="2"),
                make_record("a", pmcid="3")]
     id_table, mentions = assign_ids(r.software for r in records)
-    freq = compute_frequencies(records, id_table)
+    freq, _ = compute_frequencies(records, id_table)
     write_id_table(tmp_path / "m2i.tsv", mentions)
     write_frequencies(tmp_path / "freq.tsv", freq, mentions)
     table2, mentions2 = read_id_table(tmp_path / "m2i.tsv")
     assert table2 == id_table and mentions2 == mentions
-    assert read_frequencies(tmp_path / "freq.tsv", table2).counts == freq.counts
+    assert read_frequencies(tmp_path / "freq.tsv", table2) == freq
 
 
 def test_gzip_corpus_supported(tmp_path):

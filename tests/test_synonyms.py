@@ -11,7 +11,6 @@ from softmentions.synonyms import (
     KEYWORD_CONFIDENCE,
     REGISTRY_KEYWORDS,
     Registry,
-    RegistryIndex,
     SynonymPair,
     SynonymSource,
     all_pairs_similarity,
@@ -97,8 +96,7 @@ def _ids(*mentions):
 
 def test_keyword_synonyms_limma():
     id_table, _ = _ids("limma", "R package limma", "limma R package", "ImageJ")
-    index = RegistryIndex(registry=Registry.BIOC, entries={"limma"})
-    pairs = generate_keyword_synonyms(index, id_table)
+    pairs = generate_keyword_synonyms(Registry.BIOC, {"limma"}, id_table)
     found = {(p.a, p.b) for p in pairs}
     limma = id_table["limma"]
     assert (min(limma, id_table["R package limma"]), max(limma, id_table["R package limma"])) in found
@@ -110,8 +108,7 @@ def test_keyword_synonyms_limma():
 
 def test_keyword_synonyms_python_index():
     id_table, _ = _ids("scikit-learn", "scikit-learn python package", "scikit-learn bundle")
-    index = RegistryIndex(registry=Registry.PY, entries={"scikit-learn"})
-    pairs = generate_keyword_synonyms(index, id_table)
+    pairs = generate_keyword_synonyms(Registry.PY, {"scikit-learn"}, id_table)
     # "bundle" carries no index keyword, so only the python variant pairs
     assert len(pairs) == 1
     a, b = sorted([id_table["scikit-learn"], id_table["scikit-learn python package"]])
@@ -120,8 +117,7 @@ def test_keyword_synonyms_python_index():
 
 def test_keyword_matching_is_case_sensitive():
     id_table, _ = _ids("limma", "LIMMA R package", "limma Package", "limma bundle")
-    index = RegistryIndex(registry=Registry.BIOC, entries={"limma"})
-    pairs = generate_keyword_synonyms(index, id_table)
+    pairs = generate_keyword_synonyms(Registry.BIOC, {"limma"}, id_table)
     matched = {p.b for p in pairs} | {p.a for p in pairs}
     assert id_table["limma Package"] in matched        # keyword "Package"
     assert id_table["LIMMA R package"] not in matched  # entry containment is exact
@@ -130,23 +126,20 @@ def test_keyword_matching_is_case_sensitive():
 
 def test_keyword_short_entries_skipped_and_reported():
     id_table, _ = _ids("R", "R package limma")
-    index = RegistryIndex(registry=Registry.R, entries={"R"})
     report = []
-    assert generate_keyword_synonyms(index, id_table, skip_report=report) == []
+    assert generate_keyword_synonyms(Registry.R, {"R"}, id_table, skip_report=report) == []
     assert report == ["R"]
 
 
 def test_keyword_entry_absent_from_mentions_is_ignored():
     id_table, _ = _ids("R package limma")
-    index = RegistryIndex(registry=Registry.BIOC, entries={"limma"})
-    assert generate_keyword_synonyms(index, id_table) == []
+    assert generate_keyword_synonyms(Registry.BIOC, {"limma"}, id_table) == []
 
 
 def test_keyword_containment_requires_literal_substring():
     # token boundaries alone are not enough: a respelled entry is no match
     id_table, _ = _ids("scikit-learn", "scikit learn python", "scikit-learn python")
-    index = RegistryIndex(registry=Registry.PY, entries={"scikit-learn"})
-    pairs = generate_keyword_synonyms(index, id_table)
+    pairs = generate_keyword_synonyms(Registry.PY, {"scikit-learn"}, id_table)
     matched = {p.a for p in pairs} | {p.b for p in pairs}
     assert id_table["scikit-learn python"] in matched
     assert id_table["scikit learn python"] not in matched
@@ -176,7 +169,7 @@ def test_keyword_synonyms_match_exhaustive_oracle(mentions, others, registry):
     # Entries: some mentions (only those can pair) and some other names.
     entries = set(sorted(mentions)[::2]) | others
     skipped = []
-    pairs = generate_keyword_synonyms(RegistryIndex(registry, entries), id_table, skipped)
+    pairs = generate_keyword_synonyms(registry, entries, id_table, skipped)
     expected = keyword_pairs_reference(entries, REGISTRY_KEYWORDS[registry], id_table)
     assert ([(p.a, p.b) for p in pairs], skipped) == expected
 
@@ -191,7 +184,7 @@ def test_keyword_pairs_satisfy_substring_invariant():
     id_table, ordered = assign_ids(mentions)
     entries = {"limma", "edgeR", "tool suite"}
     for registry in (Registry.PY, Registry.R, Registry.BIOC):
-        for pair in generate_keyword_synonyms(RegistryIndex(registry, entries), id_table):
+        for pair in generate_keyword_synonyms(registry, entries, id_table):
             entry, variant = ordered[pair.a], ordered[pair.b]
             if entry not in entries:
                 entry, variant = variant, entry
@@ -200,8 +193,8 @@ def test_keyword_pairs_satisfy_substring_invariant():
 
 
 def test_registry_default_keywords():
-    assert "bioconductor" in RegistryIndex(Registry.BIOC, set()).keywords
-    assert "API" in RegistryIndex(Registry.PY, set()).keywords
+    assert "bioconductor" in REGISTRY_KEYWORDS[Registry.BIOC]
+    assert "API" in REGISTRY_KEYWORDS[Registry.PY]
 
 
 def test_kb_synonyms_connect_known_aliases():
@@ -323,7 +316,7 @@ def test_confidence_matches_source_contract():
     )
     pairs = generate_synonym_pairs(
         id_table,
-        registries=[RegistryIndex(Registry.BIOC, {"limma"})],
+        registries={Registry.BIOC: {"limma"}},
         kb={"SPSS": ["Statistical Package for the Social Sciences"]},
         record_threshold=0.9,
     )

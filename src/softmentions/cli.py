@@ -23,7 +23,7 @@ import hashlib
 import json
 import logging
 import sys
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, TypeVar
 
@@ -108,18 +108,14 @@ def _read_corpus(
     return rows
 
 
-def _registry_names(cfg: PipelineConfig) -> RegistryNames:
-    """The entry names of every configured package index."""
-    paths = {
+def _registry_files(cfg: PipelineConfig) -> dict[synonyms.Registry, str]:
+    """The name list of every configured package index."""
+    files = {
         synonyms.Registry.PY: cfg.registry_py,
         synonyms.Registry.R: cfg.registry_r,
         synonyms.Registry.BIOC: cfg.registry_bioc,
     }
-    return {
-        registry: set(read_lines(_require(path, f"{registry.value} name list")))
-        for registry, path in paths.items()
-        if path
-    }
+    return {registry: path for registry, path in files.items() if path}
 
 
 class Products:
@@ -167,7 +163,11 @@ class Products:
 
     @cached_property
     def names(self) -> RegistryNames:
-        return _registry_names(self.cfg)
+        """The entry names of every configured package index."""
+        return {
+            registry: set(read_lines(_require(path, f"{registry.value} name list")))
+            for registry, path in _registry_files(self.cfg).items()
+        }
 
 
 def stage_ingest(cfg: PipelineConfig, run: Products | None = None) -> None:
@@ -215,9 +215,9 @@ def stage_synonyms(cfg: PipelineConfig, run: Products | None = None) -> None:
         "skipped_registry_entries": len(skip_report),
         "unmatched_kb_entries": len(unmatched),
     }
-    inputs = [run.out / MENTION2ID] + [
-        Path(p) for p in (cfg.registry_py, cfg.registry_r, cfg.registry_bioc, cfg.kb_dict) if p
-    ]
+    inputs = [run.out / MENTION2ID, *map(Path, _registry_files(cfg).values())]
+    if cfg.kb_dict:
+        inputs.append(Path(cfg.kb_dict))
     write_manifest(run, "synonyms", inputs, counts)
     logger.info("synonyms: %d pairs", len(pairs))
 
@@ -243,7 +243,7 @@ def stage_cluster(cfg: PipelineConfig, run: Products | None = None) -> None:
     )
     run.clusters = result.clusters
     clustering.write_disambiguated_tsv(
-        out / DISAMBIGUATED, rows, cfg.corpus_kind, id_table, result
+        out / DISAMBIGUATED, rows, cfg.corpus_kind, id_table, result.clusters
     )
     cluster_rows = (
         (str(idx), str(c.name_id), c.name, str(member), mentions[member])
@@ -341,26 +341,16 @@ def build_link_sources(cfg: PipelineConfig, names: RegistryNames) -> linking.Bac
         path = details_files.get(registry)
         details = _read_registry_details(path) if path else {}
         backends[source] = linking.RegistrySnapshot(source=source, names=entries, details=details)
-    if cfg.kb_snapshots:
-        fetcher = None
-        if not cfg.offline and cfg.kb_api_url:
-            fetcher = linking.knowledge_base_fetcher(cfg.kb_api_url, token=cfg.kb_token())
-        backends[linking.LinkSource.KNOWLEDGE_BASE] = linking.ApiSnapshot(
-            source=linking.LinkSource.KNOWLEDGE_BASE,
-            directory=Path(cfg.kb_snapshots),
-            fetcher=fetcher,
-            limiter=linking.RateLimiter(1.0) if fetcher else None,
-        )
-    if cfg.codehost_snapshots:
-        fetcher = None
-        if not cfg.offline:
-            fetcher = linking.code_host_fetcher(token=cfg.codehost_token())
-        backends[linking.LinkSource.CODE_HOST] = linking.ApiSnapshot(
-            source=linking.LinkSource.CODE_HOST,
-            directory=Path(cfg.codehost_snapshots),
-            fetcher=fetcher,
-            limiter=linking.RateLimiter(2.0) if fetcher else None,
-        )
+    # Each API source: its snapshot directory and, if it can fetch live, its fetcher's factory.
+    kb_fetcher = partial(linking.knowledge_base_fetcher, cfg.kb_api_url) if cfg.kb_api_url else None
+    apis = (
+        (linking.LinkSource.KNOWLEDGE_BASE, cfg.kb_snapshots, kb_fetcher),
+        (linking.LinkSource.CODE_HOST, cfg.codehost_snapshots, linking.code_host_fetcher),
+    )
+    for source, directory, fetcher in apis:
+        if directory:
+            live = fetcher() if fetcher and not cfg.offline else None
+            backends[source] = linking.ApiSnapshot(source, Path(directory), fetcher=live)
     precedence = map(linking.LinkSource, cfg.precedence)
     return {source: backends[source] for source in precedence if source in backends}
 
@@ -389,11 +379,7 @@ def stage_link(cfg: PipelineConfig, run: Products | None = None) -> None:
         "by_source": {source: count for source, count, _ in report},
         "soft_errors": len(soft_errors),
     }
-    inputs = [out / MENTION2ID, out / CLUSTERS] + [
-        Path(p)
-        for p in (cfg.registry_py, cfg.registry_r, cfg.registry_bioc)
-        if p
-    ]
+    inputs = [out / MENTION2ID, out / CLUSTERS, *map(Path, _registry_files(cfg).values())]
     inputs += _details_files(cfg, run.names).values()
     write_manifest(run, "link", inputs, counts)
     logger.info("link: %d mentions linked", len(propagated))
@@ -479,7 +465,7 @@ def run_all(cfg: PipelineConfig) -> None:
     stage_synonyms(cfg, run)
     stage_cluster(cfg, run)
     del run.rows, run.freq, run.pairs  # the corpus is the largest value; linking needs none
-    if cfg.registry_py or cfg.registry_r or cfg.registry_bioc or cfg.kb_snapshots or cfg.codehost_snapshots:
+    if _registry_files(cfg) or cfg.kb_snapshots or cfg.codehost_snapshots:
         stage_link(cfg, run)
     if any(_eval_files(cfg)):
         stage_evaluate(cfg, run)

@@ -176,7 +176,7 @@ def write_disambiguated_tsv(
     rows: Iterable[CorpusRow],
     corpus_kind: str,
     id_table: Mapping[str, int],
-    result: DisambiguationResult,
+    clusters: Iterable[Cluster],
 ) -> None:
     """Raw corpus rows plus mapped_to_software / mapped_to_software_ID, streamed to ``path``.
 
@@ -185,6 +185,6 @@ def write_disambiguated_tsv(
     """
     header = (*CORPUS_FIELDS[corpus_kind], "mapped_to_software", "mapped_to_software_ID")
     cells: dict[int, str] = {}
-    for cluster in result.clusters:
+    for cluster in clusters:
         cells.update(dict.fromkeys(cluster.members, f"{cluster.name}\t{cluster.name_id}"))
     write_tsv(path, header, ((row.line, cells.get(id_table[row.software], "\t")) for row in rows))

@@ -1,21 +1,18 @@
 """Pipeline configuration: a flat key = value file plus flag overrides.
 
 Dotted keys group settings (thresholds.use, dbscan.eps, ...). API tokens
-never appear here; they come from environment variables so that config
-snapshots in manifests stay free of secrets.
+never appear here: the live fetchers of ``linking`` read them from the
+environment.
 """
 from __future__ import annotations
 
 import io
-import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import ValidationError
-
-KB_TOKEN_ENV = "SOFTMENTIONS_KB_TOKEN"
-CODE_HOST_TOKEN_ENV = "SOFTMENTIONS_CODEHOST_TOKEN"
+from .fileio import count_line_ends
 
 # Non-code-host links proved far more reliable in manual review, so the
 # curated indices win when several sources match one name.
@@ -88,12 +85,6 @@ class PipelineConfig:
                 f"linking.precedence has unknown sources: {unknown}", "linking.precedence"
             )
 
-    def kb_token(self) -> str:
-        return os.environ.get(KB_TOKEN_ENV, "")
-
-    def codehost_token(self) -> str:
-        return os.environ.get(CODE_HOST_TOKEN_ENV, "")
-
     def snapshot(self) -> dict[str, str]:
         """Flat string view of the effective settings, for manifests."""
         out = {}
@@ -161,7 +152,7 @@ def read_config(path) -> Iterator[Setting]:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as err:
-        lineno = data.count(b"\n", 0, err.start) + 1
+        lineno = count_line_ends(data[: err.start]) + 1
         raise ValidationError(f"{path}:{lineno}: not valid UTF-8") from None
     for lineno, line in enumerate(io.StringIO(text, newline=""), start=1):
         stripped = line.strip()

@@ -70,6 +70,16 @@ def write_text(path: str | os.PathLike[str], data: str | Iterable[str]) -> None:
         raise
 
 
+def count_line_ends(data: bytes, before: bytes = b"") -> int:
+    """The line ends in ``data`` where open_text splits lines: at \\n, \\r\\n and a lone \\r.
+
+    ``before`` is the byte that precedes ``data``, if any: a \\r there and a
+    \\n first in ``data`` are one line end, counted with the \\r.
+    """
+    ends = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+    return ends - (before == b"\r" and data[:1] == b"\n")
+
+
 @contextmanager
 def decode_errors(path: str | os.PathLike[str] | None) -> Iterator[None]:
     """Turn unreadable content of ``path`` into a RowError at its line.
@@ -92,16 +102,18 @@ def decode_errors(path: str | os.PathLike[str] | None) -> Iterator[None]:
             start = len(data)
         except UnicodeDecodeError as err:
             start = err.start
-        raise RowError(data.count(b"\n", 0, start) + 1, "not valid UTF-8", path) from None
+        raise RowError(count_line_ends(data[:start]) + 1, "not valid UTF-8", path) from None
     except (EOFError, zlib.error, gzip.BadGzipFile) as err:
         if path is None:
             raise
-        lines = 0
+        lines, last = 0, b""
         decompressor = zlib.decompressobj(wbits=16 + zlib.MAX_WBITS)
         with open(path, "rb") as fh:
             try:
                 for chunk in iter(lambda: fh.read(1024), b""):
-                    lines += decompressor.decompress(chunk).count(b"\n")
+                    text = decompressor.decompress(chunk)
+                    lines += count_line_ends(text, last)
+                    last = text[-1:] or last
             except zlib.error:
                 pass
         message = f"gzip data is truncated or corrupt ({err})"

@@ -42,17 +42,20 @@ class LinkSource(str, Enum):
     CODE_HOST = "CodeHostAPI"
 
 
-INDEX_URL_TEMPLATES = {
-    LinkSource.PKG_INDEX_PY: "https://pypi.org/project/{name}",
-    LinkSource.PKG_INDEX_R: "https://cran.r-project.org/package={name}",
-    LinkSource.PKG_INDEX_BIOC: "https://www.bioconductor.org/packages/{name}",
+# Each package index's page: the raw fields of a hit's name and URL, and the URL's template.
+INDEX_PAGES = {
+    LinkSource.PKG_INDEX_PY: ("pypi package", "pypi_url", "https://pypi.org/project/{name}"),
+    LinkSource.PKG_INDEX_R: (
+        "CRAN Package", "CRAN Link", "https://cran.r-project.org/package={name}"
+    ),
+    LinkSource.PKG_INDEX_BIOC: (
+        "Bioconductor Package", "Bioconductor Link", "https://www.bioconductor.org/packages/{name}"
+    ),
 }
 
-INDEX_RAW_FIELDS = {
-    LinkSource.PKG_INDEX_PY: ("pypi package", "pypi_url"),
-    LinkSource.PKG_INDEX_R: ("CRAN Package", "CRAN Link"),
-    LinkSource.PKG_INDEX_BIOC: ("Bioconductor Package", "Bioconductor Link"),
-}
+# Where the live fetchers read their API tokens, so that manifests hold no secret.
+KB_TOKEN_ENV = "SOFTMENTIONS_KB_TOKEN"
+CODE_HOST_TOKEN_ENV = "SOFTMENTIONS_CODEHOST_TOKEN"
 
 
 @dataclass
@@ -201,19 +204,6 @@ def normalize_metadata(
     return meta
 
 
-class RateLimiter:
-    def __init__(self, min_interval: float):
-        self.min_interval = min_interval
-        self._last = 0.0
-
-    def wait(self) -> None:
-        now = time.monotonic()
-        delta = now - self._last
-        if delta < self.min_interval:
-            time.sleep(self.min_interval - delta)
-        self._last = time.monotonic()
-
-
 @lru_cache(maxsize=1)
 def _quote(name: str) -> str:
     """The name URL-quoted as one path segment.
@@ -226,7 +216,7 @@ def _quote(name: str) -> str:
 
 @dataclass
 class RegistrySnapshot:
-    """A package index: entry names, a URL template and optional page details."""
+    """A package index: entry names and optional page details."""
 
     source: LinkSource
     names: set[str]
@@ -235,11 +225,14 @@ class RegistrySnapshot:
     def lookup(self, name: str) -> dict | None:
         if name not in self.names:
             return None
-        name_field, url_field = INDEX_RAW_FIELDS[self.source]
-        url = INDEX_URL_TEMPLATES[self.source].format(name=_quote(name))
-        raw = {name_field: name, url_field: url}
+        name_field, url_field, template = INDEX_PAGES[self.source]
+        raw = {name_field: name, url_field: template.format(name=_quote(name))}
         raw.update(self.details.get(name, {}))
         return raw
+
+
+# A live lookup of one name: its raw record, or None for no match.
+Fetcher = Callable[[str], dict | None]
 
 
 @dataclass
@@ -256,8 +249,7 @@ class ApiSnapshot:
 
     source: LinkSource
     directory: Path
-    fetcher: Callable[[str], dict | None] | None = None
-    limiter: RateLimiter | None = None
+    fetcher: Fetcher | None = None
     _files: set[str] | None = field(default=None, init=False, repr=False)
 
     def lookup(self, name: str) -> dict | None:
@@ -276,8 +268,6 @@ class ApiSnapshot:
             except (UnicodeDecodeError, json.JSONDecodeError) as err:
                 raise ExternalServiceError(self.source.value, f"bad snapshot {file_name}: {err}")
         elif self.fetcher is not None:
-            if self.limiter is not None:
-                self.limiter.wait()
             raw = self.fetcher(name)
             if raw is not None:
                 write_text(
@@ -468,9 +458,10 @@ def write_link_report_tsv(path, report: Sequence[tuple[str, int, float]]) -> Non
 
 
 def fetch_json(url: str, headers: Mapping[str, str] | None = None, timeout: float = 30.0):
-    """GET a JSON document; None on HTTP 404, ExternalServiceError otherwise."""
+    """GET a JSON document; None on HTTP 404, ExternalServiceError on any other failure."""
     # Imported here: offline runs never fetch, and urllib.request (with
     # http.client, ssl and email) is most of the package's import time.
+    import http.client
     import urllib.error
     import urllib.request
 
@@ -482,22 +473,37 @@ def fetch_json(url: str, headers: Mapping[str, str] | None = None, timeout: floa
         if err.code == 404:
             return None
         raise ExternalServiceError(url, f"HTTP {err.code}")
-    except urllib.error.URLError as err:
-        raise ExternalServiceError(url, str(err.reason))
+    except (OSError, http.client.HTTPException) as err:
+        raise ExternalServiceError(url, repr(err))
     try:
         return json.loads(payload.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise ExternalServiceError(url, f"malformed response: {err}")
 
 
-def knowledge_base_fetcher(
-    url_template: str, token: str = "", timeout: float = 30.0
-) -> Callable[[str], dict | None]:
-    """Live knowledge-base lookup; the response JSON is stored verbatim."""
+def _paced(interval: float, fetch: Fetcher) -> Fetcher:
+    """``fetch`` made to start each request at least ``interval`` seconds after the last."""
+    last = float("-inf")
+
+    def paced(name: str) -> dict | None:
+        nonlocal last
+        time.sleep(max(0.0, last + interval - time.monotonic()))
+        last = time.monotonic()
+        return fetch(name)
+
+    return paced
+
+
+def knowledge_base_fetcher(url_template: str, timeout: float = 30.0) -> Fetcher:
+    """Live knowledge-base lookup, one request a second; the response JSON is stored verbatim.
+
+    The token is read from KB_TOKEN_ENV once, here.
+    """
+    token = os.environ.get(KB_TOKEN_ENV, "")
+    headers = {"Authorization": f"Bearer {token}"} if token else {}
 
     def fetch(name: str) -> dict | None:
         url = url_template.format(name=urllib.parse.quote(name, safe=""))
-        headers = {"Authorization": f"Bearer {token}"} if token else {}
         data = fetch_json(url, headers=headers, timeout=timeout)
         if data is None:
             return None
@@ -508,18 +514,21 @@ def knowledge_base_fetcher(
         data.setdefault("software_name", name)
         return data
 
-    return fetch
+    return _paced(1.0, fetch)
 
 
-def code_host_fetcher(token: str = "", timeout: float = 30.0) -> Callable[[str], dict | None]:
-    """Live code-host repository search, keeping only exact-name matches."""
+def code_host_fetcher(timeout: float = 30.0) -> Fetcher:
+    """Live code-host repository search, one request every 2 s, keeping only exact-name matches.
+
+    The token is read from CODE_HOST_TOKEN_ENV once, here.
+    """
+    headers = {"Accept": "application/vnd.github+json"}
+    if token := os.environ.get(CODE_HOST_TOKEN_ENV, ""):
+        headers["Authorization"] = f"Bearer {token}"
 
     def fetch(name: str) -> dict | None:
         query = urllib.parse.quote(f"{name} in:name", safe="")
         url = f"https://api.github.com/search/repositories?q={query}&per_page=10"
-        headers = {"Accept": "application/vnd.github+json"}
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
         data = fetch_json(url, headers=headers, timeout=timeout)
         if not isinstance(data, dict):
             return None
@@ -536,4 +545,4 @@ def code_host_fetcher(token: str = "", timeout: float = 30.0) -> Callable[[str],
                 }
         return None
 
-    return fetch
+    return _paced(2.0, fetch)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ipaddress
+import socket
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -28,6 +30,64 @@ BASE_NAMES = {
     "matlab": "MATLAB",
     "graphpad": "GraphPad",
 }
+
+
+def _refuse_remote(host) -> None:
+    """Fail the test at once unless ``host`` is this machine: every live fetch must be stubbed."""
+    try:
+        local = host is None or host == "localhost" or ipaddress.ip_address(host).is_loopback
+    except ValueError:
+        local = False
+    if not local:
+        pytest.fail(f"a test tried to reach {host!r}; stub the request", pytrace=False)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def no_remote_connections():
+    """Refuse name lookups and connections beyond the loopback interface in every test.
+
+    A test that forgets to stub a fetch fails at once (pytest.fail is no
+    Exception, so no handler turns it into a soft error) instead of waiting
+    on a timeout or reaching a live API.
+    """
+    connect, getaddrinfo = socket.socket.connect, socket.getaddrinfo
+
+    def guarded_connect(sock, address):
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            _refuse_remote(address[0])
+        return connect(sock, address)
+
+    def guarded_getaddrinfo(host, *args, **kwargs):
+        _refuse_remote(host)
+        return getaddrinfo(host, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(socket.socket, "connect", guarded_connect)
+        patch.setattr(socket, "getaddrinfo", guarded_getaddrinfo)
+        yield
+
+
+class Clock:
+    """Stands in for linking's time module: sleep moves the clock on at once."""
+
+    def __init__(self):
+        self.now = 1000.0
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def sleep(self, seconds: float) -> None:
+        self.now += seconds
+
+
+@pytest.fixture()
+def clock(monkeypatch) -> Clock:
+    """linking's clock replaced, so that paced fetchers never wait."""
+    import softmentions.linking
+
+    clock = Clock()
+    monkeypatch.setattr(softmentions.linking, "time", clock)
+    return clock
 
 
 @pytest.fixture(scope="session")

@@ -298,10 +298,10 @@ def corpus_row_reference(record: MentionRecord, corpus_kind: str) -> CorpusRow:
     return CorpusRow(record.software, record.pmcid, record.doi, "\t".join(cells))
 
 
-def disambiguated_tsv_reference(records, corpus_kind, id_table, result) -> str:
+def disambiguated_tsv_reference(records, corpus_kind, id_table, clusters) -> str:
     """disambiguated.tsv rendered from typed records: every cell, then the row's cluster."""
     header, rows = corpus_rows_reference(records, corpus_kind)
-    cluster_of = {member: cluster for cluster in result.clusters for member in cluster.members}
+    cluster_of = {member: cluster for cluster in clusters for member in cluster.members}
     for rec, row in zip(records, rows):
         cluster = cluster_of.get(id_table[rec.software])
         if cluster is None:

@@ -1,5 +1,6 @@
 import gzip
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -652,6 +653,58 @@ def test_workers_flag_does_not_change_synonyms_output(fixture_copy, tmp_path):
     assert serial == parallel
 
 
+def test_online_link_paces_fetches_and_leaves_the_snapshot_an_offline_rerun_reads(
+    fixture_copy, monkeypatch, clock
+):
+    import urllib.error
+    import urllib.parse
+    import urllib.request
+
+    # The fixture's knowledge-base documents are the live answers; every other name is a 404.
+    canned = {
+        path.stem: json.loads(path.read_text(encoding="utf-8"))
+        for path in (fixture_copy / "snapshots" / "kb").glob("*.json")
+    }
+    requests = []  # (source, clock time, Authorization header)
+
+    def urlopen(request, timeout):
+        url = request.full_url
+        source = "kb" if url.startswith("https://kb.example/") else "codehost"
+        requests.append((source, clock.now, request.get_header("Authorization")))
+        if source == "codehost":
+            return io.BytesIO(b'{"items": []}')
+        name = urllib.parse.unquote(url.rpartition("/")[2])
+        if name not in canned:
+            raise urllib.error.HTTPError(url, 404, "Not Found", None, None)
+        return io.BytesIO(json.dumps({"data": canned[name]}).encode("utf-8"))
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    monkeypatch.setenv("SOFTMENTIONS_KB_TOKEN", "kb-token")
+    monkeypatch.setenv("SOFTMENTIONS_CODEHOST_TOKEN", "host-token")
+    kb_dir = fixture_copy / "kb_live"
+    kb_dir.mkdir()
+    kb = (
+        "--set", f"paths.kb_snapshots={kb_dir}",
+        "--set", "linking.kb_api_url=https://kb.example/resolve/{name}",
+    )
+    assert run_stage(fixture_copy, "run-all", *kb) == 0
+    assert requests == []
+    assert run_stage(fixture_copy, "link", "--online", *kb) == 0
+    for source, token, interval in (("kb", "kb-token", 1.0), ("codehost", "host-token", 2.0)):
+        sent = [(at, header) for name, at, header in requests if name == source]
+        assert len(sent) > 100
+        assert {header for _, header in sent} == {f"Bearer {token}"}
+        assert min(b - a for (a, _), (b, _) in zip(sent, sent[1:])) >= interval
+    written = {path.stem: json.loads(path.read_text(encoding="utf-8")) for path in kb_dir.iterdir()}
+    assert written == canned
+    online = (fixture_copy / "out" / "metadata.tsv").read_bytes()
+    assert b"\tKnowledgeBaseAPI\t" in online
+    fetched = len(requests)
+    assert run_stage(fixture_copy, "link", "--offline", *kb) == 0
+    assert len(requests) == fetched
+    assert (fixture_copy / "out" / "metadata.tsv").read_bytes() == online
+
+
 def test_link_sources_follow_configured_precedence(fixture_dir, monkeypatch):
     monkeypatch.chdir(fixture_dir)
     cfg = load_config("config.cfg")
@@ -701,6 +754,9 @@ BAD_CONFIG_FILES = {
     "unknown_key": (b"dbscan.min_pts = 2\ndbscan.epz = 0.1\n", ":2: unknown configuration key"),
     "form_feed_line_count": (
         b"# page\x0c\ndbscan.eps = 0.03\r\n\rdbscan.epz = 0.1\n", ":4: unknown configuration key"
+    ),
+    "carriage_return_line_count": (
+        b"paths.out_dir = o\rdbscan.eps = \xe9\n", ":2: not valid UTF-8"
     ),
     "bad_value": (b"# wide\n\ndbscan.eps = wide\n", ":3: dbscan.eps: expected a number"),
     "no_equals_sign": (b"dbscan.eps = 0.03\njust words\n", ":2: expected key = value"),

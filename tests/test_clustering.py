@@ -240,7 +240,7 @@ def test_write_disambiguated_tsv(tmp_path):
         records, registries={Registry.BIOC: {"limma"}}
     )
     out = tmp_path / "disambiguated.tsv"
-    write_disambiguated_tsv(out, records, "comm", chain.id_table, chain.result)
+    write_disambiguated_tsv(out, records, "comm", chain.id_table, chain.result.clusters)
     lines = out.read_text(encoding="utf-8").splitlines()
     header = lines[0].split("\t")
     assert header[-2:] == ["mapped_to_software", "mapped_to_software_ID"]
@@ -257,7 +257,7 @@ def test_write_disambiguated_tsv_rejects_a_line_break_in_a_row(tmp_path):
     out = tmp_path / "disambiguated.tsv"
     message = f"{out}: line 3: column 'text' holds a tab or line break: 'Used\\rSPSS.'"
     with pytest.raises(FormatError, match=re.escape(message)):
-        write_disambiguated_tsv(out, rows, "comm", chain.id_table, chain.result)
+        write_disambiguated_tsv(out, rows, "comm", chain.id_table, chain.result.clusters)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -265,9 +265,9 @@ def _write_both(path, text, corpus_kind, **chain_params):
     """Write disambiguated.tsv from the parsed text; return the reference writer's text."""
     rows = list(parse_mentions(io.StringIO(text), corpus_kind))
     chain = run_chain(rows, **chain_params)
-    write_disambiguated_tsv(path, rows, corpus_kind, chain.id_table, chain.result)
+    write_disambiguated_tsv(path, rows, corpus_kind, chain.id_table, chain.result.clusters)
     records = list(parse_mentions_reference(io.StringIO(text), corpus_kind))
-    return disambiguated_tsv_reference(records, corpus_kind, chain.id_table, chain.result)
+    return disambiguated_tsv_reference(records, corpus_kind, chain.id_table, chain.result.clusters)
 
 
 _VOCABULARY = ["ImageJ", "Image J", "ImageJ2", "BLAST", "Blast", "limma", "R package limma", "solo"]

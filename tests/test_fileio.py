@@ -2,14 +2,16 @@ import gzip
 import io
 import os
 import re
+import zlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from softmentions import fileio
 from softmentions.errors import ConsistencyError, FormatError, RowError
 from softmentions.fileio import (
     CHUNK_LINES,
+    count_line_ends,
     iter_tsv,
     open_text,
     read_tsv,
@@ -217,6 +219,31 @@ def _complete_gzip_lines(path) -> int:
         except EOFError:
             pass
     return count
+
+
+@given(st.text(alphabet="a\r\n").map(str.encode))
+@example(b"a\r\nb\r\r\n\n")
+def test_count_line_ends_counts_the_lines_open_text_ends_whole_or_byte_by_byte(data):
+    ended = [line for line in io.StringIO(data.decode("ascii"), newline="") if line[-1] in "\r\n"]
+    # One byte at a time splits every \r\n across two chunks.
+    before, bytewise = b"", 0
+    for i in range(len(data)):
+        bytewise += count_line_ends(data[i : i + 1], before)
+        before = data[i : i + 1]
+    assert bytewise == count_line_ends(data) == len(ended)
+
+
+def test_damaged_gzip_counts_carriage_returns_as_line_ends(tmp_path):
+    lines = ["name\tn"] + [f"m{i}\t{i}" for i in range(5000)]
+    text = "".join(line + ("\r\n", "\r")[i % 2] for i, line in enumerate(lines))
+    data = gzip.compress(text.encode("utf-8"), mtime=0)
+    path = tmp_path / "cr.tsv.gz"
+    path.write_bytes(data[: len(data) // 2])
+    decompressed = zlib.decompressobj(wbits=16 + zlib.MAX_WBITS).decompress(path.read_bytes())
+    ended = [line for line in io.StringIO(decompressed.decode("utf-8"), newline="")
+             if line[-1] in "\r\n"]
+    with pytest.raises(RowError, match=f"cr.tsv.gz: line {len(ended) + 1}: gzip data is truncated"):
+        read_tsv(path, ("name", "n"), lambda f: (f[0], int(f[1])))
 
 
 def test_read_tsv_names_file_and_line_of_damaged_gzip(tmp_path):

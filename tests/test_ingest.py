@@ -618,6 +618,16 @@ def test_id_and_frequency_tables_round_trip(tmp_path):
     assert read_frequencies(tmp_path / "freq.tsv", table2) == freq
 
 
+@pytest.mark.parametrize("name", ["m2i.tsv", "m2i.tsv.gz"])
+def test_id_table_not_utf8_counts_carriage_returns_as_line_ends(tmp_path, name):
+    data = b"mention\tid\rA\t0\rB\t1\r\xe9\t2\r"
+    path = tmp_path / name
+    path.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+    with pytest.raises(RowError) as err:
+        read_id_table(path)
+    assert str(err.value) == f"{path}: line 4: not valid UTF-8"
+
+
 def test_gzip_corpus_supported(tmp_path):
     path = tmp_path / "c.tsv.gz"
     with gzip.open(path, "wt", encoding="utf-8") as fh:

@@ -1,5 +1,8 @@
+import http.client
+import io
 import json
 import logging
+import socket
 from dataclasses import fields
 
 import pytest
@@ -15,6 +18,7 @@ from softmentions.linking import (
     LinkSource,
     RegistrySnapshot,
     exact_match_lookup,
+    knowledge_base_fetcher,
     link_mentions,
     link_report,
     metadata_row,
@@ -339,19 +343,7 @@ def test_link_mentions_deterministic():
     assert first == second
 
 
-def test_rate_limiter_spaces_calls():
-    import time
-
-    from softmentions.linking import RateLimiter
-
-    limiter = RateLimiter(0.05)
-    limiter.wait()
-    started = time.monotonic()
-    limiter.wait()
-    assert time.monotonic() - started >= 0.045
-
-
-def test_knowledge_base_fetcher_parses_payloads(monkeypatch):
+def test_knowledge_base_fetcher_parses_payloads(monkeypatch, clock):
     import softmentions.linking as linking_mod
 
     payloads = {
@@ -364,7 +356,8 @@ def test_knowledge_base_fetcher_parses_payloads(monkeypatch):
         return payloads[url]
 
     monkeypatch.setattr(linking_mod, "fetch_json", fake_fetch)
-    fetch = linking_mod.knowledge_base_fetcher("https://kb.example/api?q={name}", token="tok")
+    monkeypatch.setenv("SOFTMENTIONS_KB_TOKEN", "tok")
+    fetch = linking_mod.knowledge_base_fetcher("https://kb.example/api?q={name}")
     record = fetch("Fiji")
     assert record["Resource ID"] == "SCR_002285"
     assert record["software_name"] == "Fiji"
@@ -375,6 +368,7 @@ def test_code_host_fetcher_keeps_exact_name_only(monkeypatch):
     import softmentions.linking as linking_mod
 
     def fake_fetch(url, headers=None, timeout=30.0):
+        assert headers["Authorization"] == "Bearer tok"
         return {
             "items": [
                 {"name": "bowtie2-helper", "html_url": "https://github.com/x/a"},
@@ -384,6 +378,7 @@ def test_code_host_fetcher_keeps_exact_name_only(monkeypatch):
         }
 
     monkeypatch.setattr(linking_mod, "fetch_json", fake_fetch)
+    monkeypatch.setenv("SOFTMENTIONS_CODEHOST_TOKEN", "tok")
     fetch = linking_mod.code_host_fetcher()
     record = fetch("bowtie")
     assert record["best_github_match"] == "Bowtie"
@@ -393,6 +388,44 @@ def test_code_host_fetcher_keeps_exact_name_only(monkeypatch):
 
     monkeypatch.setattr(linking_mod, "fetch_json", lambda *a, **k: {"items": []})
     assert linking_mod.code_host_fetcher()("bowtie") is None
+
+
+@pytest.mark.parametrize(
+    "error",
+    [TimeoutError("The read operation timed out"), http.client.IncompleteRead(b'{"da', 40)],
+    ids=["timeout", "incomplete_read"],
+)
+def test_live_lookup_failing_mid_read_is_a_soft_error(tmp_path, monkeypatch, error):
+    import urllib.request
+
+    class Response(io.BytesIO):
+        def read(self, *args):
+            raise error
+
+    monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: Response())
+    fetcher = knowledge_base_fetcher("https://kb.example/resolve/{name}")
+    sources = {
+        LinkSource.KNOWLEDGE_BASE: ApiSnapshot(LinkSource.KNOWLEDGE_BASE, tmp_path, fetcher),
+        LinkSource.PKG_INDEX_PY: py_registry("numpy"),
+    }
+    soft_errors = []
+    hits = exact_match_lookup("numpy", sources, soft_errors=soft_errors)
+    assert [s for s, _ in hits] == [LinkSource.PKG_INDEX_PY]
+    assert len(soft_errors) == 1
+    assert soft_errors[0].startswith("https://kb.example/resolve/numpy")
+    assert type(error).__name__ in soft_errors[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tests_cannot_reach_a_remote_address():
+    # Connecting a UDP socket sends nothing, and a numeric address needs no
+    # name lookup, so neither probe leaves the machine even without the guard.
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        with pytest.raises(pytest.fail.Exception, match="192.0.2.1"):
+            sock.connect(("192.0.2.1", 9))
+        sock.connect(("127.0.0.1", 9))
+    with pytest.raises(pytest.fail.Exception, match="192.0.2.1"):
+        socket.getaddrinfo("192.0.2.1", 443)
 
 
 def test_csv_writes_keep_previous_file_when_replace_fails(tmp_path, monkeypatch):

@@ -36,7 +36,7 @@ from .errors import (
     SoftMentionsError,
     ValidationError,
 )
-from .fileio import open_text, read_lines, read_tsv, write_text, write_tsv
+from .fileio import open_text, read_json, read_lines, read_tsv, write_text, write_tsv
 
 logger = logging.getLogger(__name__)
 T = TypeVar("T")
@@ -92,18 +92,14 @@ def _read_corpus(
 ) -> list[ingest.CorpusRow]:
     """The corpus rows; with the ID table of mention2id.tsv, each mention must be in it."""
     corpus = _require(cfg.corpus, "corpus TSV (paths.corpus)")
-    errors: list = []
+    skipped: list | None = None if cfg.strict else []
     try:
         with open_text(corpus) as fh:
-            rows = list(
-                ingest.parse_mentions(
-                    fh, cfg.corpus_kind, lenient=not cfg.strict, errors=errors, known=id_table
-                )
-            )
+            rows = list(ingest.parse_mentions(fh, cfg.corpus_kind, skipped, known=id_table))
     except ConsistencyError as err:
         id_path = Path(cfg.out_dir) / MENTION2ID
         raise ConsistencyError(f"{err}, which {id_path} does not list (rerun ingest)") from None
-    for err in errors:
+    for err in skipped or ():
         logger.warning("skipped row: %s", err)
     return rows
 
@@ -316,9 +312,9 @@ def _read_clusters(path, mentions: list[str]) -> list[clustering.Cluster]:
 def _read_registry_details(path: Path) -> dict[str, dict]:
     """Registry page details: a JSON object mapping entry names to objects."""
     try:
-        details = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise FormatError(f"{path}: not a JSON document: {err}") from None
+        details = read_json(path)
+    except ValueError as err:
+        raise FormatError(f"{path}: not a UTF-8 JSON document: {err}") from None
     if not isinstance(details, dict) or not all(isinstance(v, dict) for v in details.values()):
         raise FormatError(f"{path}: expected a JSON object of objects")
     return details

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import json
 import os
 import zlib
 from contextlib import contextmanager
@@ -24,11 +25,6 @@ GZIP_MAGIC = b"\x1f\x8b"
 
 # About 40 KB of corpus lines: little memory, still in cache when counted.
 CHUNK_LINES = 256
-
-# Chunks that iter_tsv reads line by line, without offering them to its bulk
-# converter, after one where the converter left over a quarter of the lines
-# to the row parser.
-BULK_REST = 15
 
 
 def _open_bytes(path: str | os.PathLike[str]) -> IO[bytes]:
@@ -137,14 +133,11 @@ def iter_tsv(
     ``skipped`` instead, when given), a KeyError (an unknown mention) a
     ConsistencyError; each names the stream's file, if any, and the line.
 
-    Lines are read CHUNK_LINES at a time. With ``bulk``, a chunk without a
-    carriage return is first offered whole to ``bulk(text)``, which returns
-    one entry per line: the item ``row`` would give for it, or None to send
-    the line through ``row``. It must return None for every line that
-    ``row`` would change, reject or raise on, blank lines included. After a
-    chunk with a carriage return or with over a quarter of its lines sent
-    through ``row``, the next BULK_REST chunks go through ``row`` without
-    being offered.
+    Lines are read CHUNK_LINES at a time. With ``bulk``, each chunk is first
+    offered whole to ``bulk(text)``, its \\r\\n line ends as \\n, unless a
+    carriage return remains. ``bulk`` returns one entry per line: the item
+    ``row`` would give for it, or None to send the line through ``row``, as
+    it must for a blank line and for every line ``row`` would reject or raise on.
     """
     name = getattr(stream, "name", None)
     where = "line" if name is None else f"{name}: line"
@@ -155,7 +148,7 @@ def iter_tsv(
         found = first.rstrip("\n").rstrip("\r").split("\t") if first else None
         if found != header:
             raise FormatError(f"{where} 1: expected header {header}, found {found}")
-        start, rest = 2, 0
+        linenos = count(2)
         while True:
             batch: list[str] = []
             failure = None
@@ -166,17 +159,11 @@ def iter_tsv(
             except (UnicodeDecodeError, EOFError, OSError, zlib.error) as err:
                 failure = err
             items = None
-            if rest:
-                rest -= 1
-            elif bulk is not None and batch:
-                text = "".join(batch)
+            if bulk is not None and batch:
+                text = "".join(batch).replace("\r\n", "\n")
                 if "\r" not in text:
                     items = bulk(text)
-                # Where bulk refuses over a quarter of a chunk's lines, offering
-                # the chunk costs about as much as it saves.
-                if items is None or 4 * items.count(None) > len(items):
-                    rest = BULK_REST
-            for lineno, line, item in zip(count(start), batch, items or repeat(None)):
+            for line, lineno, item in zip(batch, linenos, items or repeat(None)):
                 if item is not None:
                     yield item
                     continue
@@ -203,7 +190,6 @@ def iter_tsv(
                 raise failure
             if len(batch) < CHUNK_LINES:
                 return
-            start += CHUNK_LINES
 
 
 def read_tsv(
@@ -251,6 +237,15 @@ def write_tsv(path: str | os.PathLike[str], header: Sequence[str], rows: Iterabl
             start += count
 
     write_text(path, chunks())
+
+
+def read_json(path: str | os.PathLike[str]):
+    """A UTF-8 file's JSON; ValueError if it is not, or if UTF-8 cannot encode a string in it."""
+    text = Path(path).read_text(encoding="utf-8")
+    document = json.loads(text)
+    if "\\u" in text:  # only a \u escape can give a string a lone surrogate
+        json.dumps(document, ensure_ascii=False).encode("utf-8")
+    return document
 
 
 def read_lines(path: str | os.PathLike[str]) -> list[str]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import repeat
-from typing import IO, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import FormatError, RowError
 from .fileio import iter_tsv, read_tsv, write_tsv
@@ -44,10 +44,9 @@ CORPUS_FIELDS: dict[str, tuple[str, ...]] = {
 class CorpusRow(NamedTuple):
     """One corpus row: what the pipeline reads of it, and its text.
 
-    ``line`` is the row's cells joined by tabs in the corpus kind's column
-    order, with every integer cell in canonical decimal, an empty number as
-    0 and an empty curation_label as not_curated; it is the row as
-    disambiguated.tsv repeats it. pmcid is empty in a publishers corpus.
+    ``line`` is the row's cells as the cell rules fix them, joined by tabs
+    in the corpus kind's column order: the row as disambiguated.tsv repeats
+    it. pmcid is empty in a publishers corpus.
     """
 
     software: str
@@ -59,101 +58,67 @@ class CorpusRow(NamedTuple):
 def parse_mentions(
     stream: IO[str],
     corpus_kind: str,
-    lenient: bool = False,
-    errors: list[RowError] | None = None,
+    skipped: list[RowError] | None = None,
     known: Container[str] | None = None,
 ) -> Iterator[CorpusRow]:
     """Parse a raw mention TSV stream into CorpusRows.
 
     The stream follows the TSV contract of ``fileio.iter_tsv`` with the
-    corpus kind's field list as its header. Malformed data rows raise
-    RowError, or are skipped (and appended to ``errors``) when ``lenient``
-    is set. With ``known``, a row whose mention it lacks raises
-    ConsistencyError, lenient or not.
+    corpus kind's field list as its header; each row's cells go through
+    the cell rules. A malformed data row raises RowError or, when a
+    ``skipped`` list is given, is appended to it. With ``known``, a row
+    whose mention it lacks raises ConsistencyError, skipped or not.
     """
     try:
         header = CORPUS_FIELDS[corpus_kind]
     except KeyError:
         raise FormatError(f"unknown corpus kind: {corpus_kind!r}") from None
-    if lenient and errors is None:
-        errors = []
     software_at, doi_at = header.index("software"), header.index("doi")
-    number_at, label_at = header.index("number"), header.index("curation_label")
     pmcid_at = header.index("pmcid") if "pmcid" in header else None  # publishers lack it
-    integers = [(header.index(name), name.lower()) for name in ("pubdate", "number", "ID")]
-    labels = frozenset(CURATION_LABELS)
-
-    # parse_chunk below must return None for every line that parse would
-    # rewrite or reject: a check added here goes into parse_lines too.
-    def parse(fields: list[str]) -> CorpusRow:
-        software = fields[software_at]
-        if not software.strip():
-            raise ValueError("empty software mention")
-        for index, name in integers:
-            value = fields[index]
-            if value:
-                try:
-                    fields[index] = str(int(value))
-                except ValueError:
-                    raise ValueError(f"{name} is not an integer: {value!r}") from None
-        number = fields[number_at]
-        if not number:
-            fields[number_at] = "0"
-        elif number[0] == "-":
-            raise ValueError(f"negative number field: {number}")
-        label = fields[label_at]
-        if not label:
-            fields[label_at] = "not_curated"
-        elif label not in labels:
-            raise ValueError(f"unknown curation_label: {label!r}")
-        if known is not None and software not in known:
-            raise KeyError(software)
-        pmcid = "" if pmcid_at is None else fields[pmcid_at]
-        return CorpusRow(software, pmcid, fields[doi_at], "\t".join(fields))
-
+    rules = [(header.index(column), keeps, fix) for column, keeps, fix in _cell_rules(known)]
     width = len(header)
 
+    def parse(fields: list[str]) -> CorpusRow:
+        for at, _, fix in rules:
+            fields[at] = fix(fields[at])
+        pmcid = "" if pmcid_at is None else fields[pmcid_at]
+        return CorpusRow(fields[software_at], pmcid, fields[doi_at], "\t".join(fields))
+
     def parse_chunk(text: str) -> list[CorpusRow | None]:
-        """Each line's row where parse would keep the line as it is and raise nothing, else None."""
+        """Each line's row where parse gives one, else None."""
         lines = text.split("\n")
         if not lines[-1]:
             lines.pop()  # the empty string after the last line's newline
         tabs = list(map(str.count, lines, repeat("\t")))
-        if tabs.count(width - 1) == len(lines):
-            return parse_lines(lines)
-        # Blank lines and lines with a wrong column count are left to parse.
-        rows: list[CorpusRow | None] = [None] * len(lines)
-        at = [i for i, n in enumerate(tabs) if n == width - 1]
-        for i, row in zip(at, parse_lines([lines[i] for i in at])):
-            rows[i] = row
-        return rows
-
-    def parse_lines(lines: list[str]) -> list[CorpusRow | None]:
-        """parse_chunk for lines of ``width`` cells each."""
+        if tabs.count(width - 1) != len(lines):
+            # Blank lines and lines with a wrong column count are left to parse;
+            # here they stand as lines of empty cells, which the software rule refuses.
+            lines = [line if n == width - 1 else "\t" * (width - 1) for line, n in zip(lines, tabs)]
         cells = "\t".join(lines).split("\t")
-        software = cells[software_at::width]
+        changed, faulty = set(), set()
+        for at, keeps, fix in rules:
+            column = cells[at::width]
+            if keeps(column):
+                continue
+            for i, cell in enumerate(column):
+                try:
+                    fixed = fix(cell)
+                except (ValueError, KeyError):
+                    faulty.add(i)  # left to parse, to report
+                    continue
+                if fixed != cell:
+                    cells[i * width + at] = fixed
+                    changed.add(i)
+        for i in changed:
+            lines[i] = "\t".join(cells[i * width:(i + 1) * width])
         pmcids = repeat("") if pmcid_at is None else cells[pmcid_at::width]
-        columns = zip(software, pmcids, cells[doi_at::width], lines)
+        columns = zip(cells[software_at::width], pmcids, cells[doi_at::width], lines)
         rows = list(map(tuple.__new__, repeat(CorpusRow), columns))
-        # Each column is checked whole at C speed; only a column that fails
-        # is checked cell by cell, to leave just its faulty lines to parse.
-        checks = [
-            (software, str.strip),
-            (cells[number_at::width], len),
-            (cells[label_at::width], labels.__contains__),
-        ]
-        if known is not None:
-            checks.append((software, known.__contains__))
-        for column, keep in checks:
-            if not all(map(keep, column)):
-                rows = [row if ok else None for row, ok in zip(rows, map(keep, column))]
-        for index, _ in integers:
-            column = cells[index::width]
-            if not _canonical(column):
-                rows = [row if ok else None for row, ok in zip(rows, map(_canonical_cell, column))]
+        for i in faulty:
+            rows[i] = None
         return rows
 
-    return iter_tsv(stream, header, parse, errors if lenient else None, parse_chunk)
+    return iter_tsv(stream, header, parse, skipped, parse_chunk)
 
 
 def _canonical(cells: list[str]) -> bool:
@@ -165,9 +130,53 @@ def _canonical(cells: list[str]) -> bool:
     return ("\t" + "\t".join(cells)).count("\t0") == cells.count("0")
 
 
-def _canonical_cell(cell: str) -> bool:
-    """_canonical for one cell, to find the cells of a column that fails it."""
-    return not cell or (cell.isascii() and cell.isdigit() and (cell[0] != "0" or cell == "0"))
+def _cell_rules(known: Container[str] | None) -> list[tuple[str, Callable, Callable]]:
+    """Each rule a corpus cell must pass, in the order a row's first fault is reported.
+
+    A rule is a column; a C-speed test that the whole column passes only
+    where the fix keeps each cell, so that only a column that fails is
+    fixed cell by cell; and the fix, which gives the cell as disambiguated.tsv
+    writes it or raises the row's ValueError (KeyError for an unknown mention).
+    """
+
+    def mention(cell: str) -> str:
+        if not cell.strip():
+            raise ValueError("empty software mention")
+        return cell
+
+    def integer(name: str, cell: str) -> str:
+        try:
+            return str(int(cell)) if cell else cell
+        except ValueError:
+            raise ValueError(f"{name} is not an integer: {cell!r}") from None
+
+    def number(cell: str) -> str:
+        if cell.startswith("-"):
+            raise ValueError(f"negative number field: {cell}")
+        return cell or "0"
+
+    def label(cell: str) -> str:
+        if cell and cell not in CURATION_LABELS:
+            raise ValueError(f"unknown curation_label: {cell!r}")
+        return cell or "not_curated"
+
+    def listed(cell: str) -> str:
+        if cell not in known:
+            raise KeyError(cell)
+        return cell
+
+    rules = [
+        ("software", lambda column: all(map(str.strip, column)), mention),
+        ("pubdate", _canonical, lambda cell: integer("pubdate", cell)),
+        ("number", _canonical, lambda cell: integer("number", cell)),
+        ("ID", _canonical, lambda cell: integer("id", cell)),
+        # After the ID rule: a row with a negative number and a bad ID reports the ID.
+        ("number", lambda column: all(column) and _canonical(column), number),
+        ("curation_label", frozenset(CURATION_LABELS).issuperset, label),
+    ]
+    if known is not None:
+        rules.append(("software", lambda column: all(map(known.__contains__, column)), listed))
+    return rules
 
 
 def assign_ids(mentions: Iterable[str]) -> tuple[dict[str, int], list[str]]:

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .clustering import Cluster
 from .errors import ExternalServiceError
-from .fileio import write_text, write_tsv
+from .fileio import read_json, write_text, write_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -239,12 +239,12 @@ Fetcher = Callable[[str], dict | None]
 class ApiSnapshot:
     """Per-name JSON documents, optionally backed by a live fetcher.
 
-    Live responses are written back into the snapshot directory, so a live
-    run leaves behind the snapshot an offline rerun will read. The directory
-    is listed once, at the first lookup; a document another process adds
-    later is not seen. A name whose snapshot file name would exceed the file
-    system's 255-byte limit can have no snapshot, so it is a miss both
-    offline and live.
+    Live responses, a miss as null, are written back into the snapshot
+    directory, so a live run leaves the snapshot an offline rerun reads and
+    a live rerun asks only for new names. The directory is listed once, at
+    the first lookup; a document another process adds later is not seen. A
+    name whose snapshot file name would exceed the file system's 255-byte
+    limit can have no snapshot, so it is a miss both offline and live.
     """
 
     source: LinkSource
@@ -262,19 +262,18 @@ class ApiSnapshot:
             except (FileNotFoundError, NotADirectoryError):
                 self._files = set()
         if file_name in self._files:
-            path = Path(self.directory) / file_name
             try:
-                raw = json.loads(path.read_text(encoding="utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as err:
+                raw = read_json(Path(self.directory) / file_name)
+            except ValueError as err:
                 raise ExternalServiceError(self.source.value, f"bad snapshot {file_name}: {err}")
         elif self.fetcher is not None:
             raw = self.fetcher(name)
-            if raw is not None:
-                write_text(
-                    Path(self.directory) / file_name,
-                    json.dumps(raw, ensure_ascii=False, sort_keys=True, indent=1),
-                )
-                self._files.add(file_name)
+            text = json.dumps(raw, ensure_ascii=False, sort_keys=True, indent=1)
+            try:
+                write_text(Path(self.directory) / file_name, text)
+            except UnicodeEncodeError as err:
+                raise ExternalServiceError(self.source.value, f"answer for {name!r}: {err}")
+            self._files.add(file_name)
         else:
             return None
         if raw is None:

@@ -246,7 +246,7 @@ def _record_from_fields(fields: dict[str, str]) -> MentionRecord:
     return MentionRecord(**fields)
 
 
-def parse_mentions_reference(stream, corpus_kind, lenient=False, errors=None, known=None):
+def parse_mentions_reference(stream, corpus_kind, skipped=None, known=None):
     """The corpus parser as a typed record per row: a dict keyed by attribute, then keywords.
 
     It shares the TSV row loop with the package; only the conversion of a
@@ -254,8 +254,6 @@ def parse_mentions_reference(stream, corpus_kind, lenient=False, errors=None, kn
     """
     header = CORPUS_FIELDS[corpus_kind]
     attrs = [name.lower() for name in header]
-    if lenient and errors is None:
-        errors = []
 
     def record(fields: list[str]) -> MentionRecord:
         rec = _record_from_fields(dict(zip(attrs, fields)))
@@ -263,7 +261,7 @@ def parse_mentions_reference(stream, corpus_kind, lenient=False, errors=None, kn
             raise KeyError(rec.software)
         return rec
 
-    return iter_tsv(stream, header, record, errors if lenient else None)
+    return iter_tsv(stream, header, record, skipped)
 
 
 def tsv_text_reference(header, rows) -> str:

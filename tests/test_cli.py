@@ -82,19 +82,27 @@ def test_stages_run_separately_match_run_all(fixture_copy):
         assert found[name] == data, name
 
 
-def test_run_all_over_crlf_corpus_writes_the_same_outputs(fixture_copy):
-    # CRLF line ends send every chunk of the corpus through the per-line
-    # parser; the LF corpus takes the bulk one.
+def _assert_run_all_outputs_hold_with_line_ends(fixture_copy, end: bytes):
     assert run_stage(fixture_copy, "run-all") == 0
     out = fixture_copy / "out"
     lf = output_files(out)
     shutil.rmtree(out)
     corpus = fixture_copy / "corpus.tsv"
-    corpus.write_bytes(corpus.read_bytes().replace(b"\n", b"\r\n"))
+    corpus.write_bytes(corpus.read_bytes().replace(b"\n", end))
     assert run_stage(fixture_copy, "run-all") == 0
-    crlf = output_files(out)
+    found = output_files(out)
     for name in ("disambiguated.tsv", "clusters.tsv", "synonyms.tsv", "metadata.tsv"):
-        assert crlf[name] == lf[name], name
+        assert found[name] == lf[name], name
+
+
+def test_run_all_over_crlf_corpus_writes_the_same_outputs(fixture_copy):
+    # The corpus parser takes CRLF chunks in bulk, with \n for each \r\n.
+    _assert_run_all_outputs_hold_with_line_ends(fixture_copy, b"\r\n")
+
+
+def test_run_all_over_cr_corpus_writes_the_same_outputs(fixture_copy):
+    # A lone \r line end sends each chunk of the corpus through the per-line parser.
+    _assert_run_all_outputs_hold_with_line_ends(fixture_copy, b"\r")
 
 
 def test_run_all_digests_each_input_once(fixture_copy, monkeypatch):
@@ -556,14 +564,15 @@ def test_truncated_gzip_corpus_names_file(fixture_copy, caplog, capsys):
     assert not (fixture_copy / "out" / "mention2id.tsv").exists()
 
 
-def _fresh_python(code: str) -> str:
-    """What ``code`` prints in a new interpreter that finds this package first."""
+def _fresh_python(code: str, cwd: Path | None = None) -> str:
+    """What ``code`` prints in a new interpreter, run in ``cwd``, that finds this package first."""
     package_root = str(Path(softmentions.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])
     ))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, encoding="utf-8", check=True
+        [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, encoding="utf-8",
+        check=True,
     )
     return proc.stdout.strip()
 
@@ -578,18 +587,25 @@ def test_cli_import_leaves_process_pool_and_http_client_unloaded():
     assert _fresh_python(code) == "[]"
 
 
-def test_cli_import_loads_the_standard_library_only():
+def test_package_imports_and_runs_on_the_standard_library_only(fixture_copy):
     # numpy and scipy are installed alongside, so an import of either would
-    # go unnoticed until the package ran where they are not.
+    # go unnoticed until the package ran where they are not. The baseline is
+    # taken in the new interpreter, since site may load third-party modules.
     code = (
-        "import sys; before = set(sys.modules); import softmentions.cli; "
+        "import sys; before = set(sys.modules); "
+        "import importlib, pkgutil, softmentions, softmentions.cli; "
+        "[importlib.import_module(module.name) for module in "
+        "pkgutil.iter_modules(softmentions.__path__, 'softmentions.')]; "
+        "status = softmentions.cli.main(['run-all', '--config', 'config.cfg']); "
         "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}; "
-        "print(sorted(loaded - set(sys.stdlib_module_names) - {'softmentions'}))"
+        "print(status, sorted(loaded - set(sys.stdlib_module_names) - {'softmentions'}))"
     )
-    assert _fresh_python(code) == "[]"
+    assert _fresh_python(code, fixture_copy) == "0 []"
 
 
-@pytest.mark.parametrize("content", ['{"limma": ', '{"limma": "Bioconductor"}', "[]"])
+@pytest.mark.parametrize(
+    "content", ['{"limma": ', '{"limma": "Bioconductor"}', "[]", '{"limma": {"Title": "\\ud800"}}']
+)
 def test_bad_registry_details_names_file(fixture_copy, caplog, capsys, content):
     details = fixture_copy / "details"
     details.mkdir()
@@ -613,6 +629,17 @@ def test_overlong_mentions_do_not_stop_linking(fixture_copy):
     metadata = (fixture_copy / "out" / "metadata.tsv").read_text(encoding="utf-8")
     linked = {line.split("\t")[1] for line in metadata.splitlines()[1:]}
     assert linked and not linked & set(long_names)
+
+
+def test_snapshot_string_utf8_cannot_encode_fails_only_its_lookup(fixture_copy, caplog):
+    snapshot = fixture_copy / "snapshots" / "kb" / "GraphPad.json"
+    doc = json.loads(snapshot.read_text(encoding="utf-8"))
+    doc["Description"] = "bad \ud800 text"
+    snapshot.write_text(json.dumps(doc), encoding="utf-8")  # json.dumps escapes the surrogate
+    assert run_stage(fixture_copy, "run-all") == 0
+    manifest = json.loads((fixture_copy / "out" / "manifest_link.json").read_text(encoding="utf-8"))
+    assert manifest["row_counts"]["soft_errors"] == 1
+    assert "bad snapshot GraphPad.json" in caplog.text
 
 
 def test_tab_in_snapshot_field_is_a_data_error(fixture_copy, caplog):
@@ -696,13 +723,16 @@ def test_online_link_paces_fetches_and_leaves_the_snapshot_an_offline_rerun_read
         assert {header for _, header in sent} == {f"Bearer {token}"}
         assert min(b - a for (a, _), (b, _) in zip(sent, sent[1:])) >= interval
     written = {path.stem: json.loads(path.read_text(encoding="utf-8")) for path in kb_dir.iterdir()}
-    assert written == canned
+    # Each 404 is written as null.
+    assert {name: doc for name, doc in written.items() if doc is not None} == canned
+    assert len(written) > len(canned)
     online = (fixture_copy / "out" / "metadata.tsv").read_bytes()
     assert b"\tKnowledgeBaseAPI\t" in online
     fetched = len(requests)
-    assert run_stage(fixture_copy, "link", "--offline", *kb) == 0
-    assert len(requests) == fetched
-    assert (fixture_copy / "out" / "metadata.tsv").read_bytes() == online
+    for mode in ("--offline", "--online"):
+        assert run_stage(fixture_copy, "link", mode, *kb) == 0
+        assert len(requests) == fetched, mode
+        assert (fixture_copy / "out" / "metadata.tsv").read_bytes() == online
 
 
 def test_link_sources_follow_configured_precedence(fixture_dir, monkeypatch):

@@ -141,20 +141,26 @@ def test_bad_cell_in_a_later_chunk_keeps_previous_file(tmp_path_factory, lineno,
 @pytest.mark.parametrize(
     "refused, offered, via_row",
     [
-        # Half of chunk 4-7 is refused, so chunk 8-11 rests; a quarter of 12-15 is not enough.
-        ({4, 5, 13}, [range(0, 4), range(4, 8), range(12, 16)], {4, 5, 8, 9, 10, 11, 13}),
-        # A carriage return keeps chunk 0-3 from bulk and rests chunk 4-7.
-        ({"crlf"}, [range(8, 12), range(12, 16)], set(range(8))),
+        # Line 1 ends in \r\n, so chunk 0-3 is offered with \n in its place.
+        ({4, 5, 13, "crlf"}, [range(0, 4), range(4, 8), range(8, 12), range(12, 16)], {4, 5, 13}),
+        # Line 5 ends in a lone \r, which keeps chunk 4-7 from bulk.
+        ({"cr"}, [range(0, 4), range(8, 12), range(12, 16)], set(range(4, 8))),
     ],
 )
 def test_iter_tsv_sends_only_refused_lines_through_row(monkeypatch, refused, offered, via_row):
     monkeypatch.setattr(fileio, "CHUNK_LINES", 4)
-    monkeypatch.setattr(fileio, "BULK_REST", 1)
-    ends = ["\r\n" if "crlf" in refused and i == 1 else "\n" for i in range(16)]
-    stream = io.StringIO("n\n" + "".join(f"{i}{end}" for i, end in enumerate(ends)))
+    ends = ["\n"] * 16
+    if "crlf" in refused:
+        ends[1] = "\r\n"
+    if "cr" in refused:
+        ends[5] = "\r"
+    # newline="" splits lines at a lone \r too, as open_text does.
+    text = "n\n" + "".join(f"{i}{end}" for i, end in enumerate(ends))
+    stream = io.StringIO(text, newline="")
     seen = []
 
     def bulk(text):
+        assert "\r" not in text
         numbers = [int(line) for line in text.split()]
         seen.append(numbers)
         return [None if n in refused else ("bulk", n) for n in numbers]

@@ -92,9 +92,7 @@ def test_wrong_column_count_is_a_row_error_with_line_number():
 def test_lenient_mode_skips_bad_rows_and_reports_them():
     bad = "\t".join(["comm"] * 12)
     errors = []
-    records = list(
-        parse_mentions(comm_tsv(bad, comm_row()), "comm", lenient=True, errors=errors)
-    )
+    records = list(parse_mentions(comm_tsv(bad, comm_row()), "comm", errors))
     assert len(records) == 1
     assert len(errors) == 1
     assert errors[0].line_number == 2
@@ -233,9 +231,7 @@ def _parse_outcome(parse, text, corpus_kind, lenient, known, convert=lambda row:
     """Every row (through ``convert``), every skipped row and the raised error."""
     rows, skipped, raised = [], [], None
     try:
-        for parsed in parse(
-            io.StringIO(text), corpus_kind, lenient=lenient, errors=skipped, known=known
-        ):
+        for parsed in parse(io.StringIO(text), corpus_kind, skipped if lenient else None, known):
             rows.append(convert(parsed))
     except SoftMentionsError as err:
         raised = (type(err).__name__, getattr(err, "line_number", None), str(err))
@@ -316,19 +312,18 @@ def _changed_line(cells: dict[str, str], change: tuple) -> str:
     return "\t".join(values) + ("\r" if kind == "crlf" else "")
 
 
-def _chunked_outcomes(text, corpus_kind, chunk_lines, lenient, known, rest=0):
+def _chunked_outcomes(text, corpus_kind, chunk_lines, lenient, known):
     """parse_mentions' outcome over ``chunk_lines``-line chunks, and the reference's.
 
-    ``rest`` stands for fileio.BULK_REST. The reference reads the whole text
-    as one chunk, line by line, so the line numbers it gives owe nothing to
-    where chunks start.
+    The reference reads the whole text as one chunk, line by line, so the
+    line numbers it gives owe nothing to where chunks start.
     """
     assert text.count("\n") < fileio.CHUNK_LINES
     want = _parse_outcome(
         parse_mentions_reference, text, corpus_kind, lenient, known,
         lambda rec: corpus_row_reference(rec, corpus_kind),
     )
-    with mock.patch.multiple(fileio, CHUNK_LINES=chunk_lines, BULK_REST=rest):
+    with mock.patch.object(fileio, "CHUNK_LINES", chunk_lines):
         got = _parse_outcome(parse_mentions, text, corpus_kind, lenient, known)
     return got, want
 
@@ -366,7 +361,6 @@ def _chunked_corpus(draw, corpus_kind, chunk_lines):
     ),
     st.booleans(),
     st.sampled_from([None, frozenset(_canonical_software), frozenset(["SPSS"])]),
-    st.sampled_from([0, 1, 15]),
 )
 # Line 2 lacks its last cell and line 3 has one too many, so the chunk has
 # as many tabs as two good lines and every column check passes on it.
@@ -378,11 +372,10 @@ def _chunked_corpus(draw, corpus_kind, chunk_lines):
     ).getvalue())),
     False,
     None,
-    0,
 )
-def test_parse_mentions_over_several_chunks_matches_reference_parser(drawn, lenient, known, rest):
+def test_parse_mentions_over_several_chunks_matches_reference_parser(drawn, lenient, known):
     chunk_lines, (corpus_kind, text) = drawn
-    got, want = _chunked_outcomes(text, corpus_kind, chunk_lines, lenient, known, rest)
+    got, want = _chunked_outcomes(text, corpus_kind, chunk_lines, lenient, known)
     assert got == want
 
 
@@ -404,13 +397,15 @@ def test_each_line_change_at_a_chunk_edge_matches_reference_parser(corpus_kind):
 
 
 def test_bulk_path_leaves_only_changed_lines_to_parse(monkeypatch):
-    # Three chunks of four rows; lines 7 and 9 hold a cell parse rewrites and
-    # line 11 is blank. The bulk converter vouches for every other line.
+    # Three chunks of four rows; lines 7 and 9 hold a cell parse rewrites,
+    # which the bulk converter rewrites too, line 8 has a fault and line 11
+    # is blank. The bulk converter vouches for every line but the last two.
     def row(**cells):
         return comm_row(**{"curation_label": "software", **cells})
 
     lines = [row(software=f"tool {i}", number=str(i)) for i in range(12)]
     lines[7 - 2] = row(number="007")
+    lines[8 - 2] = row(number="-8")
     lines[9 - 2] = row(curation_label="")
     lines[11 - 2] = ""
     text = comm_tsv(*lines).getvalue()
@@ -426,14 +421,14 @@ def test_bulk_path_leaves_only_changed_lines_to_parse(monkeypatch):
 
     monkeypatch.setattr(ingest, "iter_tsv", recording_iter_tsv)
     monkeypatch.setattr(fileio, "CHUNK_LINES", 4)
-    monkeypatch.setattr(fileio, "BULK_REST", 0)
-    got = _parse_outcome(parse_mentions, text, "comm", False, None)
+    got = _parse_outcome(parse_mentions, text, "comm", True, None)
     want = _parse_outcome(
-        parse_mentions_reference, text, "comm", False, None,
+        parse_mentions_reference, text, "comm", True, None,
         lambda rec: corpus_row_reference(rec, "comm"),
     )
     assert got == want
-    assert verdicts == [[True] * 4, [True, False, True, False], [True, False, True, True]]
+    assert got[1] == [(8, "line 8: negative number field: -8")]
+    assert verdicts == [[True] * 4, [True, True, False, True], [True, False, True, True]]
 
 
 # Cells an integer column may hold: ASCII and other digits, signs, "_",
@@ -448,12 +443,18 @@ _integer_cells = st.one_of(
 )
 
 
-@given(st.lists(_integer_cells, max_size=8))
-def test_canonical_column_check_agrees_with_its_cells_and_with_int(cells):
-    assert ingest._canonical(cells) == all(map(ingest._canonical_cell, cells))
-    for cell in filter(ingest._canonical_cell, cells):
-        # Not the converse: "-1" is refused, so that parse can reject a negative number.
-        assert not cell or (str(int(cell)) == cell and cell[0] not in "+-")
+_rule_cells = st.one_of(
+    _integer_cells,
+    st.sampled_from(["", " ", "SPSS", "ImageJ", "maybe", "Software", *CURATION_LABELS]),
+    st.text(max_size=4),
+)
+
+
+@given(st.lists(_rule_cells, max_size=8))
+def test_each_cell_rule_keeps_every_cell_of_a_column_its_test_passes(cells):
+    for column, keeps, fix in ingest._cell_rules(frozenset({"SPSS", "0"})):
+        if keeps(cells):
+            assert [fix(cell) for cell in cells] == cells, column
 
 
 @st.composite
@@ -511,7 +512,7 @@ def test_carriage_return_inside_a_line_is_a_row_error():
         list(parse_mentions(comm_tsv(comm_row(), bad), "comm"))
     errors = []
     stream = comm_tsv(comm_row(), bad, comm_row(software="BLAST"))
-    parsed = parse_mentions(stream, "comm", lenient=True, errors=errors)
+    parsed = parse_mentions(stream, "comm", errors)
     assert [row.software for row in parsed] == ["SPSS", "BLAST"]
     assert [err.line_number for err in errors] == [3]
 
@@ -520,7 +521,8 @@ def test_carriage_return_inside_a_line_is_a_row_error():
 def test_parse_mentions_rejects_a_mention_missing_from_known(lenient):
     rows = [make_record("BLAST", pmcid="1"), make_record("BrandNewTool", pmcid="2")]
     text = "\n".join([MAIN_HEADER, *(row.line for row in rows)]) + "\n"
-    parsed = parse_mentions(io.StringIO(text), "comm", lenient=lenient, known={"BLAST"})
+    skipped = [] if lenient else None
+    parsed = parse_mentions(io.StringIO(text), "comm", skipped, known={"BLAST"})
     with pytest.raises(ConsistencyError, match="line 3: unknown mention 'BrandNewTool'"):
         list(parsed)
 
@@ -652,6 +654,6 @@ def test_row_error_read_before_a_decoding_error_is_raised_first(tmp_path, name):
     assert str(err.value) == f"{path}: line 260: pubdate is not an integer: '20x1'"
     errors = []
     with open_text(path) as fh, pytest.raises(RowError) as err:
-        list(parse_mentions(fh, "comm", lenient=True, errors=errors))
+        list(parse_mentions(fh, "comm", errors))
     assert str(err.value) == f"{path}: line 500: not valid UTF-8"
     assert [e.line_number for e in errors] == [260]

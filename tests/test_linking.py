@@ -104,6 +104,8 @@ def test_api_snapshot_live_fetch_writes_through(tmp_path):
 
     def fetcher(name):
         calls.append(name)
+        if name == "absent":
+            return None
         return {"software_name": name, "Resource ID": "SCR_1", "Resource ID Link": "u"}
 
     snap = ApiSnapshot(
@@ -115,6 +117,22 @@ def test_api_snapshot_live_fetch_writes_through(tmp_path):
     assert snap.lookup("Fiji")["Resource ID"] == "SCR_1"
     assert calls == ["Fiji"]
     assert (tmp_path / "kb" / "Fiji.json").exists()
+    # A miss is written as null: neither a live nor an offline rerun asks again.
+    assert snap.lookup("absent") is None
+    assert snap.lookup("absent") is None
+    assert calls == ["Fiji", "absent"]
+    assert (tmp_path / "kb" / "absent.json").read_text(encoding="utf-8") == "null"
+    offline = ApiSnapshot(source=LinkSource.KNOWLEDGE_BASE, directory=tmp_path / "kb")
+    assert offline.lookup("absent") is None
+
+
+def test_api_snapshot_live_answer_utf8_cannot_encode_is_a_soft_error(tmp_path):
+    answer = {"software_name": "Fiji", "Description": "bad \ud800 text", "Resource ID Link": "u"}
+    snap = ApiSnapshot(LinkSource.KNOWLEDGE_BASE, tmp_path / "kb", fetcher=lambda name: answer)
+    soft = []
+    assert exact_match_lookup("Fiji", {LinkSource.KNOWLEDGE_BASE: snap}, soft_errors=soft) == []
+    assert len(soft) == 1 and "answer for 'Fiji'" in soft[0]
+    assert list((tmp_path / "kb").iterdir()) == []
 
 
 def test_api_snapshot_overlong_name_is_a_miss(tmp_path):
@@ -161,7 +179,10 @@ def test_api_snapshot_missing_directory_is_all_misses(tmp_path):
     assert not (tmp_path / "absent").exists()
 
 
-@pytest.mark.parametrize("content", [b'{"Resource ID Link": ', b'{"Resource ID Link": "caf\xe9"}'])
+@pytest.mark.parametrize(
+    "content",
+    [b'{"Resource ID Link": ', b'{"Resource ID Link": "caf\xe9"}', b'{"Description": "\\ud800"}'],
+)
 def test_api_snapshot_unreadable_document_is_a_soft_error(tmp_path, content):
     (tmp_path / "GraphPad.json").write_bytes(content)
     snap = ApiSnapshot(source=LinkSource.KNOWLEDGE_BASE, directory=tmp_path)

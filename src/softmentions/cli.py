@@ -363,7 +363,7 @@ def stage_link(cfg: PipelineConfig, run: Products | None = None) -> None:
         mentions, sources, soft_errors=soft_errors, collect_raw=collected
     )
     propagated = linking.propagate_links(clusters, mentions, links)
-    rows = [linking.metadata_row(propagated[mention_id]) for mention_id in sorted(propagated)]
+    rows = linking.metadata_rows(clusters, mentions, links)
     linking.write_metadata_tsv(out / METADATA, rows)
     linking.write_normalized_csvs(out / "normalized", rows)
     linking.write_raw_csvs(out / "raw", collected)

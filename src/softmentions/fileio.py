@@ -241,7 +241,8 @@ def write_tsv(path: str | os.PathLike[str], header: Sequence[str], rows: Iterabl
 
 def read_json(path: str | os.PathLike[str]):
     """A UTF-8 file's JSON; ValueError if it is not, or if UTF-8 cannot encode a string in it."""
-    text = Path(path).read_text(encoding="utf-8")
+    with open(path, "rb", buffering=0) as fh:
+        text = fh.read().decode("utf-8")
     document = json.loads(text)
     if "\\u" in text:  # only a \u escape can give a string a lone surrogate
         json.dumps(document, ensure_ascii=False).encode("utf-8")

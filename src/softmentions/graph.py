@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError
@@ -103,17 +103,26 @@ def build_matrix(
     return SimilarityGraph(mentions=mentions, entries=entries)
 
 
+class _StripTable(dict):
+    """strip_for_comparison's str.translate table, each code point filled in when first met.
+
+    None drops a digit, punctuation or a copyright mark; any other code
+    point maps to itself.
+    """
+
+    def __missing__(self, code: int) -> int | None:
+        ch = chr(code)
+        dropped = ch.isdigit() or unicodedata.category(ch).startswith("P") or ch in COPYRIGHT_MARKS
+        self[code] = kept = None if dropped else code
+        return kept
+
+
+_STRIP_TABLE = _StripTable()
+
+
 def strip_for_comparison(text: str) -> str:
     """Drop digits, punctuation and copyright marks."""
-    return "".join(
-        ch
-        for ch in text
-        if not (
-            ch.isdigit()
-            or unicodedata.category(ch).startswith("P")
-            or ch in COPYRIGHT_MARKS
-        )
-    )
+    return text.translate(_STRIP_TABLE)
 
 
 def post_process(
@@ -126,14 +135,13 @@ def post_process(
     touching a stoplisted mention are removed.
     """
     stoplist = frozenset(stoplist)
-    strip = cache(lambda i: strip_for_comparison(graph.mentions[i]))
     entries: dict[tuple[int, int], tuple[float, SynonymSource]] = {}
     for (i, j), (value, source) in graph.entries.items():
         a, b = graph.mentions[i], graph.mentions[j]
         if a in stoplist or b in stoplist:
             continue
         if value < 1.0 and (
-            strip(i) == strip(j)
+            strip_for_comparison(a) == strip_for_comparison(b)
             or len(a.split()) > 1 and len(b.split()) > 1 and a.lower() == b.lower()
         ):
             entries[(i, j)] = (1.0, SynonymSource.POST_PROCESS)

@@ -20,9 +20,10 @@ import logging
 import os
 import time
 import urllib.parse
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -168,6 +169,22 @@ def _append_values(bucket: list[str], value) -> None:
             bucket.append(text)
 
 
+# Each field's merge rule, told by its default as LinkedMetadata describes.
+_LIST, _FLAG, _FIRST = range(3)
+_FIELD_KINDS = {
+    f.name: _LIST if f.default_factory is list else _FLAG if type(f.default) is bool else _FIRST
+    for f in fields(LinkedMetadata)
+}
+# SCHEMA with each target paired with its field's kind; None rules become ().
+_MERGE_PLANS = {
+    source: {
+        raw_field: tuple((target, _FIELD_KINDS[target]) for target in targets or ())
+        for raw_field, targets in rules.items()
+    }
+    for source, rules in SCHEMA.items()
+}
+
+
 def normalize_metadata(
     raw: Mapping[str, object],
     source: LinkSource,
@@ -179,28 +196,38 @@ def normalize_metadata(
     Raw fields without a SCHEMA rule are dropped with a warning. Empty raw
     values never populate normalized fields.
     """
-    rules = SCHEMA[source]
+    plan = _MERGE_PLANS[source]
     meta = LinkedMetadata(
         id=mention_id,
         software_mention=software_mention,
         source=source.value,
         platform=[source.value],
     )
+    values = vars(meta)
     for raw_field in sorted(raw):
         value = raw[raw_field]
-        if value is None or (isinstance(value, str) and not value.strip()):
+        if isinstance(value, str):
+            value = value.strip()  # as each merge below would
+            if not value:
+                continue
+        elif value is None:
             continue
-        if raw_field not in rules:
+        targets = plan.get(raw_field)
+        if targets is None:
             logger.warning("%s: unmapped raw field %r dropped", source.value, raw_field)
             continue
-        for target in rules[raw_field] or ():
-            current = getattr(meta, target)
-            if isinstance(current, list):
-                _append_values(current, value)
-            elif isinstance(current, bool):
-                setattr(meta, target, _as_bool(value))
-            elif not current:
-                setattr(meta, target, str(value).strip())
+        for target, kind in targets:
+            if kind == _LIST:
+                bucket = values[target]
+                if type(value) is str:
+                    if value not in bucket:
+                        bucket.append(value)
+                else:
+                    _append_values(bucket, value)
+            elif kind == _FLAG:
+                values[target] = _as_bool(value)
+            elif not values[target]:
+                values[target] = str(value).strip()
     return meta
 
 
@@ -208,8 +235,9 @@ def normalize_metadata(
 def _quote(name: str) -> str:
     """The name URL-quoted as one path segment.
 
-    Every configured source looks a name up before the next name comes, so
-    remembering the last name quotes each name once.
+    A name is quoted by each package index that has it and by a live
+    snapshot fetch, all before the next name comes, so remembering the last
+    name quotes each name once.
     """
     return urllib.parse.quote(name, safe="")
 
@@ -239,43 +267,61 @@ Fetcher = Callable[[str], dict | None]
 class ApiSnapshot:
     """Per-name JSON documents, optionally backed by a live fetcher.
 
-    Live responses, a miss as null, are written back into the snapshot
-    directory, so a live run leaves the snapshot an offline rerun reads and
-    a live rerun asks only for new names. The directory is listed once, at
-    the first lookup; a document another process adds later is not seen. A
-    name whose snapshot file name would exceed the file system's 255-byte
-    limit can have no snapshot, so it is a miss both offline and live.
+    A name's document is its URL-quoted name plus ``.json``. The directory
+    is listed once, when first needed, into a map from each name to its
+    document: an entry counts only if unquoting it and quoting the result
+    gives the entry back, so ``%2f.json``, ``a b.json`` and ``x.JSON`` answer
+    for no name, and on a case-insensitive file system ``spss.json`` does not
+    answer for ``SPSS``. A document another process adds later is not seen.
+    Offline, a name the map lacks is a miss without being quoted.
+
+    Live, such a name is fetched and the response, a miss as null, is
+    written into the directory and added to the map, so a live run leaves
+    the snapshot an offline rerun reads and a live rerun asks only for new
+    names. A name whose document name would exceed the file system's
+    255-byte limit can have no snapshot, so it is a miss both offline and live.
     """
 
     source: LinkSource
     directory: Path
     fetcher: Fetcher | None = None
-    _files: set[str] | None = field(default=None, init=False, repr=False)
+
+    @cached_property
+    def documents(self) -> dict[str, str]:
+        """Each name that has a document in the directory, mapped to the document's file name."""
+        try:
+            entries = os.listdir(self.directory)
+        except (FileNotFoundError, NotADirectoryError):
+            return {}
+        documents = {}
+        for entry in entries:
+            # A quoted name is ASCII, so no other entry can be one.
+            if entry.endswith(".json") and entry.isascii():
+                name = urllib.parse.unquote(entry[:-5])
+                if _quote(name) == entry[:-5]:
+                    documents[name] = entry
+        return documents
 
     def lookup(self, name: str) -> dict | None:
-        file_name = _quote(name) + ".json"
-        if len(file_name) > 255:
-            return None
-        if self._files is None:
+        file_name = self.documents.get(name)
+        if file_name is not None:
             try:
-                self._files = set(os.listdir(self.directory))
-            except (FileNotFoundError, NotADirectoryError):
-                self._files = set()
-        if file_name in self._files:
-            try:
-                raw = read_json(Path(self.directory) / file_name)
+                raw = read_json(os.path.join(self.directory, file_name))
             except ValueError as err:
                 raise ExternalServiceError(self.source.value, f"bad snapshot {file_name}: {err}")
-        elif self.fetcher is not None:
+        elif self.fetcher is None:
+            return None
+        else:
+            file_name = _quote(name) + ".json"
+            if len(file_name) > 255:
+                return None
             raw = self.fetcher(name)
             text = json.dumps(raw, ensure_ascii=False, sort_keys=True, indent=1)
             try:
                 write_text(Path(self.directory) / file_name, text)
             except UnicodeEncodeError as err:
                 raise ExternalServiceError(self.source.value, f"answer for {name!r}: {err}")
-            self._files.add(file_name)
-        else:
-            return None
+            self.documents[name] = file_name
         if raw is None:
             return None
         if not isinstance(raw, dict):
@@ -317,6 +363,19 @@ def exact_match_lookup(
     return candidates
 
 
+def _answerable(sources: Backends) -> set[str] | None:
+    """Every name some source can answer; None, any name, when some source fetches live."""
+    names: set[str] = set()
+    for backend in sources.values():
+        if isinstance(backend, RegistrySnapshot):
+            names.update(backend.names)
+        elif backend.fetcher is None:
+            names.update(backend.documents)
+        else:
+            return None
+    return names
+
+
 def link_mentions(
     mentions: Sequence[str],
     sources: Backends,
@@ -328,9 +387,16 @@ def link_mentions(
     Mention i has ID i, and the result maps IDs to records. mapped_to
     aggregates the names reported by every matching source, so
     lower-precedence hits stay visible in the final record.
+
+    Names are looked up in ID order, each in every source before the next
+    name, so live requests to different services interleave. Offline, a
+    name that no source lists is not looked up at all.
     """
+    answerable = _answerable(sources)
     linked: dict[int, LinkedMetadata] = {}
     for mention_id, name in enumerate(mentions):
+        if answerable is not None and name not in answerable:
+            continue
         candidates = exact_match_lookup(name, sources, soft_errors=soft_errors)
         if collect_raw is not None:
             for source, raw in candidates:
@@ -349,6 +415,18 @@ def link_mentions(
     return linked
 
 
+def _inherited_links(
+    clusters: Iterable[Cluster], links: Mapping[int, LinkedMetadata]
+) -> dict[int, int]:
+    """Each member of a cluster whose name has a link, mapped to the name's ID."""
+    return {
+        member: cluster.name_id
+        for cluster in clusters
+        if cluster.name_id in links
+        for member in cluster.members
+    }
+
+
 def propagate_links(
     clusters: Iterable[Cluster],
     mentions: Sequence[str],
@@ -362,12 +440,10 @@ def propagate_links(
     Inherited records share their lists with the name's record.
     """
     propagated = dict(links)
-    for cluster in clusters:
-        name_link = links.get(cluster.name_id)
-        if name_link is None:
-            continue
-        for member in cluster.members:
-            propagated[member] = replace(name_link, id=member, software_mention=mentions[member])
+    for member, name_id in _inherited_links(clusters, links).items():
+        propagated[member] = LinkedMetadata(
+            **{**vars(links[name_id]), "id": member, "software_mention": mentions[member]}
+        )
     return propagated
 
 
@@ -396,12 +472,19 @@ _SOURCE_COLUMN = MASTER_HEADER.index("source")
 _metadata_values = attrgetter(*(f.name for f in fields(LinkedMetadata)))
 
 
+_encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _csv_cell(value) -> str:
+    """The value as a CSV or TSV cell: lists as json.dumps(value, ensure_ascii=False)."""
     if value is None:
         return ""
     if isinstance(value, (list, tuple)):
-        # Most list fields are empty; json.dumps([]) is "[]".
-        return json.dumps(list(value), ensure_ascii=False) if value else "[]"
+        try:
+            # The encoder's own output for a list of strings, without its per-call set-up.
+            return f"[{', '.join(map(encode_basestring, value))}]"
+        except TypeError:  # an item that is not a string
+            return _encode_json(value)
     return str(value)
 
 
@@ -409,7 +492,25 @@ def metadata_row(meta: LinkedMetadata) -> list[str]:
     """The record's fields in schema order, lists as JSON arrays."""
     if not meta.package_url:
         raise ValueError(f"record for mention {meta.id} has no package_url")
-    return [_csv_cell(value) for value in _metadata_values(meta)]
+    # Most list fields are empty.
+    return ["[]" if value == [] else _csv_cell(value) for value in _metadata_values(meta)]
+
+
+def metadata_rows(
+    clusters: Iterable[Cluster],
+    mentions: Sequence[str],
+    links: Mapping[int, LinkedMetadata],
+) -> list[list[str]]:
+    """The metadata_row of every propagate_links record, in mention ID order.
+
+    Each record of ``links`` is formatted once: a member that inherits its
+    cluster name's link takes the name's row with its own ID and mention.
+    """
+    formatted = {mention_id: metadata_row(meta) for mention_id, meta in links.items()}
+    rows = dict(formatted)
+    for member, name_id in _inherited_links(clusters, links).items():
+        rows[member] = [str(member), mentions[member], *formatted[name_id][2:]]
+    return [rows[mention_id] for mention_id in sorted(rows)]
 
 
 def write_metadata_tsv(path, rows: Sequence[Sequence[str]]) -> None:

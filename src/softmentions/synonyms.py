@@ -445,13 +445,22 @@ _PAIR_SOURCES = {s.value: s for s in SynonymSource if s is not SynonymSource.POS
 
 
 def read_synonyms_tsv(path, mentions: Sequence[str]) -> list[SynonymPair]:
-    """The pairs of synonyms.tsv; both IDs of each must index ``mentions``."""
+    """The pairs of synonyms.tsv; both IDs of each must index ``mentions``.
+
+    Each row's software_mention and synonym must be the mentions of its ID
+    and synonym_ID.
+    """
 
     def row(fields: list[str]) -> SynonymPair:
         a, b = int(fields[0]), int(fields[1])
         for mention_id in (a, b):
             if not 0 <= mention_id < len(mentions):
                 raise KeyError(mention_id)
+        if fields[2] != mentions[a] or fields[3] != mentions[b]:
+            column, mention_id = (2, a) if fields[2] != mentions[a] else (3, b)
+            text, want = fields[column], mentions[mention_id]
+            name = SYNONYMS_HEADER[column]
+            raise ValueError(f"{name} {text!r} is not mention {mention_id}, {want!r}")
         confidence, source = float(fields[4]), _PAIR_SOURCES.get(fields[5])
         if source is None:
             raise ValueError(f"synonym_source {fields[5]!r} is not one of {sorted(_PAIR_SOURCES)}")

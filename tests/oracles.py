@@ -7,12 +7,19 @@ the package under test.
 from __future__ import annotations
 
 import itertools
+import json
+import os
 import re
+import unicodedata
+import urllib.parse
 from collections import Counter
+from pathlib import Path
 from typing import NamedTuple
 
+from softmentions.errors import ExternalServiceError
 from softmentions.fileio import iter_tsv
 from softmentions.ingest import CORPUS_FIELDS, CURATION_LABELS, CorpusRow
+from softmentions.linking import SCHEMA, ApiSnapshot, LinkedMetadata, LinkSource
 
 
 def jaro_reference(a: str, b: str) -> float:
@@ -307,3 +314,103 @@ def disambiguated_tsv_reference(records, corpus_kind, id_table, clusters) -> str
         else:
             row += [cluster.name, str(cluster.name_id)]
     return tsv_text_reference((*header, "mapped_to_software", "mapped_to_software_ID"), rows)
+
+
+def strip_reference(text: str) -> str:
+    """The text without its digits, its punctuation (categories P*) and the marks (c), (r), TM."""
+    kept = []
+    for ch in text:
+        if ch.isdigit() or unicodedata.category(ch)[0] == "P" or ch in "\u00a9\u00ae\u2122":
+            continue
+        kept.append(ch)
+    return "".join(kept)
+
+
+def normalize_reference(raw, source, mention_id, software_mention) -> LinkedMetadata:
+    """A raw record in the schema, merging by the type each field holds when the value comes.
+
+    Raw fields are taken in sorted order; an empty value is skipped, a field
+    without a SCHEMA rule is dropped.
+    """
+    meta = LinkedMetadata(
+        id=mention_id, software_mention=software_mention,
+        source=source.value, platform=[source.value],
+    )
+    for raw_field in sorted(raw):
+        value = raw[raw_field]
+        if value is None or (isinstance(value, str) and value.strip() == ""):
+            continue
+        for target in SCHEMA[source].get(raw_field) or ():
+            current = getattr(meta, target)
+            if isinstance(current, list):
+                for item in value if isinstance(value, (list, tuple)) else [value]:
+                    text = str(item).strip()
+                    if text and text not in current:
+                        current.append(text)
+            elif isinstance(current, bool):
+                setattr(meta, target, str(value).strip().lower() in ("true", "1", "yes"))
+            elif not current:
+                setattr(meta, target, str(value).strip())
+    return meta
+
+
+def _snapshot_lookup_reference(snapshot: ApiSnapshot, listing: set[str], name: str):
+    """An offline snapshot lookup: quote the name and look for that file in the listing."""
+    file_name = urllib.parse.quote(name, safe="") + ".json"
+    if len(file_name) > 255 or file_name not in listing:
+        return None
+    try:
+        text = (Path(snapshot.directory) / file_name).read_text(encoding="utf-8")
+        raw = json.loads(text)
+        json.dumps(raw, ensure_ascii=False).encode("utf-8")
+    except ValueError as err:
+        raise ExternalServiceError(snapshot.source.value, f"bad snapshot {file_name}: {err}")
+    if raw is None:
+        return None
+    if not isinstance(raw, dict):
+        raise ExternalServiceError(snapshot.source.value, f"malformed record for {name!r}")
+    if snapshot.source is LinkSource.CODE_HOST:
+        if str(raw.get("best_github_match", "")).lower() != name.lower():
+            return None
+    return raw
+
+
+def link_mentions_reference(mentions, sources, soft_errors, collect_raw):
+    """Offline linking that asks every source about every mention.
+
+    A package index is asked through its own lookup; a snapshot directory
+    is listed once and each name quoted and looked for in the listing. The
+    first record with a package URL wins and takes every other record's
+    mapped_to names.
+    """
+    listings = {}
+    for source, backend in sources.items():
+        if isinstance(backend, ApiSnapshot):
+            directory = backend.directory
+            listings[source] = set(os.listdir(directory)) if os.path.isdir(directory) else set()
+    linked = {}
+    for mention_id, name in enumerate(mentions):
+        records = []
+        for source, backend in sources.items():
+            try:
+                if source in listings:
+                    raw = _snapshot_lookup_reference(backend, listings[source], name)
+                else:
+                    raw = backend.lookup(name)
+            except ExternalServiceError as err:
+                soft_errors.append(str(err))
+                continue
+            if raw is not None:
+                collect_raw.setdefault(source, []).append(dict(raw))
+                records.append(normalize_reference(raw, source, mention_id, name))
+        with_url = [meta for meta in records if meta.package_url]
+        if not with_url:
+            continue
+        chosen = with_url[0]
+        for other in records:
+            if other is not chosen:
+                for text in other.mapped_to:
+                    if text not in chosen.mapped_to:
+                        chosen.mapped_to.append(text)
+        linked[mention_id] = chosen
+    return linked

@@ -391,6 +391,10 @@ CORRUPT_ARTIFACTS = {
     "clusters_unknown_name_id": ("clusters.tsv", "link", 2, lambda f: [f[0], "9999", *f[2:]]),
     "clusters_short_row": ("clusters.tsv", "link", None, lambda f: ["0"]),
     "unknown_synonym_id": ("synonyms.tsv", "cluster", 2, lambda f: [f[0], "9999", *f[2:]]),
+    "synonym_mention_not_its_id": (
+        "synonyms.tsv", "cluster", 2, lambda f: [*f[:2], "TOTALLY_OTHER", *f[3:]]
+    ),
+    "synonym_not_its_id": ("synonyms.tsv", "cluster", 2, lambda f: [*f[:3], "NAME", *f[4:]]),
     # Lone surrogates are written as the raw bytes they escape.
     "non_utf8_mention": ("mention2id.tsv", "synonyms", None, lambda f: ["caf\udce9", "9999"]),
     "non_utf8_synonym": ("synonyms.tsv", "cluster", 3, lambda f: f[:3] + ["\udcff", *f[4:]]),

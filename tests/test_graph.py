@@ -15,7 +15,7 @@ from softmentions.graph import (
 )
 from softmentions.synonyms import SynonymPair, SynonymSource
 
-from oracles import bfs_components
+from oracles import bfs_components, strip_reference
 
 KB = SynonymSource.KNOWLEDGE_BASE
 KW = SynonymSource.KEYWORD_INDEX
@@ -71,6 +71,28 @@ def test_strip_for_comparison():
     assert strip_for_comparison("Scikit-Learn®") == "ScikitLearn"
     assert strip_for_comparison("Image J©") == "Image J"
     assert strip_for_comparison("GraphPad.PRISM®") == "GraphPadPRISM"
+
+
+@given(st.text())
+def test_strip_for_comparison_matches_reference(text):
+    assert strip_for_comparison(text) == strip_reference(text)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("\u0663", ""),  # ARABIC-INDIC DIGIT THREE, isdigit
+        ("\u00b2", ""),  # SUPERSCRIPT TWO, isdigit
+        ("_", ""),  # Pc
+        ("\u2010", ""),  # HYPHEN, Pd
+        ("\u00ab", ""),  # LEFT-POINTING DOUBLE ANGLE QUOTATION MARK, Pi
+        ("\u00a9\u00ae\u2122", ""),
+        ("\u2117", "\u2117"),  # SOUND RECORDING COPYRIGHT, So: kept
+        ("a\u0663b\u00b2_c\u2010d\u00abe\u00a9f\u2122\u2117", "abcdef\u2117"),
+    ],
+)
+def test_strip_for_comparison_edge_characters(text, expected):
+    assert strip_for_comparison(text) == expected == strip_reference(text)
 
 
 def test_post_process_promotes_stripped_equal():

@@ -2,10 +2,15 @@ import http.client
 import io
 import json
 import logging
+import os
 import socket
+import tempfile
+import urllib.parse
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from softmentions.clustering import Cluster
 from softmentions.errors import ExternalServiceError
@@ -22,6 +27,7 @@ from softmentions.linking import (
     link_mentions,
     link_report,
     metadata_row,
+    metadata_rows,
     normalize_metadata,
     propagate_links,
     source_shares,
@@ -31,6 +37,7 @@ from softmentions.linking import (
 )
 
 from conftest import DATA_DIR
+from oracles import link_mentions_reference, normalize_reference
 
 
 def py_registry(*names):
@@ -224,6 +231,32 @@ def test_normalize_metadata_golden_set(caplog):
         assert dropped == case.get("dropped", [])
 
 
+# Few distinct values, so that two raw fields often merge the same one into a list.
+raw_values = st.one_of(
+    st.none(),
+    st.sampled_from(["", "  ", "x", " x ", "y", "True", "no", "1"]),
+    st.integers(-1, 1),
+    st.booleans(),
+    st.lists(st.sampled_from(["x", " x", "z", "", 7]), max_size=3),
+)
+
+
+raw_records = st.sampled_from(list(LinkSource)).flatmap(
+    lambda source: st.tuples(
+        st.just(source),
+        st.dictionaries(st.sampled_from([*sorted(SCHEMA[source]), "unknown"]), raw_values),
+    )
+)
+
+
+@given(raw_records)
+@example((LinkSource.KNOWLEDGE_BASE, {"Alternate URLs": ["x", "z"], "Old URLs": " x "}))
+def test_normalize_metadata_matches_the_per_field_type_reference(record):
+    source, raw = record
+    got = normalize_metadata(raw, source, mention_id=3, software_mention="m")
+    assert got == normalize_reference(raw, source, 3, "m")
+
+
 def test_linked_metadata_fields_are_the_master_header():
     assert MASTER_HEADER == (
         "ID", "software_mention", "mapped_to", "source", "platform", "package_url",
@@ -303,6 +336,27 @@ def test_propagate_links_fallback_to_own_link_when_name_unlinked():
     propagated = propagate_links(clusters, mentions, links)
     assert id_table["alpha"] not in propagated
     assert propagated[id_table["beta"]].package_url.endswith("beta")
+
+
+def test_metadata_rows_are_the_rows_of_the_propagated_records():
+    clusters, id_table, mentions = _one_cluster(
+        ["scikit-learn", "sklearn", "sk", "selflink"], ["scikit-learn", "sklearn", "sk"], "sklearn"
+    )
+    links = {
+        mention_id: LinkedMetadata(
+            id=mention_id, software_mention=mention, source="PkgIndexPy",
+            package_url=f"https://pypi.org/project/{mention}", mapped_to=[mention, "\u00e9\"x"],
+        )
+        for mention, mention_id in id_table.items()
+        if mention != "sk"
+    }
+    propagated = propagate_links(clusters, mentions, links)
+    expected = [metadata_row(propagated[mention_id]) for mention_id in sorted(propagated)]
+    assert metadata_rows(clusters, mentions, links) == expected
+    assert [row[1] for row in expected] == mentions
+    assert {row[5] for row in expected} == {
+        "https://pypi.org/project/sklearn", "https://pypi.org/project/selflink"
+    }
 
 
 def test_link_report_counts_and_percentages():
@@ -475,3 +529,161 @@ def test_csv_writes_keep_previous_file_when_replace_fails(tmp_path, monkeypatch)
     assert (norm.read_bytes(), raw.read_bytes()) == before
     assert [p.name for p in norm.parent.iterdir()] == [norm.name]
     assert [p.name for p in raw.parent.iterdir()] == [raw.name]
+
+
+# Names that quote to every kind of file name: escapes, a slash, a space,
+# non-ASCII, a .json suffix, case twins and one whose file name is over 255 bytes.
+NAME_POOL = (
+    "limma", "a/b", "100%", "%2f", "/", "a b", "caf\u00e9", "x.json", "x", "X", "A",
+    "sub", "README", "\u00e9" * 50,
+)
+# Directory entries that are no name's document, each with the name it would answer
+# for if matched loosely (unquoted, case-folded or without the suffix rule).
+NON_CANONICAL = {
+    "%2f.json": "/", "a b.json": "a b", "x.JSON": "x", "README": "README", "%41.json": "A",
+    "caf\u00e9.json": "caf\u00e9",
+}
+MALFORMED = b'{"Resource ID Link": '
+
+mention_names = st.one_of(
+    st.sampled_from(NAME_POOL), st.text(alphabet="aA%/ \u00e9.", min_size=1, max_size=5)
+)
+kb_documents = st.one_of(
+    st.none(),
+    st.just(MALFORMED),
+    st.just([1]),
+    st.fixed_dictionaries(
+        {"Resource ID Link": st.sampled_from(["", "https://scicrunch.org/r/1"])},
+        optional={"Resource Name": st.sampled_from(["KB name", " "]), "Keywords": st.just("k")},
+    ),
+)
+
+
+def _write_snapshot(directory: Path, documents: dict, extras) -> None:
+    directory.mkdir()
+    for name, document in documents.items():
+        file_name = urllib.parse.quote(name, safe="") + ".json"
+        if len(file_name) <= 255:
+            data = document if isinstance(document, bytes) else json.dumps(document).encode()
+            (directory / file_name).write_bytes(data)
+    for entry in extras:
+        (directory / entry).write_text('{"Resource ID Link": "wrong"}', encoding="utf-8")
+    (directory / "subdirectory").mkdir()
+
+
+@st.composite
+def link_worlds(draw):
+    extras = draw(st.sets(st.sampled_from(sorted(NON_CANONICAL))))
+    lures = [NON_CANONICAL[entry] for entry in sorted(extras)]
+    mentions = list(dict.fromkeys(draw(st.lists(mention_names, max_size=8)) + lures))
+    listed = st.sampled_from([*NAME_POOL, *mentions])
+    code_host = {}
+    for name in draw(st.sets(listed)):
+        match = draw(st.sampled_from([name, name.upper(), "another"]))
+        url = f"https://github.com/x/{match}"
+        code_host[name] = {"best_github_match": match, "github_url": url}
+    return {
+        "mentions": mentions,
+        "py": draw(st.sets(listed)),
+        "bioc": draw(st.sets(listed)),
+        "kb": draw(st.dictionaries(listed, kb_documents)),
+        "codehost": code_host,
+        "extras": extras,
+        "precedence": draw(st.permutations(list(LinkSource))),
+    }
+
+
+def _world_sources(world, root: Path) -> dict:
+    """The world's backends, each snapshot directory written under ``root`` once."""
+    for source in (LinkSource.KNOWLEDGE_BASE, LinkSource.CODE_HOST):
+        if not (root / source.value).exists():
+            documents = world["kb" if source is LinkSource.KNOWLEDGE_BASE else "codehost"]
+            _write_snapshot(root / source.value, documents, world["extras"])
+    backends = {
+        LinkSource.PKG_INDEX_PY: RegistrySnapshot(
+            LinkSource.PKG_INDEX_PY, world["py"], details={"limma": {"description": "d"}}
+        ),
+        LinkSource.PKG_INDEX_R: RegistrySnapshot(LinkSource.PKG_INDEX_R, set()),
+        LinkSource.PKG_INDEX_BIOC: RegistrySnapshot(LinkSource.PKG_INDEX_BIOC, world["bioc"]),
+        LinkSource.KNOWLEDGE_BASE: ApiSnapshot(
+            LinkSource.KNOWLEDGE_BASE, root / LinkSource.KNOWLEDGE_BASE.value
+        ),
+        LinkSource.CODE_HOST: ApiSnapshot(LinkSource.CODE_HOST, root / LinkSource.CODE_HOST.value),
+    }
+    return {source: backends[source] for source in world["precedence"]}
+
+
+def test_api_snapshot_maps_only_exact_quoted_file_names(tmp_path):
+    for entry in ("a%2Fb.json", "caf%C3%A9.json", "SPSS.json", *NON_CANONICAL):
+        (tmp_path / entry).write_text("null", encoding="utf-8")
+    (tmp_path / "subdirectory").mkdir()
+    # A file name that is not UTF-8 lists as a surrogate escape, which no name quotes to.
+    with open(os.path.join(os.fsencode(tmp_path), b"\xff.json"), "wb") as fh:
+        fh.write(b"null")
+    snap = ApiSnapshot(LinkSource.KNOWLEDGE_BASE, tmp_path)
+    assert snap.documents == {
+        "a/b": "a%2Fb.json", "caf\u00e9": "caf%C3%A9.json", "SPSS": "SPSS.json"
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(world=link_worlds())
+def test_link_mentions_matches_the_ask_every_source_reference(world):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        found = {"soft_errors": [], "collect_raw": {}}
+        links = link_mentions(world["mentions"], _world_sources(world, root), **found)
+        expected = {"soft_errors": [], "collect_raw": {}}
+        reference = link_mentions_reference(
+            world["mentions"], _world_sources(world, root), **expected
+        )
+    assert links == reference
+    assert found == expected
+
+
+def test_live_link_asks_every_mention_in_order_with_sources_interleaved(tmp_path):
+    calls = []
+
+    def fetcher(tag):
+        def fetch(name):
+            calls.append((tag, name))
+            return {"software_name": name, "Resource ID Link": "u"} if name == "Fiji" else None
+
+        return fetch
+
+    mentions = ["numpy", "absent", "a/b", "Fiji", "\u00e9" * 50]
+    sources = {
+        LinkSource.KNOWLEDGE_BASE: ApiSnapshot(
+            LinkSource.KNOWLEDGE_BASE, tmp_path / "kb", fetcher=fetcher("kb")
+        ),
+        LinkSource.PKG_INDEX_PY: py_registry("numpy"),
+        LinkSource.CODE_HOST: ApiSnapshot(
+            LinkSource.CODE_HOST, tmp_path / "ch", fetcher=fetcher("ch")
+        ),
+    }
+    links = link_mentions(mentions, sources)
+    # The last name's file name is over 255 bytes: it is never fetched.
+    assert calls == [(tag, name) for name in mentions[:4] for tag in ("kb", "ch")]
+    assert sorted(links) == [0, 3]
+    assert (tmp_path / "kb" / "a%2Fb.json").read_text(encoding="utf-8") == "null"
+    assert sorted(p.name for p in (tmp_path / "ch").iterdir()) == [
+        "Fiji.json", "a%2Fb.json", "absent.json", "numpy.json"
+    ]
+
+
+def test_offline_link_looks_up_only_names_some_source_lists(tmp_path, monkeypatch):
+    asked = []
+    for cls in (RegistrySnapshot, ApiSnapshot):
+        def lookup(self, name, original=cls.lookup):
+            asked.append((self.source, name))
+            return original(self, name)
+
+        monkeypatch.setattr(cls, "lookup", lookup)
+    kb = _api_snapshot(tmp_path, LinkSource.KNOWLEDGE_BASE, "SPSS", {"Resource ID Link": "u"})
+    sources = {
+        LinkSource.PKG_INDEX_PY: py_registry("numpy", "unmentioned"),
+        LinkSource.KNOWLEDGE_BASE: kb,
+    }
+    links = link_mentions(["absent", "numpy", "SPSS", "spss", "SPSS.json"], sources)
+    assert sorted(links) == [1, 2]
+    assert asked == [(source, name) for name in ("numpy", "SPSS") for source in sources]

@@ -307,7 +307,7 @@ class ApiSnapshot:
         if file_name is not None:
             try:
                 raw = read_json(os.path.join(self.directory, file_name))
-            except ValueError as err:
+            except (OSError, ValueError) as err:
                 raise ExternalServiceError(self.source.value, f"bad snapshot {file_name}: {err}")
         elif self.fetcher is None:
             return None

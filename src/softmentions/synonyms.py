@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -98,11 +97,26 @@ def contains_tokens(haystack: tuple[str, ...], needle: tuple[str, ...]) -> bool:
     return False
 
 
+TokenTable = tuple[dict[str, tuple[str, ...]], dict[str, list[tuple[str, int]]]]
+
+
+def token_table(id_table: Mapping[str, int]) -> TokenTable:
+    """Each mention's tokens, and the (mention, ID) pairs that hold each token."""
+    mention_tokens = {m: tokens(m) for m in id_table}
+    # A mention can contain an entry's tokens only if it has the first one.
+    by_token: dict[str, list[tuple[str, int]]] = {}
+    for mention, mention_id in id_table.items():
+        for tok in set(mention_tokens[mention]):
+            by_token.setdefault(tok, []).append((mention, mention_id))
+    return mention_tokens, by_token
+
+
 def generate_keyword_synonyms(
     registry: Registry,
     entries: Iterable[str],
     id_table: Mapping[str, int],
     skip_report: list[str] | None = None,
+    table: TokenTable | None = None,
 ) -> list[SynonymPair]:
     """Pair registry entries with mentions that contain them plus one of its REGISTRY_KEYWORDS.
 
@@ -111,14 +125,10 @@ def generate_keyword_synonyms(
     hyphenated entry does not match a respelled variant. An entry
     participates only when it is itself a corpus mention. Entries shorter
     than two characters are skipped (and reported) to guard against
-    pathological containment.
+    pathological containment. ``table`` is ``token_table(id_table)``, made
+    here when not given.
     """
-    mention_tokens = {m: tokens(m) for m in id_table}
-    # A mention can contain an entry's tokens only if it has the first one.
-    by_token: dict[str, list[tuple[str, int]]] = {}
-    for mention, mention_id in id_table.items():
-        for tok in set(mention_tokens[mention]):
-            by_token.setdefault(tok, []).append((mention, mention_id))
+    mention_tokens, by_token = table or token_table(id_table)
     keyword_token_seqs = [tokens(k) for k in REGISTRY_KEYWORDS[registry]]
     pairs: list[SynonymPair] = []
     for entry in sorted(entries):
@@ -205,12 +215,14 @@ def jaro_winkler(a: str, b: str) -> float:
         hi = i + window + 1
         if hi > lb:
             hi = lb
-        for j in range(lo, hi):
-            if not b_match[j] and b[j] == ch:
-                a_match[i] = True
-                b_match[j] = True
-                matches += 1
-                break
+        # The first occurrence in the window that is not matched yet.
+        j = b.find(ch, lo, hi)
+        while j >= 0 and b_match[j]:
+            j = b.find(ch, j + 1, hi)
+        if j >= 0:
+            a_match[i] = True
+            b_match[j] = True
+            matches += 1
     if matches == 0:
         return 0.0
     transposed = 0
@@ -246,40 +258,58 @@ def _count_needed(floor: float, la: int, lb: int) -> int:
     return max(1, math.ceil((3.0 * floor - 1.0) * la * lb / (la + lb)))
 
 
+# Buckets of at most this many members are scanned pair by pair: for so few
+# members the prefix index costs more than the candidates it would save.
+SMALL = 16
+
+
 def _join_shard(
     args: tuple[list[tuple[int, str]], float, int, int]
 ) -> list[tuple[int, int, float]]:
     """Triples (lower ID, higher ID, score) of one shard of the filtered join.
 
     A pair is found when its second member, in its bucket's shortest-first
-    order, probes the index. The shard makes the probes of the members
-    whose position in ID order is ``shard`` modulo ``shards``; every shard
-    builds the whole index.
+    order, probes the index, or scans the members before it in a bucket of
+    at most ``SMALL``. The shard makes the probes of the members whose
+    position in ID order is ``shard`` modulo ``shards``; every shard builds
+    the whole index.
     """
     items, threshold, shard, shards = args
+    jw = jaro_winkler  # the module global at call time, so that a patched scorer is seen
     ids = [idx for idx, _ in items]
     strings = [mention for _, mention in items]
     lengths = [len(s) for s in strings]
     # A string's tokens, in string order, are (character, k-th occurrence),
     # so the size of a token-set intersection is the multiset intersection.
     tokens_of = []
-    df: Counter = Counter()
+    df: dict[tuple[str, int], int] = {}
     for s in strings:
-        seen: Counter = Counter()
+        seen: dict[str, int] = {}
         toks = []
         for ch in s:
-            toks.append((ch, seen[ch]))
-            seen[ch] += 1
+            tok = (ch, seen.get(ch, 0))
+            seen[ch] = tok[1] + 1
+            toks.append(tok)
+            df[tok] = df.get(tok, 0) + 1
         tokens_of.append(toks)
-        df.update(toks)
     rank = {tok: r for r, tok in enumerate(sorted(df, key=lambda t: (df[t], t)))}
     ranks = [[rank[t] for t in toks] for toks in tokens_of]
     masks = [sum(1 << r for r in rs) for rs in ranks]
+    distinct_lengths = set(lengths)
     out = []
     for p in range(WINKLER_MAX_PREFIX + 1):
         boost = p * WINKLER_PREFIX_SCALE
         floor = (threshold - boost) / (1.0 - boost) - _BOUND_SLACK
         min_ratio = 3.0 * floor - 2.0
+        # Per length lb: the shortest partner the length bound allows, and
+        # the tokens beyond the first p (the bucket key, which every member
+        # shares) that a partner must share, against that shortest partner
+        # when probing and against an equally long one when indexing.
+        bounds = {}
+        for lb in distinct_lengths:
+            shortest = max(1, math.ceil(lb * min_ratio))
+            probe_need = _count_needed(floor, lb, shortest) - p
+            bounds[lb] = (shortest, probe_need, _count_needed(floor, lb, lb) - p)
         buckets: dict[str, list[int]] = {}
         for i, s in enumerate(strings):
             if lengths[i] >= max(p, 1):
@@ -291,23 +321,17 @@ def _join_shard(
             # than the probe, and every partner a member is indexed for is
             # no shorter than it.
             members.sort(key=lengths.__getitem__)
+            scan = len(members) <= SMALL
             index: dict[int, list[int]] = {}
             skip: dict[int, int] = {}
             unindexed: list[int] = []
             for pos, i in enumerate(members):
-                b = strings[i]
                 lb = lengths[i]
-                shortest = max(1, math.ceil(lb * min_ratio))
-                # Tokens beyond the first p (the bucket key, which every
-                # member shares) that a partner must share, against the
-                # shortest allowed partner when probing and against an
-                # equally long one when indexing.
-                probe_need = _count_needed(floor, lb, shortest) - p
-                index_need = _count_needed(floor, lb, lb) - p
-                rest = sorted(ranks[i][p:])
+                shortest, probe_need, index_need = bounds[lb]
+                rest = None if scan else sorted(ranks[i][p:])
                 if i % shards == shard:
-                    if probe_need <= 0:
-                        candidates = set(members[:pos])
+                    if scan or probe_need <= 0:
+                        candidates = members[:pos]
                     else:
                         candidates = set(unindexed)
                         for r in rest[: lb - p - probe_need + 1]:
@@ -321,20 +345,27 @@ def _join_shard(
                                     k += 1
                                 skip[r] = k
                                 candidates.update(posting[k:])
+                    # Both paths end here. The prefix filter and the skip
+                    # pointer drop only pairs that these checks drop, so
+                    # the pairs scored do not depend on the path. A pair
+                    # sharing the next character belongs to a deeper level;
+                    # la < shortest is la < min_ratio * lb for a whole la.
+                    b = strings[i]
+                    head = b[p : p + 1] if p < WINKLER_MAX_PREFIX else None
+                    mask = masks[i]
                     for j in candidates:
-                        a = strings[j]
                         la = lengths[j]
-                        if p < WINKLER_MAX_PREFIX and a[p : p + 1] == b[p : p + 1]:
+                        if la < shortest or strings[j][p : p + 1] == head:
                             continue
-                        if la < min_ratio * lb:
-                            continue
-                        common = (masks[i] & masks[j]).bit_count()
+                        common = (mask & masks[j]).bit_count()
                         if common / la + common / lb + 1.0 < 3.0 * floor:
                             continue
                         lo, hi = (j, i) if j < i else (i, j)
-                        score = jaro_winkler(strings[lo], strings[hi])
+                        score = jw(strings[lo], strings[hi])
                         if score >= threshold:
                             out.append((ids[lo], ids[hi], score))
+                if scan:
+                    continue
                 if index_need <= 0:
                     unindexed.append(i)
                 else:
@@ -368,6 +399,12 @@ def all_pairs_similarity(
       shortest partner the length bound allows; mentions are taken
       shortest first, so the indexed side needs only the count against a
       partner as long as itself (PPJoin, Xiao et al., WWW 2008).
+
+    The bounds are worked out once per level and mention length. A bucket
+    of at most ``SMALL`` mentions is scanned pair by pair without the
+    prefix filter. The filter only passes over pairs that the length and
+    count bounds drop, so how candidates are found never changes which
+    pairs are scored.
 
     Every bound carries a slack of 1e-9, so a pair scoring exactly the
     threshold is kept. Survivors are scored with ``jaro_winkler(string of
@@ -414,8 +451,10 @@ def generate_synonym_pairs(
     precedence.
     """
     pairs: list[SynonymPair] = []
-    for registry, entries in (registries or {}).items():
-        pairs.extend(generate_keyword_synonyms(registry, entries, id_table, skip_report))
+    if registries:
+        table = token_table(id_table)
+        for registry, entries in registries.items():
+            pairs.extend(generate_keyword_synonyms(registry, entries, id_table, skip_report, table))
     if kb:
         pairs.extend(load_kb_synonyms(kb, id_table, unmatched))
     pairs.extend(all_pairs_similarity(id_table, record_threshold, workers=workers))

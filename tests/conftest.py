@@ -7,6 +7,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+from hypothesis import settings
 
 from softmentions.clustering import DisambiguationResult, disambiguate_pairs
 from softmentions.ingest import assign_ids, compute_frequencies
@@ -20,6 +21,10 @@ VARIANTS_DIR = DATA_DIR / "variants"
 sys.path.insert(0, str(TESTS_DIR))
 
 from oracles import MentionRecord, corpus_row_reference  # noqa: E402
+
+# Ten times the default examples, for CI runs of the join and Jaro-Winkler
+# oracle tests (`--hypothesis-profile=ci`); plain runs keep the default.
+settings.register_profile("ci", max_examples=1000)
 
 BASE_NAMES = {
     "limma": "limma",

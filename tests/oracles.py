@@ -181,6 +181,37 @@ def prune_free_similarity_pairs(strings: dict[str, int], threshold: float, jaro)
     return out
 
 
+def scored_pairs_reference(strings: list[str], threshold: float) -> set[tuple[str, str]]:
+    """The pairs the similarity join must score, by testing every pair.
+
+    ``strings`` are the mentions in ID order; a pair is (string of the
+    lower ID, string of the higher ID). A pair's level p is its common
+    prefix, at most 4 characters; its Jaro floor is (t - 0.1p) / (1 - 0.1p)
+    less a slack of 1e-9. It is scored unless the shorter length is below
+    (3 floor - 2) times the longer, or c/short + c/long + 1 < 3 floor with
+    c the characters the two share, counted with repeats. Empty strings are
+    never scored.
+    """
+    counts = {s: Counter(s) for s in strings}
+    out = set()
+    for x, y in itertools.combinations(strings, 2):
+        if not x or not y:
+            continue
+        p = 0
+        while p < min(len(x), len(y), 4) and x[p] == y[p]:
+            p += 1
+        boost = p * 0.1
+        floor = (threshold - boost) / (1.0 - boost) - 1e-9
+        short, long_ = sorted((len(x), len(y)))
+        if short < (3.0 * floor - 2.0) * long_:
+            continue
+        common = sum((counts[x] & counts[y]).values())
+        if common / short + common / long_ + 1.0 < 3.0 * floor:
+            continue
+        out.add((x, y))
+    return out
+
+
 def keyword_pairs_reference(
     entries: set[str], keywords: tuple[str, ...], id_table: dict[str, int]
 ) -> tuple[list[tuple[int, int]], list[str]]:

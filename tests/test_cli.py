@@ -646,6 +646,19 @@ def test_snapshot_string_utf8_cannot_encode_fails_only_its_lookup(fixture_copy, 
     assert "bad snapshot GraphPad.json" in caplog.text
 
 
+def test_snapshot_entry_that_is_a_directory_fails_only_its_lookup(fixture_copy, caplog):
+    assert run_stage(fixture_copy, "run-all") == 0
+    metadata = fixture_copy / "out" / "metadata.tsv"
+    before = metadata.read_bytes()
+    (fixture_copy / "snapshots" / "kb" / "limma.json").mkdir()
+    assert run_stage(fixture_copy, "link") == 0
+    manifest = json.loads((fixture_copy / "out" / "manifest_link.json").read_text(encoding="utf-8"))
+    assert manifest["row_counts"]["soft_errors"] == 1
+    assert "bad snapshot limma.json" in caplog.text
+    # The package index still links limma, so the metadata is unchanged.
+    assert metadata.read_bytes() == before
+
+
 def test_tab_in_snapshot_field_is_a_data_error(fixture_copy, caplog):
     snapshot = fixture_copy / "snapshots" / "kb" / "GraphPad.json"
     doc = json.loads(snapshot.read_text(encoding="utf-8"))

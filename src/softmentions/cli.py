@@ -362,15 +362,14 @@ def stage_link(cfg: PipelineConfig, run: Products | None = None) -> None:
     links = linking.link_mentions(
         mentions, sources, soft_errors=soft_errors, collect_raw=collected
     )
-    propagated = linking.propagate_links(clusters, mentions, links)
-    rows = linking.metadata_rows(clusters, mentions, links)
+    rows = linking.metadata_rows(linking.propagate_links(clusters, links), mentions, links)
     linking.write_metadata_tsv(out / METADATA, rows)
     linking.write_normalized_csvs(out / "normalized", rows)
     linking.write_raw_csvs(out / "raw", collected)
-    report = linking.link_report(propagated)
+    report = linking.link_report(rows)
     linking.write_link_report_tsv(out / LINK_REPORT, report)
     counts = {
-        "linked_mentions": len(propagated),
+        "linked_mentions": len(rows),
         "directly_linked_names": len(links),
         "by_source": {source: count for source, count, _ in report},
         "soft_errors": len(soft_errors),
@@ -378,7 +377,7 @@ def stage_link(cfg: PipelineConfig, run: Products | None = None) -> None:
     inputs = [out / MENTION2ID, out / CLUSTERS, *map(Path, _registry_files(cfg).values())]
     inputs += _details_files(cfg, run.names).values()
     write_manifest(run, "link", inputs, counts)
-    logger.info("link: %d mentions linked", len(propagated))
+    logger.info("link: %d mentions linked", len(rows))
 
 
 def _eval_files(cfg: PipelineConfig) -> list[str]:

@@ -20,6 +20,7 @@ import logging
 import os
 import time
 import urllib.parse
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -415,36 +416,21 @@ def link_mentions(
     return linked
 
 
-def _inherited_links(
+def propagate_links(
     clusters: Iterable[Cluster], links: Mapping[int, LinkedMetadata]
 ) -> dict[int, int]:
-    """Each member of a cluster whose name has a link, mapped to the name's ID."""
-    return {
-        member: cluster.name_id
-        for cluster in clusters
-        if cluster.name_id in links
-        for member in cluster.members
-    }
+    """Map each linked mention's ID to the ID of the mention whose record it takes.
 
-
-def propagate_links(
-    clusters: Iterable[Cluster],
-    mentions: Sequence[str],
-    links: Mapping[int, LinkedMetadata],
-) -> dict[int, LinkedMetadata]:
-    """Give every cluster member its cluster name's link, with fallbacks.
-
-    A member of a cluster whose name has a link inherits that link. When
-    the name has none, or the mention was never clustered, the mention's
-    own exact-match link applies. Mentions with neither stay unlinked.
-    Inherited records share their lists with the name's record.
+    A member of a cluster whose name has a link takes the name's record.
+    When the name has none, or the mention was never clustered, a mention
+    with an exact-match link of its own takes that. Mentions with neither
+    stay unlinked and are absent.
     """
-    propagated = dict(links)
-    for member, name_id in _inherited_links(clusters, links).items():
-        propagated[member] = LinkedMetadata(
-            **{**vars(links[name_id]), "id": member, "software_mention": mentions[member]}
-        )
-    return propagated
+    carriers = {mention_id: mention_id for mention_id in links}
+    for cluster in clusters:
+        if cluster.name_id in links:
+            carriers.update(dict.fromkeys(cluster.members, cluster.name_id))
+    return carriers
 
 
 def source_shares(counts: Mapping[str, int]) -> list[tuple[str, float]]:
@@ -454,14 +440,6 @@ def source_shares(counts: Mapping[str, int]) -> list[tuple[str, float]]:
         (source, 100.0 * count / total)
         for source, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     ]
-
-
-def link_report(linked: Mapping[int, LinkedMetadata]) -> list[tuple[str, int, float]]:
-    """Per-source (source, count, percent) rows over linked mentions."""
-    counts: dict[str, int] = {}
-    for meta in linked.values():
-        counts[meta.source] = counts.get(meta.source, 0) + 1
-    return [(source, counts[source], pct) for source, pct in source_shares(counts)]
 
 
 # The LinkedMetadata fields as metadata.tsv and the normalized CSVs name them.
@@ -497,20 +475,27 @@ def metadata_row(meta: LinkedMetadata) -> list[str]:
 
 
 def metadata_rows(
-    clusters: Iterable[Cluster],
+    carriers: Mapping[int, int],
     mentions: Sequence[str],
     links: Mapping[int, LinkedMetadata],
 ) -> list[list[str]]:
-    """The metadata_row of every propagate_links record, in mention ID order.
+    """The metadata_row of each propagate_links mention's record, in mention ID order.
 
-    Each record of ``links`` is formatted once: a member that inherits its
-    cluster name's link takes the name's row with its own ID and mention.
+    Each carried record of ``links`` is formatted once: a mention that takes
+    another's record gets that row with its own ID and mention.
     """
-    formatted = {mention_id: metadata_row(meta) for mention_id, meta in links.items()}
-    rows = dict(formatted)
-    for member, name_id in _inherited_links(clusters, links).items():
-        rows[member] = [str(member), mentions[member], *formatted[name_id][2:]]
-    return [rows[mention_id] for mention_id in sorted(rows)]
+    formatted = {carrier: metadata_row(links[carrier]) for carrier in set(carriers.values())}
+    return [
+        formatted[carrier] if carrier == mention_id
+        else [str(mention_id), mentions[mention_id], *formatted[carrier][2:]]
+        for mention_id, carrier in sorted(carriers.items())
+    ]
+
+
+def link_report(rows: Iterable[Sequence[str]]) -> list[tuple[str, int, float]]:
+    """Per-source (source, count, percent) rows over metadata_row rows."""
+    counts = Counter(row[_SOURCE_COLUMN] for row in rows)
+    return [(source, counts[source], pct) for source, pct in source_shares(counts)]
 
 
 def write_metadata_tsv(path, rows: Sequence[Sequence[str]]) -> None:
@@ -527,21 +512,28 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[str]])
     write_text(path, text.getvalue())
 
 
-def write_normalized_csvs(directory, rows: Iterable[Sequence[str]]) -> None:
-    """One <source>.csv of metadata_row rows per link source."""
+def _csv_directory(directory, sources: Iterable[str]) -> Path:
+    """The directory, made if need be, without the CSV of any link source not in ``sources``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    for source in {source.value for source in LinkSource}.difference(sources):
+        (directory / f"{source}.csv").unlink(missing_ok=True)
+    return directory
+
+
+def write_normalized_csvs(directory, rows: Iterable[Sequence[str]]) -> None:
+    """One <source>.csv of metadata_row rows per link source that has rows."""
     by_source: dict[str, list[Sequence[str]]] = {}
     for row in rows:
         by_source.setdefault(row[_SOURCE_COLUMN], []).append(row)
+    directory = _csv_directory(directory, by_source)
     for source, source_rows in sorted(by_source.items()):
         _write_csv(directory / f"{source}.csv", MASTER_HEADER, source_rows)
 
 
 def write_raw_csvs(directory, collected: Mapping[LinkSource, Sequence[Mapping]]) -> None:
     """Dump raw per-source candidate records, columns = union of raw fields."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    directory = _csv_directory(directory, (source.value for source in collected))
     for source in sorted(collected, key=lambda s: s.value):
         rows = collected[source]
         columns = sorted({key for row in rows for key in row})

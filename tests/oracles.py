@@ -445,3 +445,30 @@ def link_mentions_reference(mentions, sources, soft_errors, collect_raw):
                         chosen.mapped_to.append(text)
         linked[mention_id] = chosen
     return linked
+
+
+def propagate_links_reference(clusters, mentions, links) -> dict[int, LinkedMetadata]:
+    """Every linked mention's record, each inheriting member's a copy with its own ID and mention.
+
+    A member of a cluster whose name has a link gets a copy of the name's
+    record; any other mention with a link of its own keeps that record.
+    """
+    propagated = dict(links)
+    for cluster in clusters:
+        if cluster.name_id in links:
+            for member in cluster.members:
+                propagated[member] = LinkedMetadata(
+                    **{**vars(links[cluster.name_id]), "id": member,
+                       "software_mention": mentions[member]}
+                )
+    return propagated
+
+
+def link_report_reference(records) -> list[tuple[str, int, float]]:
+    """(source, count, percent of all records) per source, most records first, ties by name."""
+    counts = Counter(meta.source for meta in records)
+    total = sum(counts.values())
+    return sorted(
+        ((source, count, 100.0 * count / total) for source, count in counts.items()),
+        key=lambda entry: (-entry[1], entry[0]),
+    )

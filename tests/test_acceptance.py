@@ -32,11 +32,13 @@ from softmentions.fileio import open_text, read_lines
 from softmentions.graph import DEFAULT_STOPLIST, build_matrix, connected_components, post_process
 from softmentions.ingest import parse_mentions
 from softmentions.linking import (
+    MASTER_HEADER,
     LinkedMetadata,
     LinkSource,
     RegistrySnapshot,
     exact_match_lookup,
     link_mentions,
+    metadata_rows,
     normalize_metadata,
     propagate_links,
 )
@@ -422,12 +424,14 @@ def test_criterion_linking(fixture_pipeline):
 
     _, chain, _ = fixture_pipeline
     links = link_mentions(chain.mentions, sources)
-    propagated = propagate_links(chain.result.clusters, chain.mentions, links)
+    carriers = propagate_links(chain.result.clusters, links)
+    rows = metadata_rows(carriers, chain.mentions, links)
+    package_url = {int(row[0]): row[MASTER_HEADER.index("package_url")] for row in rows}
     sk_url = "https://pypi.org/project/scikit-learn"
-    assert propagated[chain.id_table["sklearn"]].package_url == sk_url
-    assert propagated[chain.id_table["scikit-learn"]].package_url == sk_url
+    assert package_url[chain.id_table["sklearn"]] == sk_url
+    assert package_url[chain.id_table["scikit-learn"]] == sk_url
     limma_url = "https://www.bioconductor.org/packages/limma"
-    assert propagated[chain.id_table["R package limma"]].package_url == limma_url
+    assert package_url[chain.id_table["R package limma"]] == limma_url
 
 
 EXPECTED_RUN_ALL_OUTPUTS = (

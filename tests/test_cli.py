@@ -82,6 +82,22 @@ def test_stages_run_separately_match_run_all(fixture_copy):
         assert found[name] == data, name
 
 
+def test_relink_with_fewer_sources_leaves_no_stale_csvs(fixture_copy):
+    only_py = ("--set", "linking.precedence=PkgIndexPy")
+    out = fixture_copy / "out"
+    assert run_stage(fixture_copy, "run-all") == 0
+    assert len(list((out / "normalized").glob("*.csv"))) > 1
+    assert run_stage(fixture_copy, "link", *only_py) == 0
+    relinked = output_files(out)
+    shutil.rmtree(out)
+    assert run_stage(fixture_copy, "run-all", *only_py) == 0
+    fresh = output_files(out)
+    for directory in ("normalized", "raw"):
+        names = sorted(name for name in relinked if name.startswith(f"{directory}/"))
+        assert names == [f"{directory}/PkgIndexPy.csv"]
+        assert relinked[names[0]] == fresh[names[0]]
+
+
 def _assert_run_all_outputs_hold_with_line_ends(fixture_copy, end: bytes):
     assert run_stage(fixture_copy, "run-all") == 0
     out = fixture_copy / "out"

@@ -37,7 +37,12 @@ from softmentions.linking import (
 )
 
 from conftest import DATA_DIR
-from oracles import link_mentions_reference, normalize_reference
+from oracles import (
+    link_mentions_reference,
+    link_report_reference,
+    normalize_reference,
+    propagate_links_reference,
+)
 
 
 def py_registry(*names):
@@ -315,14 +320,19 @@ def test_propagate_links_cluster_members_inherit_name_link():
             source="CodeHostAPI", package_url="https://github.com/x/selflink",
         ),
     }
-    propagated = propagate_links(clusters, mentions, links)
-    sklearn = propagated[id_table["sklearn"]]
-    assert sklearn.package_url == url
-    assert sklearn.software_mention == "sklearn"
-    assert sklearn.id == id_table["sklearn"]
+    carriers = propagate_links(clusters, links)
     # unclustered mention keeps its own link, unknown mention stays unlinked
-    assert propagated[id_table["selflink"]].package_url.endswith("selflink")
-    assert id_table["loner"] not in propagated
+    assert carriers == {
+        id_table["scikit-learn"]: id_table["scikit-learn"],
+        id_table["sklearn"]: id_table["scikit-learn"],
+        id_table["selflink"]: id_table["selflink"],
+    }
+    rows = {int(row[0]): row for row in metadata_rows(carriers, mentions, links)}
+    sklearn = rows[id_table["sklearn"]]
+    assert sklearn[MASTER_HEADER.index("package_url")] == url
+    assert sklearn[:2] == [str(id_table["sklearn"]), "sklearn"]
+    assert rows[id_table["selflink"]][MASTER_HEADER.index("package_url")].endswith("selflink")
+    assert id_table["loner"] not in rows
 
 
 def test_propagate_links_fallback_to_own_link_when_name_unlinked():
@@ -333,9 +343,10 @@ def test_propagate_links_fallback_to_own_link_when_name_unlinked():
             source="CodeHostAPI", package_url="https://github.com/x/beta",
         )
     }
-    propagated = propagate_links(clusters, mentions, links)
-    assert id_table["alpha"] not in propagated
-    assert propagated[id_table["beta"]].package_url.endswith("beta")
+    carriers = propagate_links(clusters, links)
+    assert carriers == {id_table["beta"]: id_table["beta"]}
+    (row,) = metadata_rows(carriers, mentions, links)
+    assert row[MASTER_HEADER.index("package_url")].endswith("beta")
 
 
 def test_metadata_rows_are_the_rows_of_the_propagated_records():
@@ -350,25 +361,62 @@ def test_metadata_rows_are_the_rows_of_the_propagated_records():
         for mention, mention_id in id_table.items()
         if mention != "sk"
     }
-    propagated = propagate_links(clusters, mentions, links)
+    propagated = propagate_links_reference(clusters, mentions, links)
     expected = [metadata_row(propagated[mention_id]) for mention_id in sorted(propagated)]
-    assert metadata_rows(clusters, mentions, links) == expected
+    assert metadata_rows(propagate_links(clusters, links), mentions, links) == expected
     assert [row[1] for row in expected] == mentions
     assert {row[5] for row in expected} == {
         "https://pypi.org/project/sklearn", "https://pypi.org/project/selflink"
     }
 
 
+mapped_texts = st.lists(st.text(alphabet="a\u00e9\u4e2d\"\\ ", min_size=1, max_size=4), max_size=3)
+
+
+@st.composite
+def propagation_worlds(draw):
+    """Mentions, clusters of disjoint members each named by one of them, and some mentions' links."""
+    names = st.text(alphabet="ab\u00e9", min_size=1, max_size=3)
+    mentions = draw(st.lists(names, min_size=1, max_size=12, unique=True))
+    ids = draw(st.permutations(range(len(mentions))))
+    cuts = sorted(draw(st.sets(st.integers(1, len(ids)))) | {0, len(ids)})
+    clusters = []
+    for start, end in zip(cuts, cuts[1:]):
+        if draw(st.booleans()):
+            name_id = draw(st.sampled_from(ids[start:end]))
+            members = tuple(sorted(ids[start:end]))
+            clusters.append(Cluster(members=members, name_id=name_id, name=mentions[name_id]))
+    links = {}
+    for mention_id in sorted(draw(st.sets(st.sampled_from(ids)))):
+        source = draw(st.sampled_from(LinkSource)).value
+        links[mention_id] = LinkedMetadata(
+            id=mention_id, software_mention=mentions[mention_id], source=source,
+            platform=[source], package_url=f"https://x.org/{mention_id}",
+            mapped_to=draw(mapped_texts), description=draw(mapped_texts),
+            rrid=draw(st.none() | st.just(f"SCR_{mention_id}")),
+        )
+    return mentions, clusters, links
+
+
+@given(world=propagation_worlds())
+def test_propagation_matches_the_record_copying_reference(world):
+    mentions, clusters, links = world
+    rows = metadata_rows(propagate_links(clusters, links), mentions, links)
+    propagated = propagate_links_reference(clusters, mentions, links)
+    assert rows == [metadata_row(propagated[mention_id]) for mention_id in sorted(propagated)]
+    assert link_report(rows) == link_report_reference(propagated.values())
+
+
 def test_link_report_counts_and_percentages():
-    linked = {}
-    for i in range(7):
-        linked[i] = LinkedMetadata(id=i, source="CodeHostAPI", package_url="u")
-    for i in range(7, 10):
-        linked[i] = LinkedMetadata(id=i, source="PkgIndexR", package_url="u")
-    report = link_report(linked)
+    rows = [
+        metadata_row(LinkedMetadata(id=i, source="CodeHostAPI" if i < 7 else "PkgIndexR",
+                                    package_url="u"))
+        for i in range(10)
+    ]
+    report = link_report(rows)
     assert report == [("CodeHostAPI", 7, 70.0), ("PkgIndexR", 3, 30.0)]
     assert sum(pct for _, _, pct in report) == pytest.approx(100.0)
-    assert link_report({}) == []
+    assert link_report([]) == []
 
 
 def test_source_shares_reproduce_reference_coverage_table():

@@ -249,6 +249,8 @@ def stage_cluster(cfg: PipelineConfig, run: Products | None = None) -> None:
     write_tsv(out / CLUSTERS, CLUSTERS_HEADER, cluster_rows)
     if cfg.write_matrix:
         graph.write_matrix_tsv(out / MATRIX, result.graph)
+    else:  # an earlier run's matrix would disagree with these clusters
+        (out / MATRIX).unlink(missing_ok=True)
     acc = result.accounting
     counts = {
         "unique_mentions": acc.total,
@@ -460,8 +462,7 @@ def run_all(cfg: PipelineConfig) -> None:
     stage_synonyms(cfg, run)
     stage_cluster(cfg, run)
     del run.rows, run.freq, run.pairs  # the corpus is the largest value; linking needs none
-    if _registry_files(cfg) or cfg.kb_snapshots or cfg.codehost_snapshots:
-        stage_link(cfg, run)
+    stage_link(cfg, run)
     if any(_eval_files(cfg)):
         stage_evaluate(cfg, run)
 

@@ -75,31 +75,31 @@ def build_matrix(
     of threshold; string-similarity pairs enter at their score only when it
     reaches ``use_threshold``. When several channels cover one pair the
     higher-precedence channel wins (knowledge base, then keywords, then
-    string similarity).
+    string similarity). A pair must hold ``0 <= a < b < len(mentions)``
+    and a confidence in (0, 1], as ``SynonymPair.of`` makes it; any other
+    is a ConsistencyError.
     """
     n = len(mentions)
     entries: dict[tuple[int, int], tuple[float, SynonymSource]] = {}
-    best_rank: dict[tuple[int, int], int] = {}
-    for pair in pairs:
-        if pair.b >= n or pair.a < 0:
+    for a, b, confidence, source in pairs:
+        if not (0 <= a < b < n and 0.0 < confidence <= 1.0):
             raise ConsistencyError(
-                f"pair ({pair.a}, {pair.b}) references an unknown mention id"
+                f"pair ({a}, {b}, {confidence}) needs 0 <= a < b < {n} and a confidence in (0, 1]"
             )
-        rank = _PRECEDENCE.get(pair.source)
+        rank = _PRECEDENCE.get(source)
         if rank is None:
-            raise ConsistencyError(f"unexpected pair source: {pair.source}")
-        if pair.source is SynonymSource.KNOWLEDGE_BASE:
+            raise ConsistencyError(f"unexpected pair source: {source}")
+        if source is SynonymSource.KNOWLEDGE_BASE:
             value = 1.0
-        elif pair.source is SynonymSource.KEYWORD_INDEX:
+        elif source is SynonymSource.KEYWORD_INDEX:
             value = 0.99
+        elif confidence < use_threshold:
+            continue
         else:
-            if pair.confidence < use_threshold:
-                continue
-            value = pair.confidence
-        key = (pair.a, pair.b)
-        if rank > best_rank.get(key, 0):
-            best_rank[key] = rank
-            entries[key] = (value, pair.source)
+            value = confidence
+        held = entries.get((a, b))
+        if held is None or rank > _PRECEDENCE[held[1]]:
+            entries[(a, b)] = (value, source)
     return SimilarityGraph(mentions=mentions, entries=entries)
 
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .fileio import read_tsv, write_tsv
 
@@ -53,28 +52,22 @@ WINKLER_MAX_PREFIX = 4
 WINKLER_BOOST_THRESHOLD = 0.7
 
 
-@dataclass(frozen=True)
-class SynonymPair:
-    """A scored, source-attributed edge between two mention IDs (a < b)."""
+class SynonymPair(NamedTuple):
+    """A scored, source-attributed edge between two mention IDs (a < b), made by ``of``."""
 
     a: int
     b: int
     confidence: float
     source: SynonymSource
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError(f"self-pair for mention id {self.a}")
-        if self.a > self.b:
-            raise ValueError("pair not in canonical order (a < b)")
-        if not 0.0 < self.confidence <= 1.0:
-            raise ValueError(f"confidence out of range: {self.confidence}")
-
     @classmethod
     def of(cls, a: int, b: int, confidence: float, source: SynonymSource) -> "SynonymPair":
-        if a > b:
-            a, b = b, a
-        return cls(a, b, confidence, source)
+        """The pair with a < b; ValueError for a self-pair or a confidence outside (0, 1]."""
+        if a == b:
+            raise ValueError(f"self-pair for mention id {a}")
+        if not 0.0 < confidence <= 1.0:
+            raise ValueError(f"confidence out of range: {confidence}")
+        return cls(a, b, confidence, source) if a < b else cls(b, a, confidence, source)
 
 
 _TOKEN_SPLIT = re.compile(r"[\W_]+", re.UNICODE)
@@ -154,7 +147,7 @@ def generate_keyword_synonyms(
                         entry_id, mention_id, KEYWORD_CONFIDENCE, SynonymSource.KEYWORD_INDEX
                     )
                 )
-    return sorted(set(pairs), key=lambda p: (p.a, p.b))
+    return sorted(set(pairs))  # one source and confidence: tuple order is (a, b) order
 
 
 def load_kb_synonyms(
@@ -177,7 +170,7 @@ def load_kb_synonyms(
             pairs.append(
                 SynonymPair.of(key_id, syn_id, KB_CONFIDENCE, SynonymSource.KNOWLEDGE_BASE)
             )
-    return sorted(set(pairs), key=lambda p: (p.a, p.b))
+    return sorted(set(pairs))  # one source and confidence: tuple order is (a, b) order
 
 
 def read_kb_dict(path) -> dict[str, list[str]]:

@@ -66,20 +66,39 @@ def output_files(out: Path) -> dict[str, bytes]:
     }
 
 
-def test_stages_run_separately_match_run_all(fixture_copy):
+NO_LINK_SOURCE = tuple(
+    arg
+    for key in ("registry_py", "registry_r", "registry_bioc", "kb_snapshots", "codehost_snapshots")
+    for arg in ("--set", f"paths.{key}=")
+)
+
+
+@pytest.mark.parametrize(
+    "extra", [pytest.param((), id="fixture"), pytest.param(NO_LINK_SOURCE, id="no-link-source")]
+)
+def test_stages_run_separately_match_run_all(fixture_copy, extra):
     # run-all hands values from stage to stage; alone, each stage reads
     # them back from out/. Both ways must write the same bytes everywhere,
-    # manifests included, so the stages run in the same directory.
-    assert run_stage(fixture_copy, "run-all") == 0
+    # manifests included, so the stages run in the same directory. With
+    # no link source, run-all still links and writes header-only outputs.
+    assert run_stage(fixture_copy, "run-all", *extra) == 0
     out = fixture_copy / "out"
     expected = output_files(out)
     out.rename(fixture_copy / "out_run_all")
     for stage in ("ingest", "synonyms", "cluster", "link"):
-        assert run_stage(fixture_copy, stage) == 0
+        assert run_stage(fixture_copy, stage, *extra) == 0
     found = output_files(out)
     assert sorted(found) == sorted(expected)
     for name, data in expected.items():
         assert found[name] == data, name
+
+
+def test_recluster_without_matrix_leaves_no_stale_matrix(fixture_copy):
+    out = fixture_copy / "out"
+    assert run_stage(fixture_copy, "run-all", "--set", "output.matrix=true") == 0
+    assert (out / "matrix.tsv").exists()
+    assert run_stage(fixture_copy, "cluster", "--set", "thresholds.use=0.99") == 0
+    assert not (out / "matrix.tsv").exists()
 
 
 def test_relink_with_fewer_sources_leaves_no_stale_csvs(fixture_copy):

@@ -61,9 +61,21 @@ def test_matrix_keyword_kept_even_below_use_threshold():
     assert graph.entries[(0, 1)][0] == 0.99
 
 
-def test_matrix_unknown_mention_id_fatal():
+@pytest.mark.parametrize(
+    "fields",
+    [
+        pytest.param((0, 5, 1.0, KB), id="unknown-id"),
+        pytest.param((-1, 1, 1.0, KB), id="negative-id"),
+        pytest.param((1, 0, 1.0, KB), id="reversed"),
+        pytest.param((1, 1, 1.0, KB), id="self-pair"),
+        pytest.param((0, 1, 0.0, KW), id="confidence-0"),
+        pytest.param((0, 1, 1.5, SS), id="confidence-1.5"),
+    ],
+)
+def test_matrix_unknown_mention_id_fatal(fields):
+    # Built directly, past SynonymPair.of's checks: build_matrix refuses it.
     with pytest.raises(ConsistencyError):
-        build_matrix([pair(0, 5, 1.0, KB)], ["a", "b"])
+        build_matrix([pair(0, 1, 1.0, KB), SynonymPair(*fields)], ["a", "b", "c"])
 
 
 def test_strip_for_comparison():

@@ -13,7 +13,7 @@ fresh store; run-all hands one store to every stage, so it parses the
 corpus once and reads back no artifact it wrote.
 
 Exit codes: 0 success, 1 configuration problem, 2 data problem or missing
-artifact, 3 external service failure.
+artifact.
 """
 from __future__ import annotations
 
@@ -23,19 +23,14 @@ import hashlib
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, TypeVar
 
 from . import clustering, evaluation, graph, ingest, linking, synonyms
 from .config import PipelineConfig, Setting, read_config, resolve_config
-from .errors import (
-    ConsistencyError,
-    ExternalServiceError,
-    FormatError,
-    SoftMentionsError,
-    ValidationError,
-)
+from .errors import ConsistencyError, FormatError, SoftMentionsError, ValidationError
 from .fileio import open_text, read_json, read_lines, read_tsv, write_text, write_tsv
 
 logger = logging.getLogger(__name__)
@@ -87,18 +82,24 @@ def write_manifest(run: Products, stage: str, inputs: list[Path], counts: dict) 
     write_text(out, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
+@contextmanager
+def _listed(out: Path) -> Iterator[None]:
+    """Name mention2id.tsv in the error of a mention it does not list."""
+    try:
+        yield
+    except ConsistencyError as err:
+        id_path = out / MENTION2ID
+        raise ConsistencyError(f"{err}, which {id_path} does not list (rerun ingest)") from None
+
+
 def _read_corpus(
     cfg: PipelineConfig, id_table: Mapping[str, int] | None = None
 ) -> list[ingest.CorpusRow]:
     """The corpus rows; with the ID table of mention2id.tsv, each mention must be in it."""
     corpus = _require(cfg.corpus, "corpus TSV (paths.corpus)")
     skipped: list | None = None if cfg.strict else []
-    try:
-        with open_text(corpus) as fh:
-            rows = list(ingest.parse_mentions(fh, cfg.corpus_kind, skipped, known=id_table))
-    except ConsistencyError as err:
-        id_path = Path(cfg.out_dir) / MENTION2ID
-        raise ConsistencyError(f"{err}, which {id_path} does not list (rerun ingest)") from None
+    with _listed(Path(cfg.out_dir)), open_text(corpus) as fh:
+        rows = list(ingest.parse_mentions(fh, cfg.corpus_kind, skipped, known=id_table))
     for err in skipped or ():
         logger.warning("skipped row: %s", err)
     return rows
@@ -140,7 +141,9 @@ class Products:
     @cached_property
     def freq(self) -> dict[int, int]:
         path = _require(self.out / FREQUENCIES, "frequencies.tsv (run ingest first)")
-        return ingest.read_frequencies(path, self.ids[0])
+        id_table = self.ids[0]
+        with _listed(self.out):
+            return ingest.read_frequencies(path, id_table)
 
     @cached_property
     def pairs(self) -> list[synonyms.SynonymPair]:
@@ -149,8 +152,24 @@ class Products:
 
     @cached_property
     def rows(self) -> list[ingest.CorpusRow]:
-        """The corpus, which must hold no mention that mention2id.tsv lacks."""
-        return _read_corpus(self.cfg, self.ids[0])
+        """The corpus, which must hold no mention that mention2id.tsv lacks.
+
+        It must also be the corpus that manifest_ingest.json records, where
+        there is one: a corpus changed since ingest leaves the mention table
+        and frequencies stale even when it adds no new mention.
+        """
+        rows = _read_corpus(self.cfg, self.ids[0])
+        manifest = self.out / "manifest_ingest.json"
+        if manifest.exists():
+            try:
+                (ingested,) = read_json(manifest)["inputs"].values()
+            except (ValueError, TypeError, KeyError, AttributeError):
+                raise FormatError(f"{manifest}: expected the digest of one input") from None
+            if ingested != self.digest(Path(self.cfg.corpus)):
+                raise ConsistencyError(
+                    f"{self.cfg.corpus} is not the corpus {manifest} records (rerun ingest)"
+                )
+        return rows
 
     @cached_property
     def clusters(self) -> list[clustering.Cluster]:
@@ -539,9 +558,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as err:
         logger.error("configuration error: %s", err)
         return 1
-    except ExternalServiceError as err:
-        logger.error("external service error: %s", err)
-        return 3
     except (SoftMentionsError, OSError) as err:
         logger.error("%s", err)
         return 2

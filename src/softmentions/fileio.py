@@ -13,7 +13,7 @@ import json
 import os
 import zlib
 from contextlib import contextmanager
-from itertools import chain, count, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -121,7 +121,7 @@ def iter_tsv(
     header: Sequence[str],
     row: Callable[[list[str]], T],
     skipped: list[RowError] | None = None,
-    bulk: Callable[[str], list[T | None]] | None = None,
+    bulk: Callable[[str], list[T] | None] | None = None,
 ) -> Iterator[T]:
     """Convert each data row of a headed TSV stream with ``row(fields)``.
 
@@ -135,9 +135,10 @@ def iter_tsv(
 
     Lines are read CHUNK_LINES at a time. With ``bulk``, each chunk is first
     offered whole to ``bulk(text)``, its \\r\\n line ends as \\n, unless a
-    carriage return remains. ``bulk`` returns one entry per line: the item
-    ``row`` would give for it, or None to send the line through ``row``, as
-    it must for a blank line and for every line ``row`` would reject or raise on.
+    carriage return remains. ``bulk`` returns the item ``row`` would give for
+    each line, in order, or None to send the whole chunk line by line through
+    ``row``, as it must for a chunk holding a blank line or any line that
+    ``row`` would reject or raise on.
     """
     name = getattr(stream, "name", None)
     where = "line" if name is None else f"{name}: line"
@@ -148,7 +149,7 @@ def iter_tsv(
         found = first.rstrip("\n").rstrip("\r").split("\t") if first else None
         if found != header:
             raise FormatError(f"{where} 1: expected header {header}, found {found}")
-        linenos = count(2)
+        start = 2
         while True:
             batch: list[str] = []
             failure = None
@@ -163,33 +164,34 @@ def iter_tsv(
                 text = "".join(batch).replace("\r\n", "\n")
                 if "\r" not in text:
                     items = bulk(text)
-            for line, lineno, item in zip(batch, linenos, items or repeat(None)):
-                if item is not None:
+            if items is not None:
+                yield from items
+            else:
+                for lineno, line in enumerate(batch, start):
+                    line = line.rstrip("\n").rstrip("\r")
+                    fields = line.split("\t")
+                    if fields == [""]:
+                        continue
+                    try:
+                        if "\r" in line:
+                            raise ValueError("carriage return inside the line")
+                        if len(fields) != width:
+                            raise ValueError(f"expected {width} columns, found {len(fields)}")
+                        item = row(fields)
+                    except ValueError as err:
+                        if skipped is None:
+                            raise RowError(lineno, str(err), name) from None
+                        skipped.append(RowError(lineno, str(err), name))
+                        continue
+                    except KeyError as err:
+                        message = f"{where} {lineno}: unknown mention {err.args[0]!r}"
+                        raise ConsistencyError(message) from None
                     yield item
-                    continue
-                line = line.rstrip("\n").rstrip("\r")
-                fields = line.split("\t")
-                if fields == [""]:
-                    continue
-                try:
-                    if "\r" in line:
-                        raise ValueError("carriage return inside the line")
-                    if len(fields) != width:
-                        raise ValueError(f"expected {width} columns, found {len(fields)}")
-                    item = row(fields)
-                except ValueError as err:
-                    if skipped is None:
-                        raise RowError(lineno, str(err), name) from None
-                    skipped.append(RowError(lineno, str(err), name))
-                    continue
-                except KeyError as err:
-                    message = f"{where} {lineno}: unknown mention {err.args[0]!r}"
-                    raise ConsistencyError(message) from None
-                yield item
             if failure is not None:
                 raise failure
             if len(batch) < CHUNK_LINES:
                 return
+            start += CHUNK_LINES
 
 
 def read_tsv(

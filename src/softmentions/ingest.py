@@ -84,18 +84,15 @@ def parse_mentions(
         pmcid = "" if pmcid_at is None else fields[pmcid_at]
         return CorpusRow(fields[software_at], pmcid, fields[doi_at], "\t".join(fields))
 
-    def parse_chunk(text: str) -> list[CorpusRow | None]:
-        """Each line's row where parse gives one, else None."""
+    def parse_chunk(text: str) -> list[CorpusRow] | None:
+        """Each line's row, or None if a line is blank, misshapen or refused by a cell rule."""
         lines = text.split("\n")
         if not lines[-1]:
             lines.pop()  # the empty string after the last line's newline
-        tabs = list(map(str.count, lines, repeat("\t")))
-        if tabs.count(width - 1) != len(lines):
-            # Blank lines and lines with a wrong column count are left to parse;
-            # here they stand as lines of empty cells, which the software rule refuses.
-            lines = [line if n == width - 1 else "\t" * (width - 1) for line, n in zip(lines, tabs)]
+        if set(map(str.count, lines, repeat("\t"))) != {width - 1}:
+            return None
         cells = "\t".join(lines).split("\t")
-        changed, faulty = set(), set()
+        changed = set()
         for at, keeps, fix in rules:
             column = cells[at::width]
             if keeps(column):
@@ -104,8 +101,7 @@ def parse_mentions(
                 try:
                     fixed = fix(cell)
                 except (ValueError, KeyError):
-                    faulty.add(i)  # left to parse, to report
-                    continue
+                    return None
                 if fixed != cell:
                     cells[i * width + at] = fixed
                     changed.add(i)
@@ -113,10 +109,7 @@ def parse_mentions(
             lines[i] = "\t".join(cells[i * width:(i + 1) * width])
         pmcids = repeat("") if pmcid_at is None else cells[pmcid_at::width]
         columns = zip(cells[software_at::width], pmcids, cells[doi_at::width], lines)
-        rows = list(map(tuple.__new__, repeat(CorpusRow), columns))
-        for i in faulty:
-            rows[i] = None
-        return rows
+        return list(map(tuple.__new__, repeat(CorpusRow), columns))
 
     return iter_tsv(stream, header, parse, skipped, parse_chunk)
 

@@ -2,13 +2,16 @@ import gzip
 import hashlib
 import io
 import json
+import logging
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import softmentions
 from softmentions import cli
@@ -17,7 +20,7 @@ from softmentions.config import PipelineConfig, apply_settings, load_config
 from softmentions.errors import ValidationError
 from softmentions.linking import LinkSource
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, FIXTURE_DIR
 
 
 def run_cli(*argv) -> int:
@@ -286,6 +289,71 @@ def test_corpus_newer_than_mention_table_fails_cluster(fixture_copy, caplog, cap
     assert not (fixture_copy / "out" / "disambiguated.tsv").exists()
 
 
+def test_mention_table_edited_since_ingest_fails_cluster_naming_it(fixture_copy, caplog, capsys):
+    assert run_stage(fixture_copy, "run-all") == 0
+    out = fixture_copy / "out"
+    ids = out / "mention2id.tsv"
+    renamed = ids.read_text(encoding="utf-8").replace("(BLAST\t", "(BLASTX\t", 1)
+    ids.write_text(renamed, encoding="utf-8")
+    caplog.clear()
+    assert run_stage(fixture_copy, "cluster") == 2
+    log = caplog.text + capsys.readouterr().err
+    frequencies = out / "frequencies.tsv"
+    where = f"{frequencies}: line 2: unknown mention '(BLAST', which {ids} does not list"
+    assert_data_error_names(log, where)
+
+
+def append_graphpad_rows(corpus: Path, count: int) -> None:
+    """Append ``count`` rows of the known mention GraPhPad, each from a new paper."""
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    fields = next(line for line in lines if "\tGraPhPad\t" in line).split("\t")
+    for i in range(count):
+        fields[1:3] = f"comm/fixture/PMC{9100000 + i}.nxml", str(9100000 + i)
+        lines.append("\t".join(fields))
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_corpus_changed_since_ingest_fails_cluster(fixture_copy, caplog, capsys):
+    # Every new row names a known mention, so only the digest in
+    # manifest_ingest.json tells that frequencies.tsv, and with it the
+    # cluster names, are stale: a clean run-all names cluster 4 GraPhPad.
+    assert run_stage(fixture_copy, "run-all") == 0
+    out = fixture_copy / "out"
+    corpus = fixture_copy / "corpus.tsv"
+    append_graphpad_rows(corpus, 40)
+    assert run_stage(fixture_copy, "synonyms") == 0
+    before = output_files(out)
+    caplog.clear()
+    assert run_stage(fixture_copy, "cluster") == 2
+    log = caplog.text + capsys.readouterr().err
+    manifest = out / "manifest_ingest.json"
+    assert_data_error_names(log, f"{corpus} is not the corpus {manifest} records (rerun ingest)")
+    assert output_files(out) == before
+    assert run_stage(fixture_copy, "ingest") == 0
+    assert run_stage(fixture_copy, "cluster") == 0
+    clusters = (out / "clusters.tsv").read_text(encoding="utf-8").splitlines()
+    assert next(line for line in clusters if line.startswith("4\t")).split("\t")[2] == "GraPhPad"
+
+
+@pytest.mark.parametrize("content", ["{", '{"inputs": {}}', "[]"])
+def test_unusable_ingest_manifest_fails_cluster_naming_it(fixture_copy, caplog, capsys, content):
+    assert run_stage(fixture_copy, "run-all") == 0
+    manifest = fixture_copy / "out" / "manifest_ingest.json"
+    manifest.write_text(content, encoding="utf-8")
+    caplog.clear()
+    assert run_stage(fixture_copy, "cluster") == 2
+    log = caplog.text + capsys.readouterr().err
+    assert_data_error_names(log, f"{manifest}: expected the digest of one input")
+
+
+def test_cluster_without_ingest_manifest_compares_no_corpus(fixture_copy):
+    # Artifacts written by other means, such as the benchmark's, carry no manifest.
+    assert run_stage(fixture_copy, "run-all") == 0
+    (fixture_copy / "out" / "manifest_ingest.json").unlink()
+    append_graphpad_rows(fixture_copy / "corpus.tsv", 1)
+    assert run_stage(fixture_copy, "cluster") == 0
+
+
 def test_min_pts_one_leaves_no_noise(fixture_copy):
     assert run_stage(fixture_copy, "run-all", "--set", "dbscan.min_pts=1") == 0
     manifest = json.loads(
@@ -379,6 +447,32 @@ def test_evaluate_synonym_and_curation_metrics(fixture_copy, tmp_path):
         "tp": 1, "fp": 0, "fn": 1,
     }
     assert metrics["precision_at_1k"]["software"] == pytest.approx(50.0)
+
+
+def test_synonym_metric_without_predicted_pairs_scores_the_labeled_set(fixture_copy, caplog):
+    labels = fixture_copy / "pairs.csv"
+    labels.write_text(
+        "link_label,synonym,synonym_label\n"
+        "ImageJ,Image J,Exact\nImageJ,ImageJ2,Narrow\nBLAST,ballast,Not synonym\n",
+        encoding="utf-8",
+    )
+    assert run_stage(fixture_copy, "evaluate", "--set", f"eval.synonyms={labels}") == 0
+    assert "no predicted pairs configured" in caplog.text
+    metrics = json.loads((fixture_copy / "out" / "metrics.json").read_text(encoding="utf-8"))
+    assert metrics["synonyms"] == {
+        "precision": pytest.approx(2 / 3), "recall": 1.0, "f1": pytest.approx(0.8),
+        "tp": 2, "fp": 1, "fn": 0,
+    }
+
+
+def test_run_all_evaluates_when_an_eval_file_is_set(fixture_copy):
+    links = fixture_copy / "links.csv"
+    links.write_text("source,link_label\nPyPI,correct\nCRAN,unclear\n", encoding="utf-8")
+    assert run_stage(fixture_copy, "run-all", "--set", f"eval.linking={links}") == 0
+    out = fixture_copy / "out"
+    metrics = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+    assert metrics["linking"]["overall"]["correct"]["count"] == 1
+    assert (out / "manifest_evaluate.json").exists()
 
 
 def test_registry_page_details_enrich_linking(fixture_copy):
@@ -926,3 +1020,93 @@ def test_lenient_flag_skips_bad_rows(fixture_copy):
         fh.write("short\trow\n")
     assert run_stage(fixture_copy, "ingest") == 2
     assert run_stage(fixture_copy, "ingest", "--lenient") == 0
+
+
+# Each file the mutation fuzz edits, and the first stage that reads it.
+FUZZ_FILES = {
+    "corpus.tsv": "ingest",
+    "registry_py.txt": "synonyms",
+    "registry_r.txt": "synonyms",
+    "registry_bioc.txt": "synonyms",
+    "kb_synonyms.tsv": "synonyms",
+    "out/mention2id.tsv": "synonyms",
+    "stoplist.txt": "cluster",
+    "out/frequencies.tsv": "cluster",
+    "out/synonyms.tsv": "cluster",
+    "out/manifest_ingest.json": "cluster",
+    "snapshots/kb/BLAST.json": "link",
+    "snapshots/codehost/Bowtie.json": "link",
+    "out/clusters.tsv": "link",
+}
+STAGES = ("ingest", "synonyms", "cluster", "link")
+# A bit flip, an inserted byte, a line deleted, duplicated or swapped with another, truncation.
+EDITS = ("flip", b"\t", b"\r", b"\xe9", b"\x00", "delete", "duplicate", "swap", "truncate")
+
+
+def mutate(data: bytes, edit, i: int, j: int) -> bytes:
+    """``data`` with one ``edit`` at the byte or line that ``i`` (and ``j``) pick."""
+    if edit == "flip":
+        i %= len(data)
+        return data[:i] + bytes([data[i] ^ 1 << j % 8]) + data[i + 1:]
+    if isinstance(edit, bytes):
+        i %= len(data) + 1
+        return data[:i] + edit + data[i:]
+    if edit == "truncate":
+        return data[:i % len(data)]
+    lines = data.splitlines(keepends=True)
+    i, j = i % len(lines), j % len(lines)
+    if edit == "delete":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        lines[i], lines[j] = lines[j], lines[i]
+    return b"".join(lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory) -> Path:
+    """A copy of the fixture after run-all, which each fuzz example copies again."""
+    base = tmp_path_factory.mktemp("fuzz") / "fixture"
+    shutil.copytree(FIXTURE_DIR, base)
+    assert run_stage(base, "run-all") == 0
+    return base
+
+
+# Three quarters of the profile's examples keep the default run near 5 s;
+# the ci profile runs ten times as many.
+@settings(
+    max_examples=settings.default.max_examples * 3 // 4,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    name=st.sampled_from(sorted(FUZZ_FILES)),
+    edit=st.sampled_from(EDITS),
+    i=st.integers(0, 1 << 20),
+    j=st.integers(0, 1 << 20),
+)
+def test_single_file_edit_exits_0_or_2_naming_the_file(fuzz_base, name, edit, i, j):
+    # The stage that first reads the edited file runs, then each later one, as
+    # in a rerun. Once a stage exits 2 the artifacts disagree with each other,
+    # so only the first exit 2 must name the edited file.
+    log = io.StringIO()
+    handler = logging.StreamHandler(log)
+    logger = logging.getLogger("softmentions")
+    logger.addHandler(handler)
+    try:
+        with tempfile.TemporaryDirectory(dir=fuzz_base.parent) as scratch:
+            tree = Path(scratch) / "fixture"
+            shutil.copytree(fuzz_base, tree)
+            path = tree / name
+            path.write_bytes(mutate(path.read_bytes(), edit, i, j))
+            named = False
+            for stage in STAGES[STAGES.index(FUZZ_FILES[name]):]:
+                code = run_stage(tree, stage)
+                assert code in (0, 2), log.getvalue()
+                assert "Traceback" not in log.getvalue()
+                if code == 2 and not named:
+                    assert str(path) in log.getvalue(), log.getvalue()
+                    named = True
+    finally:
+        logger.removeHandler(handler)

@@ -1,5 +1,6 @@
 import gzip
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +22,7 @@ from softmentions.evaluation import (
     ratings_to_matrix,
     read_curation_rows,
     read_link_eval,
+    read_predicted_pairs,
     read_ratings_csv,
     read_synonym_labels,
     synonym_prf,
@@ -222,6 +224,8 @@ def test_fleiss_kappa_degenerate_and_invalid():
         fleiss_kappa([[2, 0], [1, 0]])  # inconsistent rater counts
     with pytest.raises(ValueError):
         fleiss_kappa([[1, 0]])  # single rater
+    with pytest.raises(ValueError, match="negative rating count"):
+        fleiss_kappa([[3, -1], [2, 0]])
 
 
 @pytest.mark.parametrize("grid,expected", ALPHA_FIXTURES)
@@ -236,6 +240,8 @@ def test_krippendorff_alpha_degenerate_and_invalid():
         krippendorff_alpha([])
     with pytest.raises(ValueError):
         krippendorff_alpha([[A, None], [None, A]])  # nothing pairable
+    with pytest.raises(ValueError, match="same item list"):
+        krippendorff_alpha([[A, A], [A]])
 
 
 @given(st.lists(st.lists(st.sampled_from([0, 1, 2]), min_size=4, max_size=4),
@@ -310,6 +316,13 @@ def test_read_synonym_labels_csv(tmp_path):
     rows = read_synonym_labels(path)
     assert rows[0] == SynonymLabel("ImageJ", "Image J", SynonymVerdict.EXACT)
     assert rows[1].label is SynonymVerdict.NOT_SYNONYM
+
+
+def test_bad_predicted_pairs_header_names_file_and_line(tmp_path):
+    path = tmp_path / "predicted.tsv"
+    path.write_text("synonym\tmention\nImage J\tImageJ\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: line 1: bad predicted pairs header")):
+        read_predicted_pairs(path)
 
 
 def test_read_curation_rows_csv(tmp_path):

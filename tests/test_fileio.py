@@ -139,23 +139,19 @@ def test_bad_cell_in_a_later_chunk_keeps_previous_file(tmp_path_factory, lineno,
 
 
 @pytest.mark.parametrize(
-    "refused, offered, via_row",
+    "ends, offered",
     [
         # Line 1 ends in \r\n, so chunk 0-3 is offered with \n in its place.
-        ({4, 5, 13, "crlf"}, [range(0, 4), range(4, 8), range(8, 12), range(12, 16)], {4, 5, 13}),
+        ({1: "\r\n"}, [range(0, 4), range(4, 8), range(8, 12), range(12, 16)]),
         # Line 5 ends in a lone \r, which keeps chunk 4-7 from bulk.
-        ({"cr"}, [range(0, 4), range(8, 12), range(12, 16)], set(range(4, 8))),
+        ({5: "\r"}, [range(0, 4), range(8, 12), range(12, 16)]),
     ],
 )
-def test_iter_tsv_sends_only_refused_lines_through_row(monkeypatch, refused, offered, via_row):
+def test_iter_tsv_sends_refused_chunks_through_row(monkeypatch, ends, offered):
     monkeypatch.setattr(fileio, "CHUNK_LINES", 4)
-    ends = ["\n"] * 16
-    if "crlf" in refused:
-        ends[1] = "\r\n"
-    if "cr" in refused:
-        ends[5] = "\r"
+    rejected = {6, 14}  # row raises for these; bulk refuses their chunks
     # newline="" splits lines at a lone \r too, as open_text does.
-    text = "n\n" + "".join(f"{i}{end}" for i, end in enumerate(ends))
+    text = "n\n" + "".join(f"{i}{ends.get(i, chr(10))}" for i in range(16))
     stream = io.StringIO(text, newline="")
     seen = []
 
@@ -163,11 +159,19 @@ def test_iter_tsv_sends_only_refused_lines_through_row(monkeypatch, refused, off
         assert "\r" not in text
         numbers = [int(line) for line in text.split()]
         seen.append(numbers)
-        return [None if n in refused else ("bulk", n) for n in numbers]
+        return None if rejected & set(numbers) else [("bulk", n) for n in numbers]
 
-    got = list(iter_tsv(stream, ["n"], lambda fields: ("row", int(fields[0])), bulk=bulk))
+    def row(fields):
+        if int(fields[0]) in rejected:
+            raise ValueError("rejected")
+        return ("row", int(fields[0]))
+
+    skipped = []
+    got = list(iter_tsv(stream, ["n"], row, skipped, bulk))
     assert seen == [list(chunk) for chunk in offered]
-    assert got == [("row" if n in via_row else "bulk", n) for n in range(16)]
+    via_row = {*range(4, 8), *range(12, 16)}
+    assert got == [("row" if n in via_row else "bulk", n) for n in range(16) if n not in rejected]
+    assert [err.line_number for err in skipped] == [8, 16]
 
 
 def test_read_tsv_contract(tmp_path):

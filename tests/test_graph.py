@@ -70,6 +70,8 @@ def test_matrix_keyword_kept_even_below_use_threshold():
         pytest.param((1, 1, 1.0, KB), id="self-pair"),
         pytest.param((0, 1, 0.0, KW), id="confidence-0"),
         pytest.param((0, 1, 1.5, SS), id="confidence-1.5"),
+        # No synonym channel yields a post-processing edge.
+        pytest.param((0, 1, 1.0, SynonymSource.POST_PROCESS), id="post-process-source"),
     ],
 )
 def test_matrix_unknown_mention_id_fatal(fields):

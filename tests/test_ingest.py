@@ -396,25 +396,25 @@ def test_each_line_change_at_a_chunk_edge_matches_reference_parser(corpus_kind):
         assert got == want, (change, at, lenient, known)
 
 
-def test_bulk_path_leaves_only_changed_lines_to_parse(monkeypatch):
-    # Three chunks of four rows; lines 7 and 9 hold a cell parse rewrites,
-    # which the bulk converter rewrites too, line 8 has a fault and line 11
-    # is blank. The bulk converter vouches for every line but the last two.
+def test_bulk_path_keeps_rewritten_chunks_and_leaves_faulty_ones_to_parse(monkeypatch):
+    # Four chunks of four rows. Lines 7 and 9 hold a cell parse rewrites,
+    # which the bulk converter rewrites too, so their chunk stays in bulk;
+    # line 11 is blank and line 16 has a fault, so their chunks go to parse.
     def row(**cells):
         return comm_row(**{"curation_label": "software", **cells})
 
-    lines = [row(software=f"tool {i}", number=str(i)) for i in range(12)]
+    lines = [row(software=f"tool {i}", number=str(i)) for i in range(16)]
     lines[7 - 2] = row(number="007")
-    lines[8 - 2] = row(number="-8")
     lines[9 - 2] = row(curation_label="")
     lines[11 - 2] = ""
+    lines[16 - 2] = row(number="-16")
     text = comm_tsv(*lines).getvalue()
     verdicts = []
 
     def recording_iter_tsv(stream, header, row, skipped, bulk):
         def recording_bulk(chunk):
             items = bulk(chunk)
-            verdicts.append([item is not None for item in items])
+            verdicts.append(items is not None)
             return items
 
         return fileio.iter_tsv(stream, header, row, skipped, recording_bulk)
@@ -427,8 +427,8 @@ def test_bulk_path_leaves_only_changed_lines_to_parse(monkeypatch):
         lambda rec: corpus_row_reference(rec, "comm"),
     )
     assert got == want
-    assert got[1] == [(8, "line 8: negative number field: -8")]
-    assert verdicts == [[True] * 4, [True, True, False, True], [True, False, True, True]]
+    assert got[1] == [(16, "line 16: negative number field: -16")]
+    assert verdicts == [True, True, False, False]
 
 
 # Cells an integer column may hold: ASCII and other digits, signs, "_",

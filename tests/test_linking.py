@@ -437,6 +437,16 @@ def test_source_shares_reproduce_reference_coverage_table():
     assert sum(shares.values()) == pytest.approx(100.0)
 
 
+@pytest.mark.parametrize(
+    "value", [["a", 'say "hi"', "caf\u00e9\t"], ("x",), [], ["a", 2, None, ["b"]]],
+    ids=["strings", "tuple", "empty", "not_all_strings"],
+)
+def test_list_cells_are_their_json_arrays(value):
+    from softmentions.linking import _csv_cell
+
+    assert _csv_cell(value) == json.dumps(value, ensure_ascii=False)
+
+
 def test_metadata_row_requires_package_url(tmp_path):
     with pytest.raises(ValueError):
         metadata_row(LinkedMetadata(id=1, software_mention="x"))
@@ -472,6 +482,7 @@ def test_knowledge_base_fetcher_parses_payloads(monkeypatch, clock):
     payloads = {
         "https://kb.example/api?q=Fiji": {"data": {"Resource ID": "SCR_002285"}},
         "https://kb.example/api?q=gone": None,
+        "https://kb.example/api?q=odd": ["SCR_002285"],
     }
 
     def fake_fetch(url, headers=None, timeout=30.0):
@@ -485,6 +496,8 @@ def test_knowledge_base_fetcher_parses_payloads(monkeypatch, clock):
     assert record["Resource ID"] == "SCR_002285"
     assert record["software_name"] == "Fiji"
     assert fetch("gone") is None
+    with pytest.raises(ExternalServiceError, match="unexpected payload"):
+        fetch("odd")
 
 
 def test_code_host_fetcher_keeps_exact_name_only(monkeypatch):
@@ -509,8 +522,31 @@ def test_code_host_fetcher_keeps_exact_name_only(monkeypatch):
     assert record["license"] == "Artistic-2.0"
     assert record["exact_match"] == "True"
 
-    monkeypatch.setattr(linking_mod, "fetch_json", lambda *a, **k: {"items": []})
-    assert linking_mod.code_host_fetcher()("bowtie") is None
+    # No exact match, no search answer (HTTP 404) and an answer that is no object.
+    for answer in ({"items": []}, None, [{"name": "bowtie"}]):
+        monkeypatch.setattr(linking_mod, "fetch_json", lambda *a, answer=answer, **k: answer)
+        assert linking_mod.code_host_fetcher()("bowtie") is None
+
+
+@pytest.mark.parametrize(
+    "answer, message",
+    [(503, "HTTP 503"), (b'{"data": ', "malformed response"), (b"\xff", "malformed response")],
+    ids=["server_error", "truncated_json", "not_utf8"],
+)
+def test_fetch_json_refuses_a_failed_or_malformed_answer(monkeypatch, answer, message):
+    import urllib.error
+    import urllib.request
+
+    from softmentions.linking import fetch_json
+
+    def urlopen(request, timeout):
+        if isinstance(answer, int):
+            raise urllib.error.HTTPError(request.full_url, answer, "unavailable", {}, None)
+        return io.BytesIO(answer)
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    with pytest.raises(ExternalServiceError, match=f"https://kb.example/x: {message}"):
+        fetch_json("https://kb.example/x")
 
 
 @pytest.mark.parametrize(

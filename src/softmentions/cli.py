@@ -12,6 +12,11 @@ stage asks for one that no stage put there. A stage run alone gets a
 fresh store; run-all hands one store to every stage, so it parses the
 corpus once and reads back no artifact it wrote.
 
+The store records each file a stage uses, loaded or handed on, for its
+manifest. An artifact loaded from out/ is refused (exit 2) when its stage's
+manifest records an input now missing or changed, artifact inputs in turn;
+an input a paths.* setting named is looked for where that setting points now.
+
 Exit codes: 0 success, 1 configuration problem, 2 data problem or missing
 artifact.
 """
@@ -24,7 +29,7 @@ import json
 import logging
 import sys
 from contextlib import contextmanager
-from functools import cached_property, partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, TypeVar
 
@@ -54,15 +59,6 @@ IdTables = tuple[dict[str, int], list[str]]
 RegistryNames = dict[synonyms.Registry, set[str]]
 
 
-def _require(path: str | Path, what: str) -> Path:
-    if not path:
-        raise SoftMentionsError(f"missing input: {what} is not configured")
-    path = Path(path)
-    if not path.exists():
-        raise SoftMentionsError(f"missing input: {what} not found at {path}")
-    return path
-
-
 def _digest(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -71,13 +67,15 @@ def _digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(run: Products, stage: str, inputs: list[Path], counts: dict) -> None:
+def write_manifest(run: Products, stage: str, counts: dict) -> None:
+    """Record the files the stage used, then start run-all's next stage on an empty record."""
     manifest = {
         "stage": stage,
-        "inputs": {str(p): run.digest(p) for p in sorted(inputs)},
+        "inputs": {str(p): run.digest(p) for p in sorted(run.used)},
         "config": run.cfg.snapshot(),
         "row_counts": counts,
     }
+    run.used.clear()
     out = run.out / f"manifest_{stage}.json"
     write_text(out, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
@@ -93,10 +91,9 @@ def _listed(out: Path) -> Iterator[None]:
 
 
 def _read_corpus(
-    cfg: PipelineConfig, id_table: Mapping[str, int] | None = None
+    cfg: PipelineConfig, corpus: Path, id_table: Mapping[str, int] | None = None
 ) -> list[ingest.CorpusRow]:
     """The corpus rows; with the ID table of mention2id.tsv, each mention must be in it."""
-    corpus = _require(cfg.corpus, "corpus TSV (paths.corpus)")
     skipped: list | None = None if cfg.strict else []
     with _listed(Path(cfg.out_dir)), open_text(corpus) as fh:
         rows = list(ingest.parse_mentions(fh, cfg.corpus_kind, skipped, known=id_table))
@@ -115,6 +112,37 @@ def _registry_files(cfg: PipelineConfig) -> dict[synonyms.Registry, str]:
     return {registry: path for registry, path in files.items() if path}
 
 
+# Each artifact a later stage loads, and the stage whose manifest records how it was made.
+ARTIFACTS = {MENTION2ID: "ingest", FREQUENCIES: "ingest", SYNONYMS: "synonyms", CLUSTERS: "cluster"}
+
+
+class _Product:
+    """A store value loaded from ``files(run)`` on first use; every use records those files."""
+
+    def __init__(self, files: Callable[[Products], list[Path]]):
+        self.files = files
+
+    def __call__(self, load: Callable) -> _Product:
+        self.load, self.name = load, load.__name__
+        return self
+
+    def __get__(self, run: Products | None, owner: type):
+        if run is None:
+            return self
+        files = self.files(run)
+        if self.name not in vars(run):
+            vars(run)[self.name] = self.load(run, *files)
+            for path in files:  # after it parses, so a malformed artifact names its line
+                run.check(path)
+        return vars(run)[self.name]
+
+    def __set__(self, run: Products, value) -> None:
+        vars(run)[self.name] = value
+
+    def __delete__(self, run: Products) -> None:
+        del vars(run)[self.name]
+
+
 class Products:
     """One run's products, each loaded from its artifact on first use.
 
@@ -125,70 +153,79 @@ class Products:
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         self.out = Path(cfg.out_dir)
-        self.digests: dict[Path, str] = {}
+        # A file's SHA-256, read once per run: no stage rewrites what an earlier one read.
+        self.digest: Callable[[Path], str] = cache(_digest)
+        self.used: set[Path] = set()  # the files the running stage uses
+        self.checked: set[str] = set()  # the stages whose manifest was compared
 
-    def digest(self, path: Path) -> str:
-        """``path``'s SHA-256, read once per run: no stage rewrites what an earlier one read."""
-        if path not in self.digests:
-            self.digests[path] = _digest(path)
-        return self.digests[path]
+    def use(self, path: str | Path, what: str) -> Path:
+        """``path``, which must exist, recorded as an input of the running stage."""
+        if not path or not Path(path).exists():
+            problem = f"not found at {path}" if path else "is not configured"
+            raise SoftMentionsError(f"missing input: {what} {problem}")
+        self.used.add(Path(path))
+        return Path(path)
 
-    @cached_property
-    def ids(self) -> IdTables:
-        path = _require(self.out / MENTION2ID, "mention2id.tsv (run ingest first)")
+    def artifact(self, name: str) -> Path:
+        return self.use(self.out / name, f"{name} (run {ARTIFACTS[name]} first)")
+
+    def check(self, path: Path) -> None:
+        """Refuse an artifact whose stage's manifest, if any, records an input changed since."""
+        stage = ARTIFACTS.get(path.name) if path.parent == self.out else None
+        manifest = self.out / f"manifest_{stage}.json"
+        if stage is None or stage in self.checked or not manifest.exists():
+            return
+        self.checked.add(stage)  # before its inputs, so a cycle ends
+        try:
+            record = read_json(manifest)
+            inputs, then, now = record["inputs"], record.get("config", {}), self.cfg.snapshot()
+            if not inputs or not all(isinstance(digest, str) for digest in inputs.values()):
+                raise TypeError
+            # A recorded input that a path setting named is the file that setting names now.
+            moved = {str(Path(then[key])): now[key] or f"{key} (unset)"
+                     for key in now if key.startswith("paths.") and key in then}
+        except (ValueError, TypeError, KeyError, AttributeError):
+            raise FormatError(f"{manifest}: expected an object of input digests") from None
+        for name, digest in inputs.items():
+            path = Path(moved.get(name, name))
+            if not path.is_file() or self.digest(path) != digest:
+                raise ConsistencyError(f"{path} is not the file {manifest} records (rerun {stage})")
+            self.check(path)
+
+    @_Product(lambda run: [run.artifact(MENTION2ID)])
+    def ids(self, path: Path) -> IdTables:
         return ingest.read_id_table(path)
 
-    @cached_property
-    def freq(self) -> dict[int, int]:
-        path = _require(self.out / FREQUENCIES, "frequencies.tsv (run ingest first)")
+    @_Product(lambda run: [run.artifact(FREQUENCIES)])
+    def freq(self, path: Path) -> dict[int, int]:
         id_table = self.ids[0]
         with _listed(self.out):
             return ingest.read_frequencies(path, id_table)
 
-    @cached_property
-    def pairs(self) -> list[synonyms.SynonymPair]:
-        path = _require(self.out / SYNONYMS, "synonyms.tsv (run synonyms first)")
+    @_Product(lambda run: [run.artifact(SYNONYMS)])
+    def pairs(self, path: Path) -> list[synonyms.SynonymPair]:
         return synonyms.read_synonyms_tsv(path, self.ids[1])
 
-    @cached_property
-    def rows(self) -> list[ingest.CorpusRow]:
-        """The corpus, which must hold no mention that mention2id.tsv lacks.
+    @_Product(lambda run: [run.use(run.cfg.corpus, "corpus TSV (paths.corpus)")])
+    def rows(self, corpus: Path) -> list[ingest.CorpusRow]:
+        """The corpus, which must hold no mention that mention2id.tsv lacks."""
+        return _read_corpus(self.cfg, corpus, self.ids[0])
 
-        It must also be the corpus that manifest_ingest.json records, where
-        there is one: a corpus changed since ingest leaves the mention table
-        and frequencies stale even when it adds no new mention.
-        """
-        rows = _read_corpus(self.cfg, self.ids[0])
-        manifest = self.out / "manifest_ingest.json"
-        if manifest.exists():
-            try:
-                (ingested,) = read_json(manifest)["inputs"].values()
-            except (ValueError, TypeError, KeyError, AttributeError):
-                raise FormatError(f"{manifest}: expected the digest of one input") from None
-            if ingested != self.digest(Path(self.cfg.corpus)):
-                raise ConsistencyError(
-                    f"{self.cfg.corpus} is not the corpus {manifest} records (rerun ingest)"
-                )
-        return rows
-
-    @cached_property
-    def clusters(self) -> list[clustering.Cluster]:
-        path = _require(self.out / CLUSTERS, "clusters.tsv (run cluster first)")
+    @_Product(lambda run: [run.artifact(CLUSTERS)])
+    def clusters(self, path: Path) -> list[clustering.Cluster]:
         return _read_clusters(path, self.ids[1])
 
-    @cached_property
-    def names(self) -> RegistryNames:
+    @_Product(lambda run: [run.use(path, f"{registry.value} name list")
+                           for registry, path in _registry_files(run.cfg).items()])
+    def names(self, *paths: Path) -> RegistryNames:
         """The entry names of every configured package index."""
-        return {
-            registry: set(read_lines(_require(path, f"{registry.value} name list")))
-            for registry, path in _registry_files(self.cfg).items()
-        }
+        return dict(zip(_registry_files(self.cfg), (set(read_lines(path)) for path in paths)))
 
 
 def stage_ingest(cfg: PipelineConfig, run: Products | None = None) -> None:
     """Parse the corpus, assign mention IDs and count papers."""
     run = run or Products(cfg)
-    rows = _read_corpus(cfg)
+    rows = _read_corpus(cfg, run.use(cfg.corpus, "corpus TSV (paths.corpus)"))
     id_table, mentions = ingest.assign_ids(row.software for row in rows)
     freq, missing_paper_key = ingest.compute_frequencies(rows, id_table)
     run.rows, run.ids, run.freq = rows, (id_table, mentions), freq
@@ -199,7 +236,7 @@ def stage_ingest(cfg: PipelineConfig, run: Products | None = None) -> None:
         "unique_mentions": len(mentions),
         "rows_missing_paper_key": missing_paper_key,
     }
-    write_manifest(run, "ingest", [Path(cfg.corpus)], counts)
+    write_manifest(run, "ingest", counts)
     logger.info("ingest: %(rows)d rows, %(unique_mentions)d unique mentions", counts)
 
 
@@ -207,7 +244,7 @@ def stage_synonyms(cfg: PipelineConfig, run: Products | None = None) -> None:
     """Generate the synonym pairs of the ID table."""
     run = run or Products(cfg)
     id_table, mentions = run.ids
-    kb = synonyms.read_kb_dict(_require(cfg.kb_dict, "KB dictionary")) if cfg.kb_dict else None
+    kb = synonyms.read_kb_dict(run.use(cfg.kb_dict, "KB dictionary")) if cfg.kb_dict else None
     skip_report: list[str] = []
     unmatched: list[tuple[str, str]] = []
     pairs = synonyms.generate_synonym_pairs(
@@ -230,10 +267,7 @@ def stage_synonyms(cfg: PipelineConfig, run: Products | None = None) -> None:
         "skipped_registry_entries": len(skip_report),
         "unmatched_kb_entries": len(unmatched),
     }
-    inputs = [run.out / MENTION2ID, *map(Path, _registry_files(cfg).values())]
-    if cfg.kb_dict:
-        inputs.append(Path(cfg.kb_dict))
-    write_manifest(run, "synonyms", inputs, counts)
+    write_manifest(run, "synonyms", counts)
     logger.info("synonyms: %d pairs", len(pairs))
 
 
@@ -242,11 +276,9 @@ def stage_cluster(cfg: PipelineConfig, run: Products | None = None) -> None:
     run = run or Products(cfg)
     out = run.out
     (id_table, mentions), freq, pairs, rows = run.ids, run.freq, run.pairs, run.rows
-    stoplist = (
-        graph.read_stoplist(_require(cfg.stoplist, "stoplist"))
-        if cfg.stoplist
-        else frozenset(graph.DEFAULT_STOPLIST)
-    )
+    stoplist = frozenset(graph.DEFAULT_STOPLIST)
+    if cfg.stoplist:
+        stoplist = graph.read_stoplist(run.use(cfg.stoplist, "stoplist"))
     result = clustering.disambiguate_pairs(
         pairs,
         mentions=mentions,
@@ -278,10 +310,7 @@ def stage_cluster(cfg: PipelineConfig, run: Products | None = None) -> None:
         "disambiguated": acc.disambiguated,
         "clusters": len(result.clusters),
     }
-    inputs = [out / MENTION2ID, out / FREQUENCIES, out / SYNONYMS, Path(cfg.corpus)]
-    if cfg.stoplist:
-        inputs.append(Path(cfg.stoplist))
-    write_manifest(run, "cluster", inputs, counts)
+    write_manifest(run, "cluster", counts)
     logger.info(
         "cluster: %(disambiguated)d mentions in %(clusters)d entities, "
         "%(no_significant_synonyms)d without synonyms, %(no_cluster_output)d noise",
@@ -341,22 +370,18 @@ def _read_registry_details(path: Path) -> dict[str, dict]:
     return details
 
 
-def _details_files(cfg: PipelineConfig, names: RegistryNames) -> dict[synonyms.Registry, Path]:
-    """The page-details file of each configured package index that has one."""
-    if not cfg.registry_details:
-        return {}
-    paths = {registry: Path(cfg.registry_details) / f"{registry.value}.json" for registry in names}
-    return {registry: path for registry, path in paths.items() if path.exists()}
-
-
-def build_link_sources(cfg: PipelineConfig, names: RegistryNames) -> linking.Backends:
-    """The configured lookup backends, in linking.precedence order."""
+def build_link_sources(
+    cfg: PipelineConfig, names: RegistryNames, record: Callable[[Path], object]
+) -> linking.Backends:
+    """The configured lookup backends, in linking.precedence order; ``record`` gets each file."""
     backends = {}
-    details_files = _details_files(cfg, names)
     for registry, entries in names.items():
         source = linking.LinkSource(registry.value)
-        path = details_files.get(registry)
-        details = _read_registry_details(path) if path else {}
+        path = cfg.registry_details and Path(cfg.registry_details, f"{registry.value}.json")
+        details = {}
+        if path and path.exists():
+            record(path)
+            details = _read_registry_details(path)
         backends[source] = linking.RegistrySnapshot(source=source, names=entries, details=details)
     # Each API source: its snapshot directory and, if it can fetch live, its fetcher's factory.
     kb_fetcher = partial(linking.knowledge_base_fetcher, cfg.kb_api_url) if cfg.kb_api_url else None
@@ -377,7 +402,7 @@ def stage_link(cfg: PipelineConfig, run: Products | None = None) -> None:
     run = run or Products(cfg)
     out = run.out
     mentions, clusters = run.ids[1], run.clusters
-    sources = build_link_sources(cfg, run.names)
+    sources = build_link_sources(cfg, run.names, run.used.add)
     soft_errors: list[str] = []
     collected: dict[linking.LinkSource, list[dict]] = {}
     links = linking.link_mentions(
@@ -395,9 +420,7 @@ def stage_link(cfg: PipelineConfig, run: Products | None = None) -> None:
         "by_source": {source: count for source, count, _ in report},
         "soft_errors": len(soft_errors),
     }
-    inputs = [out / MENTION2ID, out / CLUSTERS, *map(Path, _registry_files(cfg).values())]
-    inputs += _details_files(cfg, run.names).values()
-    write_manifest(run, "link", inputs, counts)
+    write_manifest(run, "link", counts)
     logger.info("link: %d mentions linked", len(rows))
 
 
@@ -415,14 +438,14 @@ def stage_evaluate(cfg: PipelineConfig, run: Products | None = None) -> dict:
     if not any(_eval_files(cfg)):
         raise SoftMentionsError("missing input: no evaluation files configured (eval.*)")
     metrics: dict = {}
-    inputs: list[Path] = []
+    opened: list[Path] = []
 
     def load(path: str, what: str, read: Callable[[Path], T]) -> T:
-        inputs.append(_require(path, what))
-        return read(inputs[-1])
+        opened.append(run.use(path, what))
+        return read(opened[-1])
 
     # Each metric is computed right after its file is read, so a ValueError
-    # (rows that leave the metric undefined) concerns the last file recorded.
+    # (rows that leave the metric undefined) concerns the last file read.
     try:
         if cfg.eval_synonyms:
             labeled = load(cfg.eval_synonyms, "synonym labels", evaluation.read_synonym_labels)
@@ -457,7 +480,7 @@ def stage_evaluate(cfg: PipelineConfig, run: Products | None = None) -> dict:
                 grid = load(path, f"ratings ({key})", evaluation.read_ratings_csv)
                 metrics.setdefault("agreement", {})[key] = evaluation.agreement(grid)
     except ValueError as err:
-        raise FormatError(f"{inputs[-1]}: {err}") from None
+        raise FormatError(f"{opened[-1]}: {err}") from None
     out = run.out
     write_text(out / METRICS_JSON, json.dumps(metrics, sort_keys=True, indent=2) + "\n")
     lines = []
@@ -469,7 +492,7 @@ def stage_evaluate(cfg: PipelineConfig, run: Products | None = None) -> dict:
             lines.append(f"{prefix} = {value}")
     flatten("", metrics)
     write_text(out / METRICS_TXT, "\n".join(lines) + "\n")
-    write_manifest(run, "evaluate", inputs, {"metrics": len(lines)})
+    write_manifest(run, "evaluate", {"metrics": len(lines)})
     logger.info("evaluate: wrote %d metric values", len(lines))
     return metrics
 

@@ -1,9 +1,11 @@
+import errno
 import gzip
 import hashlib
 import io
 import json
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -284,6 +286,13 @@ def test_corpus_newer_than_mention_table_fails_cluster(fixture_copy, caplog, cap
     caplog.clear()
     assert run_stage(fixture_copy, "cluster") == 2
     log = caplog.text + capsys.readouterr().err
+    manifest = fixture_copy / "out" / "manifest_ingest.json"
+    assert_data_error_names(log, f"{corpus} is not the file {manifest} records (rerun ingest)")
+    # Without the manifest, the mention that mention2id.tsv lacks is named by its line.
+    manifest.unlink()
+    caplog.clear()
+    assert run_stage(fixture_copy, "cluster") == 2
+    log = caplog.text + capsys.readouterr().err
     assert_data_error_names(log, f"{corpus}: line {len(lines)}: unknown mention 'BrandNewTool'")
     assert str(fixture_copy / "out" / "mention2id.tsv") in log
     assert not (fixture_copy / "out" / "disambiguated.tsv").exists()
@@ -321,13 +330,13 @@ def test_corpus_changed_since_ingest_fails_cluster(fixture_copy, caplog, capsys)
     out = fixture_copy / "out"
     corpus = fixture_copy / "corpus.tsv"
     append_graphpad_rows(corpus, 40)
-    assert run_stage(fixture_copy, "synonyms") == 0
     before = output_files(out)
+    assert run_stage(fixture_copy, "synonyms") == 2
     caplog.clear()
     assert run_stage(fixture_copy, "cluster") == 2
     log = caplog.text + capsys.readouterr().err
     manifest = out / "manifest_ingest.json"
-    assert_data_error_names(log, f"{corpus} is not the corpus {manifest} records (rerun ingest)")
+    assert_data_error_names(log, f"{corpus} is not the file {manifest} records (rerun ingest)")
     assert output_files(out) == before
     assert run_stage(fixture_copy, "ingest") == 0
     assert run_stage(fixture_copy, "cluster") == 0
@@ -336,14 +345,20 @@ def test_corpus_changed_since_ingest_fails_cluster(fixture_copy, caplog, capsys)
 
 
 @pytest.mark.parametrize("content", ["{", '{"inputs": {}}', "[]"])
-def test_unusable_ingest_manifest_fails_cluster_naming_it(fixture_copy, caplog, capsys, content):
+@pytest.mark.parametrize(
+    "upstream, stage", [("ingest", "cluster"), ("synonyms", "cluster"), ("cluster", "link")]
+)
+def test_unusable_ingest_manifest_fails_cluster_naming_it(
+    fixture_copy, caplog, capsys, upstream, stage, content
+):
+    # Each upstream manifest is read by the later stage that loads one of its artifacts.
     assert run_stage(fixture_copy, "run-all") == 0
-    manifest = fixture_copy / "out" / "manifest_ingest.json"
+    manifest = fixture_copy / "out" / f"manifest_{upstream}.json"
     manifest.write_text(content, encoding="utf-8")
     caplog.clear()
-    assert run_stage(fixture_copy, "cluster") == 2
+    assert run_stage(fixture_copy, stage) == 2
     log = caplog.text + capsys.readouterr().err
-    assert_data_error_names(log, f"{manifest}: expected the digest of one input")
+    assert_data_error_names(log, f"{manifest}: expected an object of input digests")
 
 
 def test_cluster_without_ingest_manifest_compares_no_corpus(fixture_copy):
@@ -352,6 +367,172 @@ def test_cluster_without_ingest_manifest_compares_no_corpus(fixture_copy):
     (fixture_copy / "out" / "manifest_ingest.json").unlink()
     append_graphpad_rows(fixture_copy / "corpus.tsv", 1)
     assert run_stage(fixture_copy, "cluster") == 0
+
+
+def test_corpus_changed_since_ingest_fails_every_later_stage(fixture_copy, caplog, capsys):
+    # link reads no corpus, yet its clusters.tsv is as stale as the frequencies.
+    assert run_stage(fixture_copy, "run-all") == 0
+    out = fixture_copy / "out"
+    corpus = fixture_copy / "corpus.tsv"
+    append_graphpad_rows(corpus, 40)
+    before = output_files(out)
+    manifest = out / "manifest_ingest.json"
+    for stage in ("synonyms", "cluster", "link"):
+        caplog.clear()
+        assert run_stage(fixture_copy, stage) == 2, stage
+        log = caplog.text + capsys.readouterr().err
+        assert_data_error_names(log, f"{corpus} is not the file {manifest} records (rerun ingest)")
+    assert output_files(out) == before
+    for stage in STAGES:
+        assert run_stage(fixture_copy, stage) == 0
+    rerun = output_files(out)
+    shutil.rmtree(out)
+    assert run_stage(fixture_copy, "run-all") == 0
+    assert output_files(out) == rerun
+
+
+# Each case: the input edited after run-all, the stage that refuses, and the
+# upstream stage whose manifest records the input. link reaches
+# manifest_synonyms.json through synonyms.tsv, an input manifest_cluster.json records.
+EDITED_INPUTS = {
+    "stoplist": ("stoplist.txt", "link", "cluster"),
+    "registry_list": ("registry_py.txt", "cluster", "synonyms"),
+    "registry_list_behind_clusters": ("registry_py.txt", "link", "synonyms"),
+}
+
+
+@pytest.mark.parametrize("name, stage, upstream", EDITED_INPUTS.values(), ids=EDITED_INPUTS)
+def test_input_edited_since_upstream_stage_fails_naming_it(
+    fixture_copy, caplog, capsys, name, stage, upstream
+):
+    assert run_stage(fixture_copy, "run-all") == 0
+    out = fixture_copy / "out"
+    path = fixture_copy / name
+    path.write_text(path.read_text(encoding="utf-8") + "edited\n", encoding="utf-8")
+    before = output_files(out)
+    caplog.clear()
+    assert run_stage(fixture_copy, stage) == 2
+    log = caplog.text + capsys.readouterr().err
+    manifest = out / f"manifest_{upstream}.json"
+    assert_data_error_names(log, f"{path} is not the file {manifest} records (rerun {upstream})")
+    assert output_files(out) == before
+
+
+def test_setting_naming_another_file_than_upstream_stage_read_fails(fixture_copy, caplog, capsys):
+    # A recorded input that a path setting named is compared where that
+    # setting points now: a clean run-all over corpus2.tsv names cluster 4
+    # GraPhPad, so clusters from corpus.tsv's frequencies.tsv are stale.
+    assert run_stage(fixture_copy, "run-all") == 0
+    out = fixture_copy / "out"
+    corpus2 = fixture_copy / "corpus2.tsv"
+    shutil.copyfile(fixture_copy / "corpus.tsv", corpus2)
+    append_graphpad_rows(corpus2, 40)
+    before = output_files(out)
+    manifest = out / "manifest_ingest.json"
+    for stage in ("synonyms", "cluster", "link"):
+        caplog.clear()
+        assert run_stage(fixture_copy, stage, "--set", f"paths.corpus={corpus2}") == 2, stage
+        log = caplog.text + capsys.readouterr().err
+        assert_data_error_names(log, f"{corpus2} is not the file {manifest} records (rerun ingest)")
+    # A setting that now names no file is refused too.
+    caplog.clear()
+    assert run_stage(fixture_copy, "link", "--set", "paths.stoplist=") == 2
+    log = caplog.text + capsys.readouterr().err
+    manifest = out / "manifest_cluster.json"
+    assert_data_error_names(log, f"paths.stoplist (unset) is not the file {manifest} records")
+    assert output_files(out) == before
+    # A file with the recorded digest is the recorded file, wherever it is.
+    shutil.copyfile(fixture_copy / "corpus.tsv", corpus2)
+    assert run_stage(fixture_copy, "cluster", "--set", f"paths.corpus={corpus2}") == 0
+
+
+def test_manifest_recording_its_own_artifact_is_checked_once(fixture_copy):
+    # The check visits each manifest once, so an edited one that lists its
+    # own stage's artifact ends instead of recursing.
+    assert run_stage(fixture_copy, "run-all") == 0
+    ids = fixture_copy / "out" / "mention2id.tsv"
+    manifest = fixture_copy / "out" / "manifest_ingest.json"
+    recorded = json.loads(manifest.read_text(encoding="utf-8"))
+    recorded["inputs"][str(ids)] = hashlib.sha256(ids.read_bytes()).hexdigest()
+    manifest.write_text(json.dumps(recorded), encoding="utf-8")
+    assert run_stage(fixture_copy, "synonyms") == 0
+
+
+@pytest.fixture(scope="module")
+def stale_out(tmp_path_factory):
+    """A fixture copy whose out/ is from before 40 GraPhPad rows were appended to its corpus.
+
+    Returns the copy, a copy of that out/, the files under out/ a clean
+    run-all over the new corpus writes, in order, and the bytes it leaves.
+    """
+    tree = tmp_path_factory.mktemp("stale") / "fixture"
+    shutil.copytree(FIXTURE_DIR, tree)
+    assert run_stage(tree, "run-all") == 0
+    old_out = shutil.copytree(tree / "out", tree.parent / "old_out")
+    append_graphpad_rows(tree / "corpus.tsv", 40)
+    writes = []
+    replace = os.replace
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "replace", lambda src, dst: writes.append(dst) or replace(src, dst))
+        assert run_stage(tree, "run-all") == 0
+    writes = [Path(dst).relative_to(tree / "out").as_posix() for dst in writes]
+    return tree, old_out, writes, output_files(tree / "out")
+
+
+STALE = re.compile(r"(\S+) is not the file (\S+) records \(rerun (\w+)\)")
+
+
+def test_write_failure_in_run_all_leaves_each_later_stage_refusing_or_exact(
+    stale_out, caplog, capsys
+):
+    # run-all over the new corpus fails with ENOSPC at its k-th write, for
+    # every k; then each stage after the failed one runs alone. It must exit
+    # 2 naming a file its manifest records otherwise, writing nothing, or
+    # write what a clean run-all writes.
+    tree, old_out, writes, clean = stale_out
+    out = tree / "out"
+    # The stage of each write: the one whose manifest is the next written.
+    stages: list[str] = []
+    for name in reversed(writes):
+        if name.startswith("manifest_"):
+            stage = name.removeprefix("manifest_").removesuffix(".json")
+        stages.insert(0, stage)
+    refused = 0
+    for k, failed in enumerate(stages):
+        shutil.rmtree(out)
+        shutil.copytree(old_out, out)
+        calls = iter(range(len(writes)))
+
+        def replace(src, dst, real=os.replace):
+            if next(calls) == k:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            real(src, dst)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "replace", replace)
+            assert run_stage(tree, "run-all") == 2, k
+        for stage in STAGES[STAGES.index(failed) + 1:]:
+            before = output_files(out)
+            caplog.clear()
+            capsys.readouterr()
+            code = run_stage(tree, stage)
+            log = caplog.text + capsys.readouterr().err
+            assert code in (0, 2) and "Traceback" not in log, (k, stage, log)
+            if code == 2:
+                stale, manifest, upstream = STALE.search(log).groups()
+                assert manifest == str(out / f"manifest_{upstream}.json"), (k, stage, log)
+                recorded = json.loads(Path(manifest).read_text(encoding="utf-8"))["inputs"]
+                assert not Path(stale).is_file() or recorded[stale] != hashlib.sha256(
+                    Path(stale).read_bytes()
+                ).hexdigest(), (k, stage, log)
+                assert output_files(out) == before, (k, stage)
+                refused += 1
+            else:
+                found = output_files(out)
+                for name, made_by in zip(writes, stages):
+                    if made_by == stage:
+                        assert found[name] == clean[name], (k, stage, name)
+    assert refused
 
 
 def test_min_pts_one_leaves_no_noise(fixture_copy):
@@ -885,7 +1066,7 @@ def test_link_sources_follow_configured_precedence(fixture_dir, monkeypatch):
     monkeypatch.chdir(fixture_dir)
     cfg = load_config("config.cfg")
     # By default the curated indices rank first and the code host last.
-    assert list(build_link_sources(cfg, cli.Products(cfg).names)) == [
+    assert list(build_link_sources(cfg, cli.Products(cfg).names, set().add)) == [
         LinkSource.PKG_INDEX_BIOC,
         LinkSource.PKG_INDEX_R,
         LinkSource.PKG_INDEX_PY,
@@ -893,7 +1074,7 @@ def test_link_sources_follow_configured_precedence(fixture_dir, monkeypatch):
         LinkSource.CODE_HOST,
     ]
     cfg = apply_settings(cfg, {"linking.precedence": "CodeHostAPI,PkgIndexPy,KnowledgeBaseAPI"})
-    assert list(build_link_sources(cfg, cli.Products(cfg).names)) == [
+    assert list(build_link_sources(cfg, cli.Products(cfg).names, set().add)) == [
         LinkSource.CODE_HOST,
         LinkSource.PKG_INDEX_PY,
         LinkSource.KNOWLEDGE_BASE,
@@ -1033,7 +1214,9 @@ FUZZ_FILES = {
     "stoplist.txt": "cluster",
     "out/frequencies.tsv": "cluster",
     "out/synonyms.tsv": "cluster",
-    "out/manifest_ingest.json": "cluster",
+    "out/manifest_ingest.json": "synonyms",
+    "out/manifest_synonyms.json": "cluster",
+    "out/manifest_cluster.json": "link",
     "snapshots/kb/BLAST.json": "link",
     "snapshots/codehost/Bowtie.json": "link",
     "out/clusters.tsv": "link",

@@ -7,7 +7,6 @@ from .clustering import (
     dbscan,
     disambiguate_pairs,
     name_clusters,
-    to_distance,
 )
 from .config import PipelineConfig, load_config
 from .errors import (

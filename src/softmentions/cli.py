@@ -171,7 +171,7 @@ class Products:
 
     def check(self, path: Path) -> None:
         """Refuse an artifact whose stage's manifest, if any, records an input changed since."""
-        stage = ARTIFACTS.get(path.name) if path.parent == self.out else None
+        stage = ARTIFACTS.get(path.name) if path.parent.resolve() == self.out.resolve() else None
         manifest = self.out / f"manifest_{stage}.json"
         if stage is None or stage in self.checked or not manifest.exists():
             return

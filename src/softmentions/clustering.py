@@ -1,10 +1,10 @@
 """Density clustering per connected component and cluster naming.
 
-Each component's similarity submatrix becomes a distance matrix
-(distance = 1 - similarity, pairs without a stored similarity are treated
-as farther than any eps). DBSCAN runs per component with deterministic
-tie-breaking, and every cluster is named after its member with the highest
-distinct-paper frequency.
+Two members of a component are neighbours when their stored similarity
+lies within eps of 1 (distance = 1 - similarity); members without a stored
+similarity never are. DBSCAN runs per component over these neighbour lists
+with deterministic tie-breaking, and every cluster is named after its
+member with the highest distinct-paper frequency.
 """
 from __future__ import annotations
 
@@ -24,23 +24,12 @@ from .ingest import CORPUS_FIELDS, CorpusRow
 from .synonyms import SynonymPair
 
 
-def to_distance(submatrix: Mapping[tuple[int, int], float]) -> dict[tuple[int, int], float]:
-    """Distance = 1 - similarity for stored entries; absent entries stay unknown.
-
-    Distances are rounded to 12 decimals so that binary float noise cannot
-    push an edge at the use threshold past an eps meant to admit it
-    (1 - 0.97 must compare equal to 0.03).
-    """
-    return {key: round(1.0 - value, 12) for key, value in submatrix.items()}
-
-
 def dbscan(
-    distances: Mapping[tuple[int, int], float],
+    neighbors: Mapping[int, Sequence[int]],
     points: Sequence[int],
-    eps: float,
     min_pts: int,
 ) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
-    """DBSCAN over a sparse precomputed distance matrix.
+    """DBSCAN over each point's neighbours within eps, itself excluded, in any order.
 
     A point is core when it has at least min_pts neighbors within eps,
     counting itself. Cluster seeds are scanned in ascending ID order, so a
@@ -48,18 +37,9 @@ def dbscan(
     core set was discovered first. Returns (clusters, noise); clusters keep
     discovery order and their members are sorted.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive: {eps}")
     if min_pts < 1:
         raise ValueError(f"min_pts must be at least 1: {min_pts}")
     ordered = sorted(points)
-    neighbors: dict[int, list[int]] = {p: [] for p in ordered}
-    for (i, j), dist in distances.items():
-        if dist <= eps and i in neighbors and j in neighbors:
-            neighbors[i].append(j)
-            neighbors[j].append(i)
-    for adjacency in neighbors.values():
-        adjacency.sort()
     core = {p for p in ordered if len(neighbors[p]) + 1 >= min_pts}
     assigned: dict[int, int] = {}
     clusters: list[list[int]] = []
@@ -141,11 +121,20 @@ def cluster_graph(
     min_pts: int = 2,
 ) -> tuple[list[Cluster], tuple[int, ...]]:
     """Run DBSCAN on every connected component and name the clusters."""
+    if not eps > 0:
+        raise ValueError(f"eps must be positive: {eps}")
     raw_clusters: list[tuple[int, ...]] = []
     noise: list[int] = []
     for members in connected_components(graph):
-        distances = to_distance(graph.submatrix(members))
-        found, component_noise = dbscan(distances, members, eps, min_pts)
+        neighbors: dict[int, list[int]] = {p: [] for p in members}
+        for (i, j), value in graph.submatrix(members).items():
+            # Distances are rounded to 12 decimals so that binary float noise
+            # cannot push an edge at the use threshold past an eps meant to
+            # admit it (1 - 0.97 must compare equal to 0.03).
+            if round(1.0 - value, 12) <= eps:
+                neighbors[i].append(j)
+                neighbors[j].append(i)
+        found, component_noise = dbscan(neighbors, members, min_pts)
         raw_clusters.extend(found)
         noise.extend(component_noise)
     return name_clusters(raw_clusters, freq, mentions), tuple(sorted(noise))

@@ -7,6 +7,7 @@ environment.
 from __future__ import annotations
 
 import io
+import string
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -23,6 +24,17 @@ DEFAULT_PRECEDENCE_NAMES = (
     "KnowledgeBaseAPI",
     "CodeHostAPI",
 )
+
+
+def _is_name_template(url: str) -> bool:
+    """Whether ``url`` is http(s) with at least one replacement field, each a bare {name}."""
+    try:
+        parts = [parsed[1:] for parsed in string.Formatter().parse(url) if parsed[1] is not None]
+    except ValueError:  # a lone brace
+        return False
+    return url.startswith(("http://", "https://")) and bool(parts) and all(
+        part == ("name", "", None) for part in parts
+    )
 
 
 def _setting(key: str, default):
@@ -71,7 +83,7 @@ class PipelineConfig:
                 f"[thresholds.record ({self.record_threshold}), 1]",
                 "thresholds.use", "thresholds.record",
             )
-        if self.eps <= 0:
+        if not self.eps > 0:  # NaN too
             raise ValidationError("dbscan.eps must be positive", "dbscan.eps")
         if self.min_pts < 1:
             raise ValidationError("dbscan.min_pts must be at least 1", "dbscan.min_pts")
@@ -79,6 +91,11 @@ class PipelineConfig:
             raise ValidationError("parallelism.workers must be at least 1", "parallelism.workers")
         if self.corpus_kind not in ("comm", "non_comm", "publishers"):
             raise ValidationError(f"corpus.kind unknown: {self.corpus_kind!r}", "corpus.kind")
+        if self.kb_api_url and not _is_name_template(self.kb_api_url):
+            raise ValidationError(
+                "linking.kb_api_url must be an http(s) URL whose only field is {name}",
+                "linking.kb_api_url",
+            )
         unknown = [s for s in self.precedence if s not in DEFAULT_PRECEDENCE_NAMES]
         if unknown:
             raise ValidationError(

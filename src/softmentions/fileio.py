@@ -50,7 +50,8 @@ def write_text(path: str | os.PathLike[str], data: str | Iterable[str]) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    # Named apart from ``path``, so any name the file system takes can be written.
+    tmp = path.with_name(f".{os.getpid()}.tmp")
     chunks = [data] if isinstance(data, str) else data
     try:
         with open(tmp, "wb") as raw:

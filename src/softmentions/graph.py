@@ -53,7 +53,7 @@ class SimilarityGraph:
     def submatrix(self, members: Iterable[int]) -> dict[tuple[int, int], float]:
         """The stored values between members, in O(their edges) not O(all edges).
 
-        Keys come in member order, not edge order; dbscan sorts adjacency.
+        Keys come in member order, not edge order; no clustering result depends on it.
         """
         keep = set(members)
         return {

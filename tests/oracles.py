@@ -16,6 +16,7 @@ from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
+from softmentions.clustering import name_clusters
 from softmentions.errors import ExternalServiceError
 from softmentions.fileio import iter_tsv
 from softmentions.ingest import CORPUS_FIELDS, CURATION_LABELS, CorpusRow
@@ -126,6 +127,35 @@ def dbscan_reference(
     clustered = set().union(*full_clusters) if full_clusters else set()
     noise = frozenset(p for p in points if p not in clustered)
     return [frozenset(c) for c in full_clusters], noise
+
+
+def neighbors_within(
+    distances: dict[tuple[int, int], float], points: list[int], eps: float
+) -> dict[int, list[int]]:
+    """Each point's neighbours at distance <= eps, in the order the distance dict lists them."""
+    neighbors: dict[int, list[int]] = {p: [] for p in points}
+    for (i, j), d in distances.items():
+        if d <= eps:
+            neighbors[i].append(j)
+            neighbors[j].append(i)
+    return neighbors
+
+
+def cluster_graph_reference(graph, freq, mentions, eps: float, min_pts: int):
+    """cluster_graph from its definition, over the oracle's components.
+
+    Each component's stored values become distances rounded to 12 decimals,
+    which dbscan_reference clusters; returns the named clusters and the
+    sorted noise.
+    """
+    clusters: list[frozenset[int]] = []
+    noise: set[int] = set()
+    for members in bfs_components(len(mentions), set(graph.entries)):
+        distances = {key: round(1.0 - value, 12) for key, value in graph.submatrix(members).items()}
+        found, component_noise = dbscan_reference(distances, list(members), eps, min_pts)
+        clusters.extend(found)
+        noise |= component_noise
+    return name_clusters(clusters, freq, mentions), tuple(sorted(noise))
 
 
 def fleiss_reference(matrix: list[list[int]]) -> float | None:

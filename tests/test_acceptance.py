@@ -51,7 +51,7 @@ from softmentions.synonyms import (
 )
 
 from conftest import BASE_NAMES, DATA_DIR, FIXTURE_DIR, run_chain
-from oracles import bfs_components, dbscan_reference, jaro_reference
+from oracles import bfs_components, dbscan_reference, jaro_reference, neighbors_within
 from test_synonyms import JARO_WINKLER_SUITE
 from test_evaluation import ALPHA_FIXTURES, FLEISS_FIXTURES
 
@@ -227,7 +227,7 @@ def test_criterion_dbscan():
                 [0.0, 0.005, 0.01, 0.02, 0.03, 0.05, 0.1]
             )
         eps, min_pts = grid[trial % len(grid)]
-        clusters, noise = dbscan(distances, points, eps, min_pts)
+        clusters, noise = dbscan(neighbors_within(distances, points, eps), points, min_pts)
         ref_clusters, ref_noise = dbscan_reference(distances, points, eps, min_pts)
         assert [frozenset(c) for c in clusters] == ref_clusters
         assert frozenset(noise) == ref_noise

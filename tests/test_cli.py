@@ -418,6 +418,32 @@ def test_input_edited_since_upstream_stage_fails_naming_it(
     assert output_files(out) == before
 
 
+# run-all's --out, then link's: () keeps run_stage's absolute one, and a
+# relative one is read from the fixture copy.
+OUT_SPELLINGS = {
+    "absolute_then_relative": ((), ("--out", "out")),
+    "absolute_then_dotted": ((), ("--out", "./out/")),
+    "relative_then_absolute": (("--out", "out"), ()),
+}
+
+
+@pytest.mark.parametrize("first, then", OUT_SPELLINGS.values(), ids=OUT_SPELLINGS)
+def test_input_edited_since_upstream_stage_fails_however_out_is_spelled(
+    fixture_copy, monkeypatch, caplog, capsys, first, then
+):
+    monkeypatch.chdir(fixture_copy)
+    assert run_stage(fixture_copy, "run-all", *first) == 0
+    path = fixture_copy / "registry_py.txt"
+    path.write_text(path.read_text(encoding="utf-8") + "edited\n", encoding="utf-8")
+    before = output_files(fixture_copy / "out")
+    caplog.clear()
+    assert run_stage(fixture_copy, "link", *then) == 2
+    manifest = Path(then[-1] if then else fixture_copy / "out") / "manifest_synonyms.json"
+    log = caplog.text + capsys.readouterr().err
+    assert_data_error_names(log, f"{path} is not the file {manifest} records (rerun synonyms)")
+    assert output_files(fixture_copy / "out") == before
+
+
 def test_setting_naming_another_file_than_upstream_stage_read_fails(fixture_copy, caplog, capsys):
     # A recorded input that a path setting named is compared where that
     # setting points now: a clean run-all over corpus2.tsv names cluster 4
@@ -1007,19 +1033,23 @@ def test_workers_flag_does_not_change_synonyms_output(fixture_copy, tmp_path):
     assert serial == parallel
 
 
-def test_online_link_paces_fetches_and_leaves_the_snapshot_an_offline_rerun_reads(
-    fixture_copy, monkeypatch, clock
-):
+def serve_live_lookups(fixture_copy: Path, monkeypatch, clock) -> tuple[list, dict, tuple]:
+    """Answer live fetches in place of the network, and the settings that fetch into kb_live/.
+
+    The fixture's knowledge-base documents are the live answers; every other
+    name is a 404, and every code-host search finds nothing. Returns the
+    request log of (source, clock time, Authorization header), the canned
+    documents and the settings.
+    """
     import urllib.error
     import urllib.parse
     import urllib.request
 
-    # The fixture's knowledge-base documents are the live answers; every other name is a 404.
     canned = {
         path.stem: json.loads(path.read_text(encoding="utf-8"))
         for path in (fixture_copy / "snapshots" / "kb").glob("*.json")
     }
-    requests = []  # (source, clock time, Authorization header)
+    requests = []
 
     def urlopen(request, timeout):
         url = request.full_url
@@ -1033,14 +1063,22 @@ def test_online_link_paces_fetches_and_leaves_the_snapshot_an_offline_rerun_read
         return io.BytesIO(json.dumps({"data": canned[name]}).encode("utf-8"))
 
     monkeypatch.setattr(urllib.request, "urlopen", urlopen)
-    monkeypatch.setenv("SOFTMENTIONS_KB_TOKEN", "kb-token")
-    monkeypatch.setenv("SOFTMENTIONS_CODEHOST_TOKEN", "host-token")
     kb_dir = fixture_copy / "kb_live"
     kb_dir.mkdir()
     kb = (
         "--set", f"paths.kb_snapshots={kb_dir}",
         "--set", "linking.kb_api_url=https://kb.example/resolve/{name}",
     )
+    return requests, canned, kb
+
+
+def test_online_link_paces_fetches_and_leaves_the_snapshot_an_offline_rerun_reads(
+    fixture_copy, monkeypatch, clock
+):
+    requests, canned, kb = serve_live_lookups(fixture_copy, monkeypatch, clock)
+    monkeypatch.setenv("SOFTMENTIONS_KB_TOKEN", "kb-token")
+    monkeypatch.setenv("SOFTMENTIONS_CODEHOST_TOKEN", "host-token")
+    kb_dir = fixture_copy / "kb_live"
     assert run_stage(fixture_copy, "run-all", *kb) == 0
     assert requests == []
     assert run_stage(fixture_copy, "link", "--online", *kb) == 0
@@ -1060,6 +1098,22 @@ def test_online_link_paces_fetches_and_leaves_the_snapshot_an_offline_rerun_read
         assert run_stage(fixture_copy, "link", mode, *kb) == 0
         assert len(requests) == fetched, mode
         assert (fixture_copy / "out" / "metadata.tsv").read_bytes() == online
+
+
+def test_online_link_writes_the_snapshot_of_a_long_mention(fixture_copy, monkeypatch, clock):
+    # Its documents are named by 245 bytes, under the file system's 255.
+    name = "a" * 240
+    corpus = fixture_copy / "corpus.tsv"
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    line = next(line for line in lines if "\tGraPhPad\t" in line)
+    with open(corpus, "a", encoding="utf-8") as fh:
+        fh.write(line.replace("\tGraPhPad\t", f"\t{name}\t") + "\n")
+    requests, _, kb = serve_live_lookups(fixture_copy, monkeypatch, clock)
+    assert run_stage(fixture_copy, "run-all", *kb) == 0
+    assert run_stage(fixture_copy, "link", "--online", *kb) == 0
+    assert (fixture_copy / "kb_live" / f"{name}.json").read_text(encoding="utf-8") == "null"
+    assert (fixture_copy / "snapshots" / "codehost" / f"{name}.json").exists()
+    assert not list(fixture_copy.rglob("*.tmp"))
 
 
 def test_link_sources_follow_configured_precedence(fixture_dir, monkeypatch):
@@ -1138,12 +1192,27 @@ def test_unusable_config_file_exits_1_naming_it(tmp_path, caplog, capsys, conten
 # A valid file and flags whose values break a validation rule: (the
 # --config file's content, further arguments, the message after
 # "configuration error: " with {path} for the file).
+KB_API_URL_RULE = "linking.kb_api_url must be an http(s) URL whose only field is {{name}}"
 INVALID_SETTINGS = {
     "file": ("dbscan.eps = 0\n", (), "{path}:1: dbscan.eps must be positive"),
     "set_flag": ("", ("--set", "dbscan.eps=0"), "--set dbscan.eps=0: dbscan.eps must be positive"),
     "set_wins_over_file": (
         "# eps\ndbscan.eps = 0.03\n", ("--set", "dbscan.eps=-1"),
         "--set dbscan.eps=-1: dbscan.eps must be positive",
+    ),
+    "nan_eps": (
+        "", ("--set", "dbscan.eps=nan"), "--set dbscan.eps=nan: dbscan.eps must be positive"
+    ),
+    "kb_api_url_without_scheme": (
+        "", ("--set", "linking.kb_api_url=example.org/{name}"),
+        "--set linking.kb_api_url=example.org/{{name}}: " + KB_API_URL_RULE,
+    ),
+    "kb_api_url_other_field": (
+        "linking.kb_api_url = https://kb.example/{nme}\n", (), "{path}:1: " + KB_API_URL_RULE,
+    ),
+    "kb_api_url_lone_brace": (
+        "", ("--set", "linking.kb_api_url=https://kb.example/{name"),
+        "--set linking.kb_api_url=https://kb.example/{{name: " + KB_API_URL_RULE,
     ),
     "workers_flag": ("", ("--workers", "0"), "--workers 0: parallelism.workers must be at least 1"),
     "cross_key": (

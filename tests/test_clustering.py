@@ -6,50 +6,65 @@ import pytest
 from hypothesis import given, strategies as st
 
 from softmentions.clustering import (
+    cluster_graph,
     dbscan,
     name_clusters,
-    to_distance,
     write_disambiguated_tsv,
 )
 from softmentions.errors import FormatError
 from softmentions.fileio import open_text, read_lines
-from softmentions.graph import connected_components
+from softmentions.graph import build_matrix, connected_components
 from softmentions.ingest import CURATION_LABELS, assign_ids, parse_mentions
-from softmentions.synonyms import Registry, read_kb_dict
+from softmentions.synonyms import Registry, SynonymPair, SynonymSource, read_kb_dict
 
 from conftest import FIXTURE_DIR, make_record, run_chain
 from oracles import (
     MentionRecord,
+    cluster_graph_reference,
     corpus_rows_reference,
     dbscan_reference,
     disambiguated_tsv_reference,
+    neighbors_within,
     parse_mentions_reference,
     tsv_text_reference,
 )
 
-def test_to_distance_values():
-    sub = {(0, 1): 1.0, (0, 2): 0.99, (1, 2): 0.97}
-    dist = to_distance(sub)
-    assert dist[(0, 1)] == 0.0
-    assert dist[(0, 2)] == 0.01
-    assert dist[(1, 2)] == 0.03  # exact despite binary float subtraction
+KB, KW = SynonymSource.KNOWLEDGE_BASE, SynonymSource.KEYWORD_INDEX
+SS = SynonymSource.STRING_SIMILARITY
+
+
+def test_cluster_graph_edge_at_use_threshold_joins_at_eps():
+    # Stored at 1.0, 0.99 and exactly 0.97: distances 0.0, 0.01 and 0.03,
+    # the last exact despite binary float subtraction.
+    pairs = [
+        SynonymPair.of(0, 1, 1.0, KB), SynonymPair.of(2, 3, 1.0, KW), SynonymPair.of(4, 5, 0.97, SS)
+    ]
+    mentions = list("abcdef")
+    graph = build_matrix(pairs, mentions, use_threshold=0.97)
+    clusters, noise = cluster_graph(graph, {}, mentions, eps=0.03, min_pts=2)
+    assert [c.members for c in clusters] == [(0, 1), (2, 3), (4, 5)]
+    assert noise == ()
+    clusters, noise = cluster_graph(graph, {}, mentions, eps=0.01, min_pts=2)
+    assert [c.members for c in clusters] == [(0, 1), (2, 3)]
+    assert noise == (4, 5)
 
 
 def test_dbscan_clique_is_one_cluster():
     dist = {(0, 1): 0.01, (0, 2): 0.01, (1, 2): 0.01}
-    clusters, noise = dbscan(dist, [0, 1, 2], eps=0.03, min_pts=2)
+    clusters, noise = dbscan(neighbors_within(dist, [0, 1, 2], 0.03), [0, 1, 2], min_pts=2)
     assert clusters == [(0, 1, 2)]
     assert noise == ()
 
 
 def test_dbscan_isolated_point_is_noise():
-    clusters, noise = dbscan({(0, 1): 0.01}, [0, 1, 2], eps=0.03, min_pts=2)
+    points = [0, 1, 2]
+    clusters, noise = dbscan(neighbors_within({(0, 1): 0.01}, points, 0.03), points, min_pts=2)
     assert clusters == [(0, 1)]
     assert noise == (2,)
 
 
 def test_dbscan_min_pts_one_makes_singleton_clusters():
-    clusters, noise = dbscan({}, [4, 7], eps=0.03, min_pts=1)
+    clusters, noise = dbscan(neighbors_within({}, [4, 7], 0.03), [4, 7], min_pts=1)
     assert clusters == [(4,), (7,)]
     assert noise == ()
 
@@ -62,16 +77,22 @@ def test_dbscan_borders_join_first_discovered_cluster():
         (2, 10): 0.01, (10, 11): 0.01, (10, 12): 0.01,
     }
     points = [0, 1, 2, 3, 10, 11, 12]
-    clusters, noise = dbscan(dist, points, eps=0.03, min_pts=4)
+    clusters, noise = dbscan(neighbors_within(dist, points, 0.03), points, min_pts=4)
     assert clusters == [(0, 1, 2, 3), (10, 11, 12)]
     assert noise == ()
 
 
 def test_dbscan_parameter_validation():
     with pytest.raises(ValueError):
-        dbscan({}, [0], eps=0.0, min_pts=2)
-    with pytest.raises(ValueError):
-        dbscan({}, [0], eps=0.01, min_pts=0)
+        dbscan({0: []}, [0], min_pts=0)
+
+
+@pytest.mark.parametrize("eps", [0.0, float("nan")])
+def test_cluster_graph_eps_validation(eps):
+    mentions = ["a", "b"]
+    graph = build_matrix([SynonymPair.of(0, 1, 1.0, KB)], mentions)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        cluster_graph(graph, {}, mentions, eps=eps, min_pts=2)
 
 
 def _random_instance(rng, max_points=60):
@@ -93,7 +114,7 @@ def test_dbscan_matches_density_reachability_oracle():
         dist, points = _random_instance(rng)
         eps = rng.choice([0.01, 0.02, 0.03])
         min_pts = rng.choice([1, 2, 3])
-        clusters, noise = dbscan(dist, points, eps, min_pts)
+        clusters, noise = dbscan(neighbors_within(dist, points, eps), points, min_pts)
         ref_clusters, ref_noise = dbscan_reference(dist, points, eps, min_pts)
         assert [frozenset(c) for c in clusters] == ref_clusters
         assert frozenset(noise) == ref_noise
@@ -114,19 +135,47 @@ def test_dbscan_core_partition_invariant_under_relabeling():
             )
             >= min_pts
         }
-        clusters, _ = dbscan(dist, points, eps, min_pts)
+        clusters, _ = dbscan(neighbors_within(dist, points, eps), points, min_pts)
         base_cores = {frozenset(set(c) & cores) for c in clusters}
         mapping = dict(zip(points, rng.sample(points, len(points))))
         relabeled = {
             (min(mapping[i], mapping[j]), max(mapping[i], mapping[j])): d
             for (i, j), d in dist.items()
         }
-        clusters2, _ = dbscan(relabeled, points, eps, min_pts)
+        clusters2, _ = dbscan(neighbors_within(relabeled, points, eps), points, min_pts)
         inverse = {v: k for k, v in mapping.items()}
         back_cores = {
             frozenset({inverse[m] for m in c} & cores) for c in clusters2
         }
         assert base_cores == back_cores
+
+
+@st.composite
+def clustering_cases(draw):
+    """A graph built at a drawn use threshold, frequencies, and an eps around 1 - use."""
+    n = draw(st.integers(2, 20))
+    use = draw(st.sampled_from([0.9, 0.95, 0.97]))
+    score = st.one_of(st.just(use), st.sampled_from([0.98, 0.99, 1.0]), st.floats(use, 1.0))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(st.tuples(ends, st.sampled_from([KB, KW, SS]), score), max_size=3 * n))
+    pairs = [SynonymPair.of(i, j, value, source) for (i, j), source, value in edges if i != j]
+    mentions = [f"m{i}" for i in range(n)]
+    graph = build_matrix(pairs, mentions, use_threshold=use)
+    freq = dict(enumerate(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))))
+    # At or above the bound every stored edge is a neighbour pair; below it
+    # DBSCAN splits and drops.
+    bound = round(1.0 - use, 12)
+    fixed = [bound / 4, bound / 2, bound, 2 * bound, float("inf")]
+    eps = draw(st.sampled_from(fixed) | st.floats(1e-6, 1.0))
+    return graph, freq, mentions, eps
+
+
+@given(clustering_cases(), st.sampled_from([1, 2, 3]))
+def test_cluster_graph_matches_reference(case, min_pts):
+    graph, freq, mentions, eps = case
+    assert cluster_graph(graph, freq, mentions, eps, min_pts) == cluster_graph_reference(
+        graph, freq, mentions, eps, min_pts
+    )
 
 
 def test_name_clusters_highest_frequency_wins():

@@ -159,6 +159,17 @@ def test_api_snapshot_overlong_name_is_a_miss(tmp_path):
     assert not (tmp_path / "kb").exists()
 
 
+@pytest.mark.parametrize("length", [240, 245, 250, 251])
+def test_api_snapshot_live_fetch_writes_a_name_up_to_the_limit(tmp_path, length):
+    # The document name is the name plus ".json": 255 bytes at 250 characters.
+    name, hit = "a" * length, length <= 250
+    answer = {"software_name": name, "Resource ID Link": "u"}
+    snap = ApiSnapshot(LinkSource.KNOWLEDGE_BASE, tmp_path / "kb", fetcher=lambda _: answer)
+    assert snap.lookup(name) == (answer if hit else None)
+    written = sorted(path.name for path in tmp_path.rglob("*"))
+    assert written == ([f"{name}.json", "kb"] if hit else [])
+
+
 def test_api_snapshot_lists_its_directory_once(tmp_path, monkeypatch):
     from softmentions import linking
 

@@ -48,7 +48,6 @@ from .linking import (
     propagate_links,
 )
 from .synonyms import (
-    Registry,
     SynonymPair,
     SynonymSource,
     all_pairs_similarity,

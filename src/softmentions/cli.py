@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, TypeVar
 
 from . import clustering, evaluation, graph, ingest, linking, synonyms
-from .config import PipelineConfig, Setting, read_config, resolve_config
+from .config import LinkSource, PipelineConfig, Setting, read_config, resolve_config
 from .errors import ConsistencyError, FormatError, SoftMentionsError, ValidationError
 from .fileio import open_text, read_json, read_lines, read_tsv, write_text, write_tsv
 
@@ -56,7 +56,7 @@ METRICS_TXT = "metrics.txt"
 # Each mention's ID and the mentions in ID order, as ingest.assign_ids returns them.
 IdTables = tuple[dict[str, int], list[str]]
 # The entry names of each configured package index.
-RegistryNames = dict[synonyms.Registry, set[str]]
+RegistryNames = dict[LinkSource, set[str]]
 
 
 def _digest(path: Path) -> str:
@@ -102,14 +102,14 @@ def _read_corpus(
     return rows
 
 
-def _registry_files(cfg: PipelineConfig) -> dict[synonyms.Registry, str]:
+def _registry_files(cfg: PipelineConfig) -> dict[LinkSource, str]:
     """The name list of every configured package index."""
     files = {
-        synonyms.Registry.PY: cfg.registry_py,
-        synonyms.Registry.R: cfg.registry_r,
-        synonyms.Registry.BIOC: cfg.registry_bioc,
+        LinkSource.PKG_INDEX_PY: cfg.registry_py,
+        LinkSource.PKG_INDEX_R: cfg.registry_r,
+        LinkSource.PKG_INDEX_BIOC: cfg.registry_bioc,
     }
-    return {registry: path for registry, path in files.items() if path}
+    return {source: path for source, path in files.items() if path}
 
 
 # Each artifact a later stage loads, and the stage whose manifest records how it was made.
@@ -215,8 +215,8 @@ class Products:
     def clusters(self, path: Path) -> list[clustering.Cluster]:
         return _read_clusters(path, self.ids[1])
 
-    @_Product(lambda run: [run.use(path, f"{registry.value} name list")
-                           for registry, path in _registry_files(run.cfg).items()])
+    @_Product(lambda run: [run.use(path, f"{source.value} name list")
+                           for source, path in _registry_files(run.cfg).items()])
     def names(self, *paths: Path) -> RegistryNames:
         """The entry names of every configured package index."""
         return dict(zip(_registry_files(self.cfg), (set(read_lines(path)) for path in paths)))
@@ -375,9 +375,8 @@ def build_link_sources(
 ) -> linking.Backends:
     """The configured lookup backends, in linking.precedence order; ``record`` gets each file."""
     backends = {}
-    for registry, entries in names.items():
-        source = linking.LinkSource(registry.value)
-        path = cfg.registry_details and Path(cfg.registry_details, f"{registry.value}.json")
+    for source, entries in names.items():
+        path = cfg.registry_details and Path(cfg.registry_details, f"{source.value}.json")
         details = {}
         if path and path.exists():
             record(path)
@@ -386,14 +385,14 @@ def build_link_sources(
     # Each API source: its snapshot directory and, if it can fetch live, its fetcher's factory.
     kb_fetcher = partial(linking.knowledge_base_fetcher, cfg.kb_api_url) if cfg.kb_api_url else None
     apis = (
-        (linking.LinkSource.KNOWLEDGE_BASE, cfg.kb_snapshots, kb_fetcher),
-        (linking.LinkSource.CODE_HOST, cfg.codehost_snapshots, linking.code_host_fetcher),
+        (LinkSource.KNOWLEDGE_BASE, cfg.kb_snapshots, kb_fetcher),
+        (LinkSource.CODE_HOST, cfg.codehost_snapshots, linking.code_host_fetcher),
     )
     for source, directory, fetcher in apis:
         if directory:
             live = fetcher() if fetcher and not cfg.offline else None
             backends[source] = linking.ApiSnapshot(source, Path(directory), fetcher=live)
-    precedence = map(linking.LinkSource, cfg.precedence)
+    precedence = map(LinkSource, cfg.precedence)
     return {source: backends[source] for source in precedence if source in backends}
 
 
@@ -404,7 +403,7 @@ def stage_link(cfg: PipelineConfig, run: Products | None = None) -> None:
     mentions, clusters = run.ids[1], run.clusters
     sources = build_link_sources(cfg, run.names, run.used.add)
     soft_errors: list[str] = []
-    collected: dict[linking.LinkSource, list[dict]] = {}
+    collected: dict[LinkSource, list[dict]] = {}
     links = linking.link_mentions(
         mentions, sources, soft_errors=soft_errors, collect_raw=collected
     )

@@ -9,21 +9,29 @@ from __future__ import annotations
 import io
 import string
 from dataclasses import dataclass, field, fields, replace
+from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import ValidationError
 from .fileio import count_line_ends
 
-# Non-code-host links proved far more reliable in manual review, so the
-# curated indices win when several sources match one name.
-DEFAULT_PRECEDENCE_NAMES = (
-    "PkgIndexBioc",
-    "PkgIndexR",
-    "PkgIndexPy",
-    "KnowledgeBaseAPI",
-    "CodeHostAPI",
-)
+
+class LinkSource(str, Enum):
+    """Where a link comes from, in the default linking.precedence order.
+
+    Non-code-host links proved far more reliable in manual review, so the
+    curated indices win when several sources match one name.
+    """
+
+    PKG_INDEX_BIOC = "PkgIndexBioc"
+    PKG_INDEX_R = "PkgIndexR"
+    PKG_INDEX_PY = "PkgIndexPy"
+    KNOWLEDGE_BASE = "KnowledgeBaseAPI"
+    CODE_HOST = "CodeHostAPI"
+
+
+DEFAULT_PRECEDENCE_NAMES = tuple(source.value for source in LinkSource)
 
 
 def _is_name_template(url: str) -> bool:

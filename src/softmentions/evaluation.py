@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
+from .config import LinkSource
 from .errors import FormatError, RowError
 from .fileio import decode_errors, iter_tsv, open_text
 
@@ -276,7 +277,7 @@ def link_eval_summary(rows: Sequence[tuple[str, str]]) -> LinkEvalSummary:
             count = sum(1 for _, l in subset if l == label)
             out[label] = (count, 100.0 * count / total if total else 0.0)
         return out
-    non_code_host = [r for r in rows if r[0] != "CodeHostAPI"]
+    non_code_host = [r for r in rows if r[0] != LinkSource.CODE_HOST]
     return LinkEvalSummary(
         overall=shares(rows),
         excluding_code_host=shares(non_code_host),
@@ -365,16 +366,16 @@ def read_curation_rows(path) -> list[CurationLabelRow]:
 
 
 _SOURCE_ALIASES = {
-    "pypi": "PkgIndexPy",
-    "pypi index": "PkgIndexPy",
-    "cran": "PkgIndexR",
-    "cran index": "PkgIndexR",
-    "bioconductor": "PkgIndexBioc",
-    "bioconductor index": "PkgIndexBioc",
-    "scicrunch": "KnowledgeBaseAPI",
-    "scicrunch api": "KnowledgeBaseAPI",
-    "github": "CodeHostAPI",
-    "github api": "CodeHostAPI",
+    "pypi": LinkSource.PKG_INDEX_PY,
+    "pypi index": LinkSource.PKG_INDEX_PY,
+    "cran": LinkSource.PKG_INDEX_R,
+    "cran index": LinkSource.PKG_INDEX_R,
+    "bioconductor": LinkSource.PKG_INDEX_BIOC,
+    "bioconductor index": LinkSource.PKG_INDEX_BIOC,
+    "scicrunch": LinkSource.KNOWLEDGE_BASE,
+    "scicrunch api": LinkSource.KNOWLEDGE_BASE,
+    "github": LinkSource.CODE_HOST,
+    "github api": LinkSource.CODE_HOST,
 }
 
 

@@ -22,7 +22,6 @@ import time
 import urllib.parse
 from collections import Counter
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring
 from operator import attrgetter
@@ -30,18 +29,11 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .clustering import Cluster
+from .config import LinkSource
 from .errors import ExternalServiceError
 from .fileio import read_json, write_text, write_tsv
 
 logger = logging.getLogger(__name__)
-
-
-class LinkSource(str, Enum):
-    PKG_INDEX_PY = "PkgIndexPy"
-    PKG_INDEX_R = "PkgIndexR"
-    PKG_INDEX_BIOC = "PkgIndexBioc"
-    KNOWLEDGE_BASE = "KnowledgeBaseAPI"
-    CODE_HOST = "CodeHostAPI"
 
 
 # Each package index's page: the raw fields of a hit's name and URL, and the URL's template.
@@ -55,6 +47,8 @@ INDEX_PAGES = {
     ),
 }
 
+# How long a live request may wait on the service.
+FETCH_TIMEOUT_S = 30.0
 # Where the live fetchers read their API tokens, so that manifests hold no secret.
 KB_TOKEN_ENV = "SOFTMENTIONS_KB_TOKEN"
 CODE_HOST_TOKEN_ENV = "SOFTMENTIONS_CODEHOST_TOKEN"
@@ -279,8 +273,10 @@ class ApiSnapshot:
     Live, such a name is fetched and the response, a miss as null, is
     written into the directory and added to the map, so a live run leaves
     the snapshot an offline rerun reads and a live rerun asks only for new
-    names. A name whose document name would exceed the file system's
-    255-byte limit can have no snapshot, so it is a miss both offline and live.
+    names. A failed fetch drops the fetcher, so the run's later names are
+    answered as offline. A name whose document name would exceed the file
+    system's 255-byte limit can have no snapshot, so it is a miss both
+    offline and live.
     """
 
     source: LinkSource
@@ -316,7 +312,11 @@ class ApiSnapshot:
             file_name = _quote(name) + ".json"
             if len(file_name) > 255:
                 return None
-            raw = self.fetcher(name)
+            try:
+                raw = self.fetcher(name)
+            except ExternalServiceError:
+                self.fetcher = None  # a failed service is asked no more this run
+                raise
             text = json.dumps(raw, ensure_ascii=False, sort_keys=True, indent=1)
             try:
                 write_text(Path(self.directory) / file_name, text)
@@ -549,7 +549,7 @@ def write_link_report_tsv(path, report: Sequence[tuple[str, int, float]]) -> Non
     write_tsv(path, ("source", "linked_mentions", "percent"), rows)
 
 
-def fetch_json(url: str, headers: Mapping[str, str] | None = None, timeout: float = 30.0):
+def fetch_json(url: str, headers: Mapping[str, str] | None = None):
     """GET a JSON document; None on HTTP 404, ExternalServiceError on any other failure."""
     # Imported here: offline runs never fetch, and urllib.request (with
     # http.client, ssl and email) is most of the package's import time.
@@ -559,7 +559,7 @@ def fetch_json(url: str, headers: Mapping[str, str] | None = None, timeout: floa
 
     request = urllib.request.Request(url, headers=dict(headers or {}))
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
+        with urllib.request.urlopen(request, timeout=FETCH_TIMEOUT_S) as response:
             payload = response.read()
     except urllib.error.HTTPError as err:
         if err.code == 404:
@@ -586,7 +586,7 @@ def _paced(interval: float, fetch: Fetcher) -> Fetcher:
     return paced
 
 
-def knowledge_base_fetcher(url_template: str, timeout: float = 30.0) -> Fetcher:
+def knowledge_base_fetcher(url_template: str) -> Fetcher:
     """Live knowledge-base lookup, one request a second; the response JSON is stored verbatim.
 
     The token is read from KB_TOKEN_ENV once, here.
@@ -596,7 +596,7 @@ def knowledge_base_fetcher(url_template: str, timeout: float = 30.0) -> Fetcher:
 
     def fetch(name: str) -> dict | None:
         url = url_template.format(name=urllib.parse.quote(name, safe=""))
-        data = fetch_json(url, headers=headers, timeout=timeout)
+        data = fetch_json(url, headers=headers)
         if data is None:
             return None
         if isinstance(data, dict) and isinstance(data.get("data"), dict):
@@ -609,7 +609,7 @@ def knowledge_base_fetcher(url_template: str, timeout: float = 30.0) -> Fetcher:
     return _paced(1.0, fetch)
 
 
-def code_host_fetcher(timeout: float = 30.0) -> Fetcher:
+def code_host_fetcher() -> Fetcher:
     """Live code-host repository search, one request every 2 s, keeping only exact-name matches.
 
     The token is read from CODE_HOST_TOKEN_ENV once, here.
@@ -621,10 +621,16 @@ def code_host_fetcher(timeout: float = 30.0) -> Fetcher:
     def fetch(name: str) -> dict | None:
         query = urllib.parse.quote(f"{name} in:name", safe="")
         url = f"https://api.github.com/search/repositories?q={query}&per_page=10"
-        data = fetch_json(url, headers=headers, timeout=timeout)
+        data = fetch_json(url, headers=headers)
         if not isinstance(data, dict):
             return None
-        for item in data.get("items", []):
+        items = data.get("items", [])
+        if not isinstance(items, list) or not all(
+            isinstance(item, dict) and isinstance(item.get("license"), dict | None)
+            for item in items
+        ):
+            raise ExternalServiceError(LinkSource.CODE_HOST.value, "unexpected payload")
+        for item in items:
             if str(item.get("name", "")).lower() == name.lower():
                 license_info = item.get("license") or {}
                 return {

@@ -18,6 +18,7 @@ import re
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from .config import LinkSource
 from .fileio import read_tsv, write_tsv
 
 
@@ -28,19 +29,13 @@ class SynonymSource(str, Enum):
     POST_PROCESS = "PostProcess"
 
 
-class Registry(str, Enum):
-    PY = "PkgIndexPy"
-    R = "PkgIndexR"
-    BIOC = "PkgIndexBioc"
-
-
 # Per-registry keyword lists used to qualify containment matches. Matching
 # is case-sensitive; the lists carry both case variants on purpose.
 _R_KEYWORDS = ("R", "r", "package", "Package", "R-package", "R-Package", "r-package")
-REGISTRY_KEYWORDS: dict[Registry, tuple[str, ...]] = {
-    Registry.PY: ("python", "Python", "API"),
-    Registry.R: _R_KEYWORDS,
-    Registry.BIOC: (*_R_KEYWORDS, "bioconductor", "Bioconductor"),
+REGISTRY_KEYWORDS: dict[LinkSource, tuple[str, ...]] = {
+    LinkSource.PKG_INDEX_PY: ("python", "Python", "API"),
+    LinkSource.PKG_INDEX_R: _R_KEYWORDS,
+    LinkSource.PKG_INDEX_BIOC: (*_R_KEYWORDS, "bioconductor", "Bioconductor"),
 }
 
 KB_CONFIDENCE = 1.0
@@ -105,7 +100,7 @@ def token_table(id_table: Mapping[str, int]) -> TokenTable:
 
 
 def generate_keyword_synonyms(
-    registry: Registry,
+    registry: LinkSource,
     entries: Iterable[str],
     id_table: Mapping[str, int],
     skip_report: list[str] | None = None,
@@ -429,7 +424,7 @@ KbSynonymDict = Mapping[str, Sequence[str]]
 
 def generate_synonym_pairs(
     id_table: Mapping[str, int],
-    registries: Mapping[Registry, Iterable[str]] | None = None,
+    registries: Mapping[LinkSource, Iterable[str]] | None = None,
     kb: KbSynonymDict | None = None,
     record_threshold: float = 0.9,
     workers: int = 1,

@@ -43,7 +43,6 @@ from softmentions.linking import (
     propagate_links,
 )
 from softmentions.synonyms import (
-    Registry,
     SynonymPair,
     SynonymSource,
     jaro_winkler,
@@ -83,9 +82,9 @@ def fixture_pipeline():
     with open_text(FIXTURE_DIR / "corpus.tsv") as fh:
         records = list(parse_mentions(fh, "comm"))
     registries = {
-        Registry.PY: set(read_lines(FIXTURE_DIR / "registry_py.txt")),
-        Registry.R: set(read_lines(FIXTURE_DIR / "registry_r.txt")),
-        Registry.BIOC: set(read_lines(FIXTURE_DIR / "registry_bioc.txt")),
+        LinkSource.PKG_INDEX_PY: set(read_lines(FIXTURE_DIR / "registry_py.txt")),
+        LinkSource.PKG_INDEX_R: set(read_lines(FIXTURE_DIR / "registry_r.txt")),
+        LinkSource.PKG_INDEX_BIOC: set(read_lines(FIXTURE_DIR / "registry_bioc.txt")),
     }
     kb = read_kb_dict(FIXTURE_DIR / "kb_synonyms.tsv")
     stoplist = read_lines(FIXTURE_DIR / "stoplist.txt")
@@ -283,7 +282,9 @@ def test_criterion_accounting_identity(fixture_pipeline):
         records = [make_record(s, pmcid=str(i % 3)) for i, s in enumerate(strings)]
         res = run_chain(
             records,
-            registries={Registry.BIOC: {"limma"}, Registry.PY: {"interface"}},
+            registries={
+                LinkSource.PKG_INDEX_BIOC: {"limma"}, LinkSource.PKG_INDEX_PY: {"interface"}
+            },
             kb={"BLAST": ["Blast"]},
             min_pts=rng.choice([1, 2, 3]),
             eps=rng.choice([0.01, 0.02, 0.03]),

@@ -1116,6 +1116,53 @@ def test_online_link_writes_the_snapshot_of_a_long_mention(fixture_copy, monkeyp
     assert not list(fixture_copy.rglob("*.tmp"))
 
 
+def test_online_link_counts_a_malformed_code_host_answer_as_a_soft_error(
+    fixture_copy, monkeypatch, clock
+):
+    import urllib.request
+
+    requests, _, kb = serve_live_lookups(fixture_copy, monkeypatch, clock)
+    serve = urllib.request.urlopen
+
+    def urlopen(request, timeout):
+        if request.full_url.startswith("https://api.github.com/"):
+            requests.append(("codehost", clock.now, None))
+            return io.BytesIO(b'{"items": null}')
+        return serve(request, timeout)
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    assert run_stage(fixture_copy, "run-all", *kb) == 0
+    assert run_stage(fixture_copy, "link", "--online", *kb) == 0
+    manifest = json.loads((fixture_copy / "out" / "manifest_link.json").read_text(encoding="utf-8"))
+    assert manifest["row_counts"]["soft_errors"] == 1
+    assert [source for source, _, _ in requests].count("codehost") == 1
+
+
+def test_online_link_asks_an_unreachable_service_once(fixture_copy, monkeypatch, clock):
+    import urllib.error
+    import urllib.request
+
+    _, _, kb = serve_live_lookups(fixture_copy, monkeypatch, clock)
+    requests = []
+
+    def urlopen(request, timeout):
+        requests.append(request.full_url)
+        raise urllib.error.URLError("no route to host")
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    metadata = fixture_copy / "out" / "metadata.tsv"
+    assert run_stage(fixture_copy, "run-all", "--offline", *kb) == 0
+    offline = metadata.read_bytes()
+    start = clock.now
+    assert run_stage(fixture_copy, "link", "--online", *kb) == 0
+    # One request to each live source, and no pacing sleep after it.
+    assert sorted(url.split("/")[2] for url in requests) == ["api.github.com", "kb.example"]
+    assert clock.now == start
+    manifest = json.loads((fixture_copy / "out" / "manifest_link.json").read_text(encoding="utf-8"))
+    assert manifest["row_counts"]["soft_errors"] == 2
+    assert metadata.read_bytes() == offline
+
+
 def test_link_sources_follow_configured_precedence(fixture_dir, monkeypatch):
     monkeypatch.chdir(fixture_dir)
     cfg = load_config("config.cfg")

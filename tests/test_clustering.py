@@ -15,7 +15,8 @@ from softmentions.errors import FormatError
 from softmentions.fileio import open_text, read_lines
 from softmentions.graph import build_matrix, connected_components
 from softmentions.ingest import CURATION_LABELS, assign_ids, parse_mentions
-from softmentions.synonyms import Registry, SynonymPair, SynonymSource, read_kb_dict
+from softmentions.linking import LinkSource
+from softmentions.synonyms import SynonymPair, SynonymSource, read_kb_dict
 
 from conftest import FIXTURE_DIR, make_record, run_chain
 from oracles import (
@@ -236,7 +237,9 @@ def test_disambiguate_accounting_identity_random_corpora():
         kb = {"BLAST": ["Blast"], "SPSS": ["spss"]}
         chain = run_chain(
             records,
-            registries={Registry.BIOC: {"limma"}, Registry.PY: {"interface"}},
+            registries={
+                LinkSource.PKG_INDEX_BIOC: {"limma"}, LinkSource.PKG_INDEX_PY: {"interface"}
+            },
             kb=kb,
             min_pts=rng.choice([1, 2, 3]),
             eps=rng.choice([0.01, 0.03]),
@@ -274,7 +277,7 @@ def test_limma_variants_form_single_cluster(variant_lists):
     for idx, variant in enumerate(variants):
         records.append(make_record(variant, pmcid=f"v{idx}"))
     result = run_chain(
-        records, registries={Registry.BIOC: {"limma"}}
+        records, registries={LinkSource.PKG_INDEX_BIOC: {"limma"}}
     ).result
     assert len(result.clusters) == 1
     cluster = result.clusters[0]
@@ -286,7 +289,7 @@ def test_write_disambiguated_tsv(tmp_path):
     records = [make_record("limma", pmcid="1"), make_record("limma", pmcid="4"),
                make_record("R package limma", pmcid="2"), make_record("Bowtie", pmcid="3")]
     chain = run_chain(
-        records, registries={Registry.BIOC: {"limma"}}
+        records, registries={LinkSource.PKG_INDEX_BIOC: {"limma"}}
     )
     out = tmp_path / "disambiguated.tsv"
     write_disambiguated_tsv(out, records, "comm", chain.id_table, chain.result.clusters)
@@ -347,7 +350,7 @@ def test_write_disambiguated_tsv_matches_reference_writer(tmp_path_factory, corp
     path = tmp_path_factory.mktemp("out") / "disambiguated.tsv"
     want = _write_both(
         path, text, corpus_kind,
-        registries={Registry.BIOC: {"limma"}}, kb={"BLAST": ["Blast"]},
+        registries={LinkSource.PKG_INDEX_BIOC: {"limma"}}, kb={"BLAST": ["Blast"]},
     )
     assert path.read_bytes() == want.encode("utf-8")
 
@@ -358,7 +361,11 @@ def test_fixture_disambiguated_tsv_matches_reference_writer(tmp_path, name):
         text = fh.read()
     registries = {
         registry: set(read_lines(FIXTURE_DIR / f"registry_{suffix}.txt"))
-        for registry, suffix in ((Registry.PY, "py"), (Registry.R, "r"), (Registry.BIOC, "bioc"))
+        for registry, suffix in (
+            (LinkSource.PKG_INDEX_PY, "py"),
+            (LinkSource.PKG_INDEX_R, "r"),
+            (LinkSource.PKG_INDEX_BIOC, "bioc"),
+        )
     }
     want = _write_both(
         tmp_path / name, text, "comm", registries=registries,

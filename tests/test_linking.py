@@ -540,6 +540,23 @@ def test_code_host_fetcher_keeps_exact_name_only(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "answer",
+    [
+        {"items": None},
+        {"items": ["bowtie"]},
+        {"items": [{"name": "bowtie", "license": "MIT"}]},
+    ],
+    ids=["items_not_a_list", "item_not_an_object", "license_not_an_object"],
+)
+def test_code_host_fetcher_refuses_a_malformed_answer(monkeypatch, clock, answer):
+    import softmentions.linking as linking_mod
+
+    monkeypatch.setattr(linking_mod, "fetch_json", lambda *a, **k: answer)
+    with pytest.raises(ExternalServiceError, match="CodeHostAPI: unexpected payload"):
+        linking_mod.code_host_fetcher()("bowtie")
+
+
+@pytest.mark.parametrize(
     "answer, message",
     [(503, "HTTP 503"), (b'{"data": ', "malformed response"), (b"\xff", "malformed response")],
     ids=["server_error", "truncated_json", "not_utf8"],

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from softmentions import synonyms
+from softmentions.config import LinkSource
 from softmentions.errors import FormatError
 from softmentions.ingest import assign_ids
 from softmentions.synonyms import (
     KB_CONFIDENCE,
     KEYWORD_CONFIDENCE,
     REGISTRY_KEYWORDS,
-    Registry,
     SynonymPair,
     SynonymSource,
     all_pairs_similarity,
@@ -109,7 +109,7 @@ def _ids(*mentions):
 
 def test_keyword_synonyms_limma():
     id_table, _ = _ids("limma", "R package limma", "limma R package", "ImageJ")
-    pairs = generate_keyword_synonyms(Registry.BIOC, {"limma"}, id_table)
+    pairs = generate_keyword_synonyms(LinkSource.PKG_INDEX_BIOC, {"limma"}, id_table)
     found = {(p.a, p.b) for p in pairs}
     limma = id_table["limma"]
     assert (min(limma, id_table["R package limma"]), max(limma, id_table["R package limma"])) in found
@@ -121,7 +121,7 @@ def test_keyword_synonyms_limma():
 
 def test_keyword_synonyms_python_index():
     id_table, _ = _ids("scikit-learn", "scikit-learn python package", "scikit-learn bundle")
-    pairs = generate_keyword_synonyms(Registry.PY, {"scikit-learn"}, id_table)
+    pairs = generate_keyword_synonyms(LinkSource.PKG_INDEX_PY, {"scikit-learn"}, id_table)
     # "bundle" carries no index keyword, so only the python variant pairs
     assert len(pairs) == 1
     a, b = sorted([id_table["scikit-learn"], id_table["scikit-learn python package"]])
@@ -130,7 +130,7 @@ def test_keyword_synonyms_python_index():
 
 def test_keyword_matching_is_case_sensitive():
     id_table, _ = _ids("limma", "LIMMA R package", "limma Package", "limma bundle")
-    pairs = generate_keyword_synonyms(Registry.BIOC, {"limma"}, id_table)
+    pairs = generate_keyword_synonyms(LinkSource.PKG_INDEX_BIOC, {"limma"}, id_table)
     matched = {p.b for p in pairs} | {p.a for p in pairs}
     assert id_table["limma Package"] in matched        # keyword "Package"
     assert id_table["LIMMA R package"] not in matched  # entry containment is exact
@@ -140,19 +140,20 @@ def test_keyword_matching_is_case_sensitive():
 def test_keyword_short_entries_skipped_and_reported():
     id_table, _ = _ids("R", "R package limma")
     report = []
-    assert generate_keyword_synonyms(Registry.R, {"R"}, id_table, skip_report=report) == []
+    pairs = generate_keyword_synonyms(LinkSource.PKG_INDEX_R, {"R"}, id_table, skip_report=report)
+    assert pairs == []
     assert report == ["R"]
 
 
 def test_keyword_entry_absent_from_mentions_is_ignored():
     id_table, _ = _ids("R package limma")
-    assert generate_keyword_synonyms(Registry.BIOC, {"limma"}, id_table) == []
+    assert generate_keyword_synonyms(LinkSource.PKG_INDEX_BIOC, {"limma"}, id_table) == []
 
 
 def test_keyword_containment_requires_literal_substring():
     # token boundaries alone are not enough: a respelled entry is no match
     id_table, _ = _ids("scikit-learn", "scikit learn python", "scikit-learn python")
-    pairs = generate_keyword_synonyms(Registry.PY, {"scikit-learn"}, id_table)
+    pairs = generate_keyword_synonyms(LinkSource.PKG_INDEX_PY, {"scikit-learn"}, id_table)
     matched = {p.a for p in pairs} | {p.b for p in pairs}
     assert id_table["scikit-learn python"] in matched
     assert id_table["scikit learn python"] not in matched
@@ -175,7 +176,7 @@ _names = st.one_of(
 @given(
     st.sets(_names, min_size=1, max_size=25),
     st.sets(_names, max_size=8),
-    st.sampled_from(list(Registry)),
+    st.sampled_from(list(REGISTRY_KEYWORDS)),
 )
 def test_keyword_synonyms_match_exhaustive_oracle(mentions, others, registry):
     id_table, _ = assign_ids(sorted(mentions))
@@ -196,9 +197,9 @@ def test_keyword_synonyms_match_exhaustive_oracle(mentions, others, registry):
 def test_keyword_channel_tokenises_each_mention_once(mentions, py, r, bioc):
     id_table, ordered = assign_ids(mentions)
     registries = {
-        Registry.PY: set(ordered[::3]) | py,
-        Registry.R: set(ordered[1::3]) | r,
-        Registry.BIOC: set(ordered[::2]) | bioc,
+        LinkSource.PKG_INDEX_PY: set(ordered[::3]) | py,
+        LinkSource.PKG_INDEX_R: set(ordered[1::3]) | r,
+        LinkSource.PKG_INDEX_BIOC: set(ordered[::2]) | bioc,
     }
     calls = Counter()
 
@@ -229,7 +230,7 @@ def test_keyword_pairs_satisfy_substring_invariant():
         mentions.add(" ".join(rng.sample(words, rng.randint(1, 4))))
     id_table, ordered = assign_ids(mentions)
     entries = {"limma", "edgeR", "tool suite"}
-    for registry in (Registry.PY, Registry.R, Registry.BIOC):
+    for registry in (LinkSource.PKG_INDEX_PY, LinkSource.PKG_INDEX_R, LinkSource.PKG_INDEX_BIOC):
         for pair in generate_keyword_synonyms(registry, entries, id_table):
             entry, variant = ordered[pair.a], ordered[pair.b]
             if entry not in entries:
@@ -239,8 +240,8 @@ def test_keyword_pairs_satisfy_substring_invariant():
 
 
 def test_registry_default_keywords():
-    assert "bioconductor" in REGISTRY_KEYWORDS[Registry.BIOC]
-    assert "API" in REGISTRY_KEYWORDS[Registry.PY]
+    assert "bioconductor" in REGISTRY_KEYWORDS[LinkSource.PKG_INDEX_BIOC]
+    assert "API" in REGISTRY_KEYWORDS[LinkSource.PKG_INDEX_PY]
 
 
 def test_kb_synonyms_connect_known_aliases():
@@ -426,7 +427,7 @@ def test_confidence_matches_source_contract():
     )
     pairs = generate_synonym_pairs(
         id_table,
-        registries={Registry.BIOC: {"limma"}},
+        registries={LinkSource.PKG_INDEX_BIOC: {"limma"}},
         kb={"SPSS": ["Statistical Package for the Social Sciences"]},
         record_threshold=0.9,
     )

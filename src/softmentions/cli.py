@@ -7,8 +7,8 @@ inputs and configuration reproduce identical outputs byte for byte.
 
 Each stage_* function takes its inputs from a Products store, calls the
 pure compute functions of its module, saves, and puts its products in the
-store. A store loads a product from the out/ directory the first time a
-stage asks for one that no stage put there. A stage run alone gets a
+store's values. A store loads a product from the out/ directory the first
+time a stage asks for one that no stage put there. A stage run alone gets a
 fresh store; run-all hands one store to every stage, so it parses the
 corpus once and reads back no artifact it wrote.
 
@@ -102,57 +102,22 @@ def _read_corpus(
     return rows
 
 
-def _registry_files(cfg: PipelineConfig) -> dict[LinkSource, str]:
-    """The name list of every configured package index."""
-    files = {
-        LinkSource.PKG_INDEX_PY: cfg.registry_py,
-        LinkSource.PKG_INDEX_R: cfg.registry_r,
-        LinkSource.PKG_INDEX_BIOC: cfg.registry_bioc,
-    }
-    return {source: path for source, path in files.items() if path}
-
-
 # Each artifact a later stage loads, and the stage whose manifest records how it was made.
 ARTIFACTS = {MENTION2ID: "ingest", FREQUENCIES: "ingest", SYNONYMS: "synonyms", CLUSTERS: "cluster"}
-
-
-class _Product:
-    """A store value loaded from ``files(run)`` on first use; every use records those files."""
-
-    def __init__(self, files: Callable[[Products], list[Path]]):
-        self.files = files
-
-    def __call__(self, load: Callable) -> _Product:
-        self.load, self.name = load, load.__name__
-        return self
-
-    def __get__(self, run: Products | None, owner: type):
-        if run is None:
-            return self
-        files = self.files(run)
-        if self.name not in vars(run):
-            vars(run)[self.name] = self.load(run, *files)
-            for path in files:  # after it parses, so a malformed artifact names its line
-                run.check(path)
-        return vars(run)[self.name]
-
-    def __set__(self, run: Products, value) -> None:
-        vars(run)[self.name] = value
-
-    def __delete__(self, run: Products) -> None:
-        del vars(run)[self.name]
 
 
 class Products:
     """One run's products, each loaded from its artifact on first use.
 
-    A stage assigns what it produces (``run.pairs = ...``), so later stages
-    of the same run read the value instead of the file.
+    A stage puts what it produces in ``values`` (``run.values["pairs"] = ...``),
+    so later stages of the same run read the value instead of the file. Every
+    use of a product, loaded or handed on, records its files.
     """
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         self.out = Path(cfg.out_dir)
+        self.values: dict[str, object] = {}  # each product by name, loaded or handed on
         # A file's SHA-256, read once per run: no stage rewrites what an earlier one read.
         self.digest: Callable[[Path], str] = cache(_digest)
         self.used: set[Path] = set()  # the files the running stage uses
@@ -192,34 +157,49 @@ class Products:
                 raise ConsistencyError(f"{path} is not the file {manifest} records (rerun {stage})")
             self.check(path)
 
-    @_Product(lambda run: [run.artifact(MENTION2ID)])
-    def ids(self, path: Path) -> IdTables:
-        return ingest.read_id_table(path)
+    def _load(self, name: str, files: list[Path], load: Callable[..., T]) -> T:
+        """The product ``name``, read by ``load(*files)`` unless a stage handed it on."""
+        if name not in self.values:
+            self.values[name] = load(*files)
+            for path in files:  # after it parses, so a malformed artifact names its line
+                self.check(path)
+        return self.values[name]
 
-    @_Product(lambda run: [run.artifact(FREQUENCIES)])
-    def freq(self, path: Path) -> dict[int, int]:
-        id_table = self.ids[0]
-        with _listed(self.out):
-            return ingest.read_frequencies(path, id_table)
+    @property
+    def ids(self) -> IdTables:
+        return self._load("ids", [self.artifact(MENTION2ID)], ingest.read_id_table)
 
-    @_Product(lambda run: [run.artifact(SYNONYMS)])
-    def pairs(self, path: Path) -> list[synonyms.SynonymPair]:
-        return synonyms.read_synonyms_tsv(path, self.ids[1])
+    @property
+    def freq(self) -> dict[int, int]:
+        read = _listed(self.out)(ingest.read_frequencies)  # an unknown mention names mention2id.tsv
+        return self._load("freq", [self.artifact(FREQUENCIES)], lambda p: read(p, self.ids[0]))
 
-    @_Product(lambda run: [run.use(run.cfg.corpus, "corpus TSV (paths.corpus)")])
-    def rows(self, corpus: Path) -> list[ingest.CorpusRow]:
+    @property
+    def pairs(self) -> list[synonyms.SynonymPair]:
+        return self._load("pairs", [self.artifact(SYNONYMS)],
+                          lambda p: synonyms.read_synonyms_tsv(p, self.ids[1]))
+
+    @property
+    def rows(self) -> list[ingest.CorpusRow]:
         """The corpus, which must hold no mention that mention2id.tsv lacks."""
-        return _read_corpus(self.cfg, corpus, self.ids[0])
+        corpus = self.use(self.cfg.corpus, "corpus TSV (paths.corpus)")
+        return self._load("rows", [corpus], lambda p: _read_corpus(self.cfg, p, self.ids[0]))
 
-    @_Product(lambda run: [run.artifact(CLUSTERS)])
-    def clusters(self, path: Path) -> list[clustering.Cluster]:
-        return _read_clusters(path, self.ids[1])
+    @property
+    def clusters(self) -> list[clustering.Cluster]:
+        return self._load("clusters", [self.artifact(CLUSTERS)],
+                          lambda p: _read_clusters(p, self.ids[1]))
 
-    @_Product(lambda run: [run.use(path, f"{source.value} name list")
-                           for source, path in _registry_files(run.cfg).items()])
-    def names(self, *paths: Path) -> RegistryNames:
+    @property
+    def names(self) -> RegistryNames:
         """The entry names of every configured package index."""
-        return dict(zip(_registry_files(self.cfg), (set(read_lines(path)) for path in paths)))
+        cfg = self.cfg
+        indexes = {LinkSource.PKG_INDEX_PY: cfg.registry_py, LinkSource.PKG_INDEX_R: cfg.registry_r,
+                   LinkSource.PKG_INDEX_BIOC: cfg.registry_bioc}
+        files = {source: self.use(path, f"{source.value} name list")
+                 for source, path in indexes.items() if path}
+        return self._load("names", [*files.values()],
+                          lambda *paths: dict(zip(files, (set(read_lines(p)) for p in paths))))
 
 
 def stage_ingest(cfg: PipelineConfig, run: Products | None = None) -> None:
@@ -228,7 +208,7 @@ def stage_ingest(cfg: PipelineConfig, run: Products | None = None) -> None:
     rows = _read_corpus(cfg, run.use(cfg.corpus, "corpus TSV (paths.corpus)"))
     id_table, mentions = ingest.assign_ids(row.software for row in rows)
     freq, missing_paper_key = ingest.compute_frequencies(rows, id_table)
-    run.rows, run.ids, run.freq = rows, (id_table, mentions), freq
+    run.values.update(rows=rows, ids=(id_table, mentions), freq=freq)
     ingest.write_id_table(run.out / MENTION2ID, mentions)
     ingest.write_frequencies(run.out / FREQUENCIES, freq, mentions)
     counts = {
@@ -256,7 +236,7 @@ def stage_synonyms(cfg: PipelineConfig, run: Products | None = None) -> None:
         skip_report=skip_report,
         unmatched=unmatched,
     )
-    run.pairs = pairs
+    run.values["pairs"] = pairs
     synonyms.write_synonyms_tsv(run.out / SYNONYMS, pairs, mentions)
     by_source: dict[str, int] = {}
     for pair in pairs:
@@ -288,7 +268,7 @@ def stage_cluster(cfg: PipelineConfig, run: Products | None = None) -> None:
         eps=cfg.eps,
         min_pts=cfg.min_pts,
     )
-    run.clusters = result.clusters
+    run.values["clusters"] = result.clusters
     clustering.write_disambiguated_tsv(
         out / DISAMBIGUATED, rows, cfg.corpus_kind, id_table, result.clusters
     )
@@ -502,7 +482,8 @@ def run_all(cfg: PipelineConfig) -> None:
     stage_ingest(cfg, run)
     stage_synonyms(cfg, run)
     stage_cluster(cfg, run)
-    del run.rows, run.freq, run.pairs  # the corpus is the largest value; linking needs none
+    # The corpus is the largest value; linking needs none of these.
+    del run.values["rows"], run.values["freq"], run.values["pairs"]
     stage_link(cfg, run)
     if any(_eval_files(cfg)):
         stage_evaluate(cfg, run)

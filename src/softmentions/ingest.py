@@ -218,15 +218,23 @@ def write_id_table(path, mentions: Sequence[str]) -> None:
 
 
 def read_id_table(path) -> tuple[dict[str, int], list[str]]:
-    """Each mention's ID and the mentions in ID order; row i must hold ID i and a new mention."""
+    """Each mention's ID and the mentions in ID order.
+
+    Row i must hold ID i and a mention that sorts strictly after row i-1's,
+    as assign_ids writes them, so the lower of two IDs is the smaller mention.
+    """
     id_table: dict[str, int] = {}
+    previous = ""
 
     def row(fields: list[str]) -> str:
+        nonlocal previous
         mention, mention_id = fields[0], int(fields[1])
         if mention_id != len(id_table):
             raise ValueError(f"ID {mention_id} is not the row's position {len(id_table)}")
-        if id_table.setdefault(mention, mention_id) != mention_id:
-            raise ValueError(f"mention {mention!r} already has ID {id_table[mention]}")
+        if id_table and mention <= previous:
+            raise ValueError(f"mention {mention!r} does not sort after {previous!r}")
+        id_table[mention] = mention_id
+        previous = mention
         return mention
 
     mentions = read_tsv(path, ID_TABLE_HEADER, row)

@@ -22,7 +22,7 @@ from softmentions.config import PipelineConfig, apply_settings, load_config
 from softmentions.errors import ValidationError
 from softmentions.linking import LinkSource
 
-from conftest import DATA_DIR, FIXTURE_DIR
+from conftest import DATA_DIR, FIXTURE_DIR, VARIANTS_DIR
 
 
 def run_cli(*argv) -> int:
@@ -82,20 +82,106 @@ NO_LINK_SOURCE = tuple(
     "extra", [pytest.param((), id="fixture"), pytest.param(NO_LINK_SOURCE, id="no-link-source")]
 )
 def test_stages_run_separately_match_run_all(fixture_copy, extra):
-    # run-all hands values from stage to stage; alone, each stage reads
-    # them back from out/. Both ways must write the same bytes everywhere,
-    # manifests included, so the stages run in the same directory. With
-    # no link source, run-all still links and writes header-only outputs.
-    assert run_stage(fixture_copy, "run-all", *extra) == 0
-    out = fixture_copy / "out"
+    # With no link source, run-all still links and writes header-only outputs.
+    assert_stages_run_separately_match_run_all(fixture_copy, *extra)
+
+
+def assert_stages_run_separately_match_run_all(tree: Path, *extra) -> None:
+    """run-all hands values from stage to stage; alone, each stage reads them back from out/.
+
+    Both ways must write the same bytes everywhere, manifests included, so
+    the stages run in the same directory.
+    """
+    assert run_stage(tree, "run-all", *extra) == 0
+    out = tree / "out"
     expected = output_files(out)
-    out.rename(fixture_copy / "out_run_all")
+    out.rename(tree / "out_run_all")
     for stage in ("ingest", "synonyms", "cluster", "link"):
-        assert run_stage(fixture_copy, stage, *extra) == 0
+        assert run_stage(tree, stage, *extra) == 0
     found = output_files(out)
     assert sorted(found) == sorted(expected)
     for name, data in expected.items():
         assert found[name] == data, name
+
+
+VARIANT_LINES = sorted({
+    line
+    for path in VARIANTS_DIR.glob("*.txt")
+    for line in path.read_text(encoding="utf-8").splitlines()
+    if line.strip()
+})
+# Case, hyphen and suffix mutations of a variant line.
+MUTATIONS = (
+    str, str.lower, str.upper, str.swapcase,
+    lambda m: m.replace(" ", "-"), lambda m: m.replace("-", ""),
+    lambda m: m + " software", lambda m: m + "s",
+)
+# A row's pmcid and doi, either or both of which may be empty.
+PAPER_KEYS = st.tuples(
+    st.sampled_from(["", "9000001", "9000002", "9000003"]),
+    st.sampled_from(["", "10.1000/a", "10.1000/b"]),
+)
+
+
+@st.composite
+def drawn_corpora(draw) -> str:
+    """A comm corpus of 1-40 mentions, each in 1-3 rows.
+
+    The mentions are mutations of a few variant lines, so that many of them pair.
+    """
+    bases = draw(st.lists(st.sampled_from(VARIANT_LINES), min_size=1, max_size=6))
+    mention = st.builds(lambda line, mutate: mutate(line),
+                        st.sampled_from(bases), st.sampled_from(MUTATIONS))
+    lines = [(FIXTURE_DIR / "corpus.tsv").read_text(encoding="utf-8").split("\n", 1)[0]]
+    for software in draw(st.lists(mention, min_size=1, max_size=40)):
+        for pmcid, doi in draw(st.lists(PAPER_KEYS, min_size=1, max_size=3)):
+            lines.append("\t".join((
+                "comm", f"comm/drawn/PMC{pmcid}.nxml", pmcid, "", doi, "2021",
+                "materials and methods", "1", f"We used {software}.", software, "", "",
+                "not_curated",
+            )))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def drawn_settings(draw) -> list[str]:
+    """Valid thresholds and DBSCAN settings, eps sometimes below the edge-value bound.
+
+    Every stored edge is worth at least min(use, 0.99), so an eps at or above
+    1 - that value with min_pts <= 2 leaves each component one cluster.
+    """
+    record = draw(st.floats(0.8, 1))
+    use = draw(st.floats(record, 1))
+    eps = round(1 - min(use, 0.99), 12) * draw(st.floats(0.01, 3))
+    settings = {
+        "thresholds.record": record, "thresholds.use": use,
+        "dbscan.eps": eps, "dbscan.min_pts": draw(st.sampled_from([1, 2, 3])),
+    }
+    return [arg for key, value in settings.items() for arg in ("--set", f"{key}={value}")]
+
+
+@pytest.fixture(scope="module")
+def handoff_base(tmp_path_factory) -> Path:
+    """The fixture's registries, KB dictionary, snapshots and stoplist, without its corpus."""
+    base = tmp_path_factory.mktemp("handoff") / "fixture"
+    shutil.copytree(FIXTURE_DIR, base, ignore=shutil.ignore_patterns("out", "corpus.tsv"))
+    return base
+
+
+# One and a half times the profile's examples keep the default run near 4 s;
+# the ci profile runs ten times as many.
+@settings(
+    max_examples=settings.default.max_examples * 3 // 2,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(corpus=drawn_corpora(), extra=drawn_settings())
+def test_stages_run_separately_match_run_all_on_drawn_corpora(handoff_base, corpus, extra):
+    with tempfile.TemporaryDirectory(dir=handoff_base.parent) as scratch:
+        tree = Path(scratch) / "fixture"
+        shutil.copytree(handoff_base, tree)
+        (tree / "corpus.tsv").write_text(corpus, encoding="utf-8")
+        assert_stages_run_separately_match_run_all(tree, *extra)
 
 
 def test_recluster_without_matrix_leaves_no_stale_matrix(fixture_copy):
@@ -302,7 +388,8 @@ def test_mention_table_edited_since_ingest_fails_cluster_naming_it(fixture_copy,
     assert run_stage(fixture_copy, "run-all") == 0
     out = fixture_copy / "out"
     ids = out / "mention2id.tsv"
-    renamed = ids.read_text(encoding="utf-8").replace("(BLAST\t", "(BLASTX\t", 1)
+    # (BLAST( still sorts between (BLAST and (BLAST), so the table itself loads.
+    renamed = ids.read_text(encoding="utf-8").replace("(BLAST\t", "(BLAST(\t", 1)
     ids.write_text(renamed, encoding="utf-8")
     caplog.clear()
     assert run_stage(fixture_copy, "cluster") == 2
@@ -738,6 +825,8 @@ CORRUPT_ARTIFACTS = {
     "id_out_of_sequence": ("mention2id.tsv", "cluster", 7, lambda f: [f[0], "9999"]),
     "repeated_id": ("mention2id.tsv", "cluster", 7, lambda f: [f[0], "4"]),
     "repeated_mention": ("mention2id.tsv", "cluster", 7, lambda f: ["2scikit-learn", f[1]]),
+    # A new mention, but one that sorts before line 6's.
+    "mention_out_of_order": ("mention2id.tsv", "cluster", 7, lambda f: ["1ANOVA", f[1]]),
     # A negative ID must not wrap around to index the mention list from its end.
     "negative_synonym_id": ("synonyms.tsv", "cluster", 2, lambda f: [f[0], "-1", *f[2:]]),
     "negative_cluster_member": ("clusters.tsv", "link", 2, lambda f: [*f[:3], "-1", f[4]]),

@@ -17,15 +17,6 @@ from .errors import (
     SoftMentionsError,
     ValidationError,
 )
-from .evaluation import (
-    SynonymLabel,
-    SynonymVerdict,
-    fleiss_kappa,
-    krippendorff_alpha,
-    link_eval_summary,
-    precision_at_k,
-    synonym_prf,
-)
 from .graph import (
     SimilarityGraph,
     build_matrix,
@@ -58,3 +49,23 @@ from .synonyms import (
 )
 
 __version__ = "0.1.0"
+
+# Only the evaluate stage needs these, so their module loads on first use.
+_EVALUATION_NAMES = frozenset({
+    "SynonymLabel",
+    "SynonymVerdict",
+    "fleiss_kappa",
+    "krippendorff_alpha",
+    "link_eval_summary",
+    "precision_at_k",
+    "synonym_prf",
+})
+
+
+def __getattr__(name: str):
+    """An evaluation name, imported when first asked for (PEP 562)."""
+    if name in _EVALUATION_NAMES:
+        from . import evaluation
+
+        return getattr(evaluation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

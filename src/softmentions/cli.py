@@ -22,8 +22,6 @@ artifact.
 """
 from __future__ import annotations
 
-import argparse
-import dataclasses
 import hashlib
 import json
 import logging
@@ -33,10 +31,12 @@ from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, TypeVar
 
-from . import clustering, evaluation, graph, ingest, linking, synonyms
+from . import clustering, graph, ingest, linking, synonyms
 from .config import LinkSource, PipelineConfig, Setting, read_config, resolve_config
 from .errors import ConsistencyError, FormatError, SoftMentionsError, ValidationError
-from .fileio import open_text, read_json, read_lines, read_tsv, write_text, write_tsv
+from .fileio import (
+    open_text, read_json, read_lines, read_tsv, remove_temporaries, write_text, write_tsv,
+)
 
 logger = logging.getLogger(__name__)
 T = TypeVar("T")
@@ -49,6 +49,8 @@ CLUSTERS = "clusters.tsv"
 CLUSTERS_HEADER = ("cluster", "name_id", "name", "member_id", "member")
 MATRIX = "matrix.tsv"
 METADATA = "metadata.tsv"
+NORMALIZED = "normalized"
+RAW = "raw"
 LINK_REPORT = "link_report.tsv"
 METRICS_JSON = "metrics.json"
 METRICS_TXT = "metrics.txt"
@@ -112,11 +114,17 @@ class Products:
     A stage puts what it produces in ``values`` (``run.values["pairs"] = ...``),
     so later stages of the same run read the value instead of the file. Every
     use of a product, loaded or handed on, records its files.
+
+    A run starts by deleting the temporary files that a killed run left in
+    out/ and its CSV directories: no stage reads them, but they would make
+    out/ differ from a clean run's.
     """
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         self.out = Path(cfg.out_dir)
+        for directory in (self.out, self.out / NORMALIZED, self.out / RAW):
+            remove_temporaries(directory)
         self.values: dict[str, object] = {}  # each product by name, loaded or handed on
         # A file's SHA-256, read once per run: no stage rewrites what an earlier one read.
         self.digest: Callable[[Path], str] = cache(_digest)
@@ -389,8 +397,8 @@ def stage_link(cfg: PipelineConfig, run: Products | None = None) -> None:
     )
     rows = linking.metadata_rows(linking.propagate_links(clusters, links), mentions, links)
     linking.write_metadata_tsv(out / METADATA, rows)
-    linking.write_normalized_csvs(out / "normalized", rows)
-    linking.write_raw_csvs(out / "raw", collected)
+    linking.write_normalized_csvs(out / NORMALIZED, rows)
+    linking.write_raw_csvs(out / RAW, collected)
     report = linking.link_report(rows)
     linking.write_link_report_tsv(out / LINK_REPORT, report)
     counts = {
@@ -413,6 +421,8 @@ def _eval_files(cfg: PipelineConfig) -> list[str]:
 
 def stage_evaluate(cfg: PipelineConfig, run: Products | None = None) -> dict:
     """Score each configured evaluation file with its metric."""
+    from . import evaluation  # here, so that no other stage loads it
+
     run = run or Products(cfg)
     if not any(_eval_files(cfg)):
         raise SoftMentionsError("missing input: no evaluation files configured (eval.*)")
@@ -435,7 +445,7 @@ def stage_evaluate(cfg: PipelineConfig, run: Products | None = None) -> dict:
             else:
                 predicted = [(row.mention, row.synonym) for row in labeled]
                 logger.warning("no predicted pairs configured; evaluating the labeled set itself")
-            metrics["synonyms"] = dataclasses.asdict(evaluation.synonym_prf(predicted, labeled))
+            metrics["synonyms"] = vars(evaluation.synonym_prf(predicted, labeled))
         for key, path, k in (
             ("precision_at_1k", cfg.eval_curation_multi, 1000),
             ("precision_at_10k", cfg.eval_curation_binary, 10000),
@@ -500,6 +510,8 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # here, so that a stage called from a script does not load it
+
     parser = argparse.ArgumentParser(
         prog="softmentions",
         description="Disambiguate software mentions and link them to registries.",

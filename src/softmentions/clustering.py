@@ -9,8 +9,7 @@ member with the highest distinct-paper frequency.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .fileio import write_tsv
 from .graph import (
@@ -63,8 +62,7 @@ def dbscan(
     return [tuple(sorted(c)) for c in clusters], noise
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     """A disambiguated software entity."""
 
     members: tuple[int, ...]
@@ -91,8 +89,7 @@ def name_clusters(
     return named
 
 
-@dataclass
-class Accounting:
+class Accounting(NamedTuple):
     """Partition of all unique mentions by disambiguation outcome."""
 
     no_significant_synonyms: int
@@ -104,8 +101,7 @@ class Accounting:
         return self.no_significant_synonyms + self.no_cluster_output + self.disambiguated
 
 
-@dataclass
-class DisambiguationResult:
+class DisambiguationResult(NamedTuple):
     """The named clusters, the accounting and the graph."""
 
     clusters: list[Cluster]

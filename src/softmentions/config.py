@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import io
 import string
-from dataclasses import dataclass, field, fields, replace
+from collections import namedtuple
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -45,41 +45,48 @@ def _is_name_template(url: str) -> bool:
     )
 
 
-def _setting(key: str, default):
-    """A PipelineConfig field that the dotted configuration ``key`` sets."""
-    return field(default=default, metadata={"key": key})
+# One line per setting: its PipelineConfig field, its dotted configuration
+# key and its default, whose type is the kind of value the key takes.
+_SETTINGS = (
+    ("corpus", "paths.corpus", ""),
+    ("corpus_kind", "corpus.kind", "comm"),
+    ("registry_py", "paths.registry_py", ""),
+    ("registry_r", "paths.registry_r", ""),
+    ("registry_bioc", "paths.registry_bioc", ""),
+    ("registry_details", "paths.registry_details", ""),
+    ("kb_dict", "paths.kb_dict", ""),
+    ("stoplist", "paths.stoplist", ""),
+    ("kb_snapshots", "paths.kb_snapshots", ""),
+    ("codehost_snapshots", "paths.codehost_snapshots", ""),
+    ("out_dir", "paths.out_dir", "out"),
+    ("record_threshold", "thresholds.record", 0.9),
+    ("use_threshold", "thresholds.use", 0.97),
+    ("eps", "dbscan.eps", 0.03),
+    ("min_pts", "dbscan.min_pts", 2),
+    ("offline", "linking.offline", True),
+    ("precedence", "linking.precedence", DEFAULT_PRECEDENCE_NAMES),
+    ("kb_api_url", "linking.kb_api_url", ""),
+    ("workers", "parallelism.workers", 1),
+    ("strict", "parsing.strict", True),
+    ("write_matrix", "output.matrix", False),
+    ("eval_synonyms", "eval.synonyms", ""),
+    ("eval_predicted_pairs", "eval.predicted_pairs", ""),
+    ("eval_curation_multi", "eval.curation_multi", ""),
+    ("eval_curation_binary", "eval.curation_binary", ""),
+    ("eval_linking", "eval.linking", ""),
+    ("eval_ratings_two", "eval.ratings_two", ""),
+    ("eval_ratings_five", "eval.ratings_five", ""),
+)
+# Each configuration key's field and default.
+_FIELDS = {key: (name, default) for name, key, default in _SETTINGS}
 
 
-@dataclass
-class PipelineConfig:
-    corpus: str = _setting("paths.corpus", "")
-    corpus_kind: str = _setting("corpus.kind", "comm")
-    registry_py: str = _setting("paths.registry_py", "")
-    registry_r: str = _setting("paths.registry_r", "")
-    registry_bioc: str = _setting("paths.registry_bioc", "")
-    registry_details: str = _setting("paths.registry_details", "")
-    kb_dict: str = _setting("paths.kb_dict", "")
-    stoplist: str = _setting("paths.stoplist", "")
-    kb_snapshots: str = _setting("paths.kb_snapshots", "")
-    codehost_snapshots: str = _setting("paths.codehost_snapshots", "")
-    out_dir: str = _setting("paths.out_dir", "out")
-    record_threshold: float = _setting("thresholds.record", 0.9)
-    use_threshold: float = _setting("thresholds.use", 0.97)
-    eps: float = _setting("dbscan.eps", 0.03)
-    min_pts: int = _setting("dbscan.min_pts", 2)
-    offline: bool = _setting("linking.offline", True)
-    precedence: tuple[str, ...] = _setting("linking.precedence", DEFAULT_PRECEDENCE_NAMES)
-    kb_api_url: str = _setting("linking.kb_api_url", "")
-    workers: int = _setting("parallelism.workers", 1)
-    strict: bool = _setting("parsing.strict", True)
-    write_matrix: bool = _setting("output.matrix", False)
-    eval_synonyms: str = _setting("eval.synonyms", "")
-    eval_predicted_pairs: str = _setting("eval.predicted_pairs", "")
-    eval_curation_multi: str = _setting("eval.curation_multi", "")
-    eval_curation_binary: str = _setting("eval.curation_binary", "")
-    eval_linking: str = _setting("eval.linking", "")
-    eval_ratings_two: str = _setting("eval.ratings_two", "")
-    eval_ratings_five: str = _setting("eval.ratings_five", "")
+class PipelineConfig(namedtuple(
+    "PipelineConfig", [name for name, _, _ in _SETTINGS], defaults=[d for _, _, d in _SETTINGS]
+)):
+    """Every setting by its field name; ``_replace`` makes a changed copy."""
+
+    __slots__ = ()
 
     def validate(self) -> None:
         """Check every value's invariant; an error's ``keys`` are the keys its rule reads."""
@@ -114,7 +121,7 @@ class PipelineConfig:
         """Flat string view of the effective settings, for manifests."""
         out = {}
         for key in sorted(_FIELDS):
-            value = getattr(self, _FIELDS[key].name)
+            value = getattr(self, _FIELDS[key][0])
             if isinstance(value, tuple):
                 value = ",".join(value)
             elif isinstance(value, bool):
@@ -123,26 +130,23 @@ class PipelineConfig:
         return out
 
 
-# Each configuration key's field; a field without a key fails here, at import.
-_FIELDS = {f.metadata["key"]: f for f in fields(PipelineConfig)}
-
-
 def _coerce(key: str, raw: str):
-    kind = _FIELDS[key].type
+    """``raw`` as a value of the type of ``key``'s default."""
+    kind = type(_FIELDS[key][1])
     raw = raw.strip()
-    if kind == "bool":
+    if kind is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
         if raw.lower() in ("false", "0", "no"):
             return False
         raise ValidationError(f"{key}: expected true/false, got {raw!r}")
-    if kind in ("int", "float"):
+    if kind in (int, float):
         try:
-            return int(raw) if kind == "int" else float(raw)
+            return kind(raw)
         except ValueError:
-            expected = "an integer" if kind == "int" else "a number"
+            expected = "an integer" if kind is int else "a number"
             raise ValidationError(f"{key}: expected {expected}, got {raw!r}") from None
-    if kind == "tuple[str, ...]":
+    if kind is tuple:
         return tuple(part.strip() for part in raw.split(",") if part.strip())
     return raw
 
@@ -152,8 +156,8 @@ def apply_settings(config: PipelineConfig, settings: dict[str, str]) -> Pipeline
     for key, raw in settings.items():
         if key not in _FIELDS:
             raise ValidationError(f"unknown configuration key: {key!r}")
-        updates[_FIELDS[key].name] = _coerce(key, raw)
-    return replace(config, **updates)
+        updates[_FIELDS[key][0]] = _coerce(key, raw)
+    return config._replace(**updates)
 
 
 # A setting and where it was made: (origin, key, raw value), the origin

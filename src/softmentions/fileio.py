@@ -11,6 +11,7 @@ import gzip
 import io
 import json
 import os
+import re
 import zlib
 from contextlib import contextmanager
 from itertools import chain, islice
@@ -65,6 +66,25 @@ def write_text(path: str | os.PathLike[str], data: str | Iterable[str]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+# The name of write_text's temporary file, which a process killed mid-write leaves behind.
+TEMPORARY_NAME = re.compile(r"\.[0-9]+\.tmp")
+
+
+def remove_temporaries(directory: str | os.PathLike[str]) -> None:
+    """Delete every file in ``directory`` named as write_text's temporary files are.
+
+    A process writing into the same directory at the time loses its
+    temporary file, so its write fails and leaves the previous file.
+    """
+    try:
+        names = os.listdir(directory)
+    except (FileNotFoundError, NotADirectoryError):
+        return
+    for name in names:
+        if TEMPORARY_NAME.fullmatch(name):
+            Path(directory, name).unlink(missing_ok=True)
 
 
 def count_line_ends(data: bytes, before: bytes = b"") -> int:

@@ -9,7 +9,6 @@ to 1.0 and deletes every edge touching a stoplisted broad term.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -28,12 +27,14 @@ _PRECEDENCE = {
 }
 
 
-@dataclass
 class SimilarityGraph:
     """Stored edges by mention pair; never mutated once built or post-processed."""
 
-    mentions: Sequence[str]
-    entries: dict[tuple[int, int], tuple[float, SynonymSource]]
+    def __init__(
+        self, mentions: Sequence[str], entries: dict[tuple[int, int], tuple[float, SynonymSource]]
+    ):
+        self.mentions = mentions
+        self.entries = entries
 
     def covered_vertices(self) -> set[int]:
         covered: set[int] = set()

@@ -7,7 +7,7 @@ through to the same snapshot layout, so a live run leaves a reproducible
 offline snapshot behind.
 
 Raw per-source records are normalized to one schema, the LinkedMetadata
-dataclass. The SCHEMA crosswalk below maps each source's raw field names
+record. The SCHEMA crosswalk below maps each source's raw field names
 onto its fields; fields mapped to None are deliberately dropped, unknown
 fields are dropped with a warning.
 """
@@ -21,12 +21,11 @@ import os
 import time
 import urllib.parse
 from collections import Counter
-from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .clustering import Cluster
 from .config import LinkSource
@@ -54,32 +53,54 @@ KB_TOKEN_ENV = "SOFTMENTIONS_KB_TOKEN"
 CODE_HOST_TOKEN_ENV = "SOFTMENTIONS_CODEHOST_TOKEN"
 
 
-@dataclass
-class LinkedMetadata:
-    """One mention's normalized registry record.
+# Each LinkedMetadata field and its default, in the order of the columns of
+# metadata.tsv and of the normalized CSVs. A field whose default is a list
+# collects every value the crosswalk maps onto it, a bool field takes the
+# value as a flag and any other field keeps its first non-empty value.
+_DEFAULTS: dict[str, object] = {
+    "id": -1,
+    "software_mention": "",
+    "mapped_to": [],
+    "source": "",
+    "platform": [],
+    "package_url": "",
+    "description": [],
+    "homepage_url": [],
+    "other_urls": [],
+    "license": [],
+    "github_repo": [],
+    "github_repo_licenses": [],
+    "exact_match": True,
+    "rrid": None,
+    "reference": [],
+    "scicrunch_synonyms": [],
+}
+_LIST_FIELDS = tuple(name for name, default in _DEFAULTS.items() if type(default) is list)
 
-    The fields, in this order, are the columns of metadata.tsv and of the
-    normalized CSVs. A field whose default is a list collects every value
-    the crosswalk maps onto it, a bool field takes the value as a flag and
-    any other field keeps its first non-empty value.
+
+class LinkedMetadata:
+    """One mention's normalized registry record, made by keyword from any of its fields.
+
+    A field not given takes its default, each list field a new empty list.
     """
 
-    id: int = -1
-    software_mention: str = ""
-    mapped_to: list[str] = field(default_factory=list)
-    source: str = ""
-    platform: list[str] = field(default_factory=list)
-    package_url: str = ""
-    description: list[str] = field(default_factory=list)
-    homepage_url: list[str] = field(default_factory=list)
-    other_urls: list[str] = field(default_factory=list)
-    license: list[str] = field(default_factory=list)
-    github_repo: list[str] = field(default_factory=list)
-    github_repo_licenses: list[str] = field(default_factory=list)
-    exact_match: bool = True
-    rrid: str | None = None
-    reference: list[str] = field(default_factory=list)
-    scicrunch_synonyms: list[str] = field(default_factory=list)
+    _fields = tuple(_DEFAULTS)
+
+    def __init__(self, **values):
+        record = _DEFAULTS.copy()
+        for name in _LIST_FIELDS:
+            record[name] = []
+        record.update(values)
+        if len(record) > len(_DEFAULTS):
+            unknown = sorted(record.keys() - _DEFAULTS.keys())
+            raise TypeError(f"LinkedMetadata has no field {', '.join(unknown)}")
+        self.__dict__ = record
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is LinkedMetadata else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"LinkedMetadata({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
 
 
 # Per-source crosswalk: raw field name -> LinkedMetadata field names. A raw
@@ -164,11 +185,11 @@ def _append_values(bucket: list[str], value) -> None:
             bucket.append(text)
 
 
-# Each field's merge rule, told by its default as LinkedMetadata describes.
+# Each field's merge rule, told by its default as _DEFAULTS describes.
 _LIST, _FLAG, _FIRST = range(3)
 _FIELD_KINDS = {
-    f.name: _LIST if f.default_factory is list else _FLAG if type(f.default) is bool else _FIRST
-    for f in fields(LinkedMetadata)
+    name: _LIST if type(default) is list else _FLAG if type(default) is bool else _FIRST
+    for name, default in _DEFAULTS.items()
 }
 # SCHEMA with each target paired with its field's kind; None rules become ().
 _MERGE_PLANS = {
@@ -237,13 +258,12 @@ def _quote(name: str) -> str:
     return urllib.parse.quote(name, safe="")
 
 
-@dataclass
-class RegistrySnapshot:
-    """A package index: entry names and optional page details."""
+class RegistrySnapshot(NamedTuple):
+    """A package index: entry names and optional page details, never changed by a lookup."""
 
     source: LinkSource
     names: set[str]
-    details: dict[str, dict] = field(default_factory=dict)
+    details: Mapping[str, dict] = {}
 
     def lookup(self, name: str) -> dict | None:
         if name not in self.names:
@@ -258,7 +278,6 @@ class RegistrySnapshot:
 Fetcher = Callable[[str], dict | None]
 
 
-@dataclass
 class ApiSnapshot:
     """Per-name JSON documents, optionally backed by a live fetcher.
 
@@ -279,9 +298,10 @@ class ApiSnapshot:
     offline and live.
     """
 
-    source: LinkSource
-    directory: Path
-    fetcher: Fetcher | None = None
+    def __init__(self, source: LinkSource, directory: Path, fetcher: Fetcher | None = None):
+        self.source = source
+        self.directory = directory
+        self.fetcher = fetcher
 
     @cached_property
     def documents(self) -> dict[str, str]:
@@ -443,11 +463,9 @@ def source_shares(counts: Mapping[str, int]) -> list[tuple[str, float]]:
 
 
 # The LinkedMetadata fields as metadata.tsv and the normalized CSVs name them.
-MASTER_HEADER = tuple(
-    {"id": "ID", "rrid": "RRID"}.get(f.name, f.name) for f in fields(LinkedMetadata)
-)
+MASTER_HEADER = tuple({"id": "ID", "rrid": "RRID"}.get(name, name) for name in _DEFAULTS)
 _SOURCE_COLUMN = MASTER_HEADER.index("source")
-_metadata_values = attrgetter(*(f.name for f in fields(LinkedMetadata)))
+_metadata_values = attrgetter(*_DEFAULTS)
 
 
 _encode_json = json.JSONEncoder(ensure_ascii=False).encode

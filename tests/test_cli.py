@@ -7,6 +7,7 @@ import logging
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -20,6 +21,7 @@ from softmentions import cli
 from softmentions.cli import build_link_sources, main
 from softmentions.config import PipelineConfig, apply_settings, load_config
 from softmentions.errors import ValidationError
+from softmentions.fileio import TEMPORARY_NAME
 from softmentions.linking import LinkSource
 
 from conftest import DATA_DIR, FIXTURE_DIR, VARIANTS_DIR
@@ -29,8 +31,16 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+STAGES = ("ingest", "synonyms", "cluster", "link")
+
+
 def run_stage(fixture_copy: Path, stage: str, *extra) -> int:
-    return run_cli(
+    return run_cli(*stage_argv(fixture_copy, stage, *extra))
+
+
+def stage_argv(fixture_copy: Path, stage: str, *extra) -> list[str]:
+    """The command line that runs ``stage`` on the copy, every path setting naming its file."""
+    return [
         stage, "--config", str(fixture_copy / "config.cfg"),
         "--out", str(fixture_copy / "out"),
         "--set", f"paths.corpus={fixture_copy / 'corpus.tsv'}",
@@ -42,7 +52,7 @@ def run_stage(fixture_copy: Path, stage: str, *extra) -> int:
         "--set", f"paths.kb_snapshots={fixture_copy / 'snapshots' / 'kb'}",
         "--set", f"paths.codehost_snapshots={fixture_copy / 'snapshots' / 'codehost'}",
         *extra,
-    )
+    ]
 
 
 def test_run_all_produces_stage_artifacts(fixture_copy):
@@ -184,6 +194,26 @@ def test_stages_run_separately_match_run_all_on_drawn_corpora(handoff_base, corp
         assert_stages_run_separately_match_run_all(tree, *extra)
 
 
+# Each example spawns two worker processes, so the default run keeps to 5
+# examples; the ci profile runs ten times as many.
+@settings(
+    max_examples=settings.default.max_examples // 20,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(corpus=drawn_corpora(), extra=drawn_settings())
+def test_two_workers_write_the_bytes_one_writes(handoff_base, corpus, extra):
+    with tempfile.TemporaryDirectory(dir=handoff_base.parent) as scratch:
+        tree = Path(scratch) / "fixture"
+        shutil.copytree(handoff_base, tree)
+        (tree / "corpus.tsv").write_text(corpus, encoding="utf-8")
+        assert run_stage(tree, "run-all", *extra) == 0
+        one = output_files(tree / "out")
+        shutil.rmtree(tree / "out")
+        assert run_stage(tree, "run-all", *extra, "--set", "parallelism.workers=2") == 0
+        assert output_files_as_one_worker(tree / "out", echoed_workers="2") == one
+
+
 def test_recluster_without_matrix_leaves_no_stale_matrix(fixture_copy):
     out = fixture_copy / "out"
     assert run_stage(fixture_copy, "run-all", "--set", "output.matrix=true") == 0
@@ -256,25 +286,33 @@ def test_run_all_digests_each_input_once(fixture_copy, monkeypatch):
 FIXTURE_DIGESTS = DATA_DIR / "fixture_out.sha256"
 
 
+def output_files_as_one_worker(out: Path, echoed_workers: str) -> dict[str, bytes]:
+    """output_files, with the worker count that each manifest echoes set back to 1."""
+    files = output_files(out)
+    echoed = f'"parallelism.workers": "{echoed_workers}"'.encode()
+    for name, data in files.items():
+        if name.startswith("manifest_"):
+            assert echoed in data, name
+            files[name] = data.replace(echoed, b'"parallelism.workers": "1"')
+    return files
+
+
 def pinned_digest_mismatches(
     out: Path, echoed_workers: str = "1", pins: Path = FIXTURE_DIGESTS
 ) -> list[str]:
     """Files under out/ whose digest differs from (or is missing in) ``pins``.
 
-    Manifests echo the configuration, so with ``echoed_workers`` other than
-    1 their worker count is set back to 1 before hashing.
+    Manifests echo the configuration, so their worker count is set back to
+    1 before hashing.
     """
     expected = {}
     for line in pins.read_text(encoding="utf-8").splitlines():
         digest, name = line.split(maxsplit=1)
         expected[name] = digest
-    found = {}
-    for name, data in output_files(out).items():
-        if echoed_workers != "1" and name.startswith("manifest_"):
-            echoed = f'"parallelism.workers": "{echoed_workers}"'.encode()
-            assert echoed in data, name
-            data = data.replace(echoed, b'"parallelism.workers": "1"')
-        found[name] = hashlib.sha256(data).hexdigest()
+    found = {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in output_files_as_one_worker(out, echoed_workers).items()
+    }
     return [name for name in sorted(expected.keys() | found.keys())
             if expected.get(name) != found.get(name)]
 
@@ -571,6 +609,26 @@ def test_manifest_recording_its_own_artifact_is_checked_once(fixture_copy):
     assert run_stage(fixture_copy, "synonyms") == 0
 
 
+def run_all_writes(tree: Path) -> list[str]:
+    """Run run-all on the copy; each file under out/ that it writes, in order."""
+    writes = []
+    replace = os.replace
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "replace", lambda src, dst: writes.append(dst) or replace(src, dst))
+        assert run_stage(tree, "run-all") == 0
+    return [Path(dst).relative_to(tree / "out").as_posix() for dst in writes]
+
+
+def write_stages(writes: list[str]) -> list[str]:
+    """The stage of each of run-all's writes: the one whose manifest is the next written."""
+    stages: list[str] = []
+    for name in reversed(writes):
+        if name.startswith("manifest_"):
+            stage = name.removeprefix("manifest_").removesuffix(".json")
+        stages.insert(0, stage)
+    return stages
+
+
 @pytest.fixture(scope="module")
 def stale_out(tmp_path_factory):
     """A fixture copy whose out/ is from before 40 GraPhPad rows were appended to its corpus.
@@ -583,12 +641,7 @@ def stale_out(tmp_path_factory):
     assert run_stage(tree, "run-all") == 0
     old_out = shutil.copytree(tree / "out", tree.parent / "old_out")
     append_graphpad_rows(tree / "corpus.tsv", 40)
-    writes = []
-    replace = os.replace
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(os, "replace", lambda src, dst: writes.append(dst) or replace(src, dst))
-        assert run_stage(tree, "run-all") == 0
-    writes = [Path(dst).relative_to(tree / "out").as_posix() for dst in writes]
+    writes = run_all_writes(tree)
     return tree, old_out, writes, output_files(tree / "out")
 
 
@@ -604,12 +657,7 @@ def test_write_failure_in_run_all_leaves_each_later_stage_refusing_or_exact(
     # write what a clean run-all writes.
     tree, old_out, writes, clean = stale_out
     out = tree / "out"
-    # The stage of each write: the one whose manifest is the next written.
-    stages: list[str] = []
-    for name in reversed(writes):
-        if name.startswith("manifest_"):
-            stage = name.removeprefix("manifest_").removesuffix(".json")
-        stages.insert(0, stage)
+    stages = write_stages(writes)
     refused = 0
     for k, failed in enumerate(stages):
         shutil.rmtree(out)
@@ -646,6 +694,56 @@ def test_write_failure_in_run_all_leaves_each_later_stage_refusing_or_exact(
                     if made_by == stage:
                         assert found[name] == clean[name], (k, stage, name)
     assert refused
+
+
+@pytest.fixture(scope="module")
+def killed_base(tmp_path_factory):
+    """A fixture copy, the stage of each of run-all's writes, and the files a clean run-all leaves."""
+    tree = tmp_path_factory.mktemp("killed") / "fixture"
+    shutil.copytree(FIXTURE_DIR, tree)
+    stages = write_stages(run_all_writes(tree))
+    return tree, stages, output_files(tree / "out")
+
+
+# The CLI run on sys.argv[2:], killed with SIGKILL at its os.replace number
+# sys.argv[1] (from 0), before that write's temporary file is renamed.
+KILL_AT_WRITE = """
+import os, signal, sys
+from softmentions import cli
+
+done, replace = iter(range(int(sys.argv[1]))), os.replace
+
+def replace_or_die(src, dst):
+    if next(done, None) is None:
+        os.kill(os.getpid(), signal.SIGKILL)
+    replace(src, dst)
+
+os.replace = replace_or_die
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+# Hypothesis draws no write of a stage twice while others are left, so the
+# default run kills run-all at two writes of each stage and the ci profile
+# at every write.
+@pytest.mark.parametrize("stage", STAGES)
+@settings(max_examples=settings.default.max_examples // 50, deadline=None)
+@given(data=st.data())
+def test_run_all_killed_at_a_write_then_rerun_writes_a_clean_runs_bytes(killed_base, stage, data):
+    # The killed process leaves write_text's temporary file; the next run
+    # deletes it, so out/ holds exactly what a clean run leaves.
+    tree, stages, clean = killed_base
+    k = data.draw(st.sampled_from([k for k, made_by in enumerate(stages) if made_by == stage]))
+    out = tree / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    killed = subprocess.run(
+        [sys.executable, "-c", KILL_AT_WRITE, str(k), *stage_argv(tree, "run-all")],
+        env=_package_env(), capture_output=True, encoding="utf-8",
+    )
+    assert killed.returncode == -signal.SIGKILL, killed.stderr
+    assert len([p for p in out.rglob("*") if TEMPORARY_NAME.fullmatch(p.name)]) == 1
+    assert run_stage(tree, "run-all") == 0
+    assert output_files(out) == clean
 
 
 def test_min_pts_one_leaves_no_noise(fixture_copy):
@@ -993,15 +1091,19 @@ def test_truncated_gzip_corpus_names_file(fixture_copy, caplog, capsys):
     assert not (fixture_copy / "out" / "mention2id.tsv").exists()
 
 
-def _fresh_python(code: str, cwd: Path | None = None) -> str:
-    """What ``code`` prints in a new interpreter, run in ``cwd``, that finds this package first."""
+def _package_env() -> dict[str, str]:
+    """The environment of a new interpreter that finds this package first."""
     package_root = str(Path(softmentions.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])
     ))
+
+
+def _fresh_python(code: str, cwd: Path | None = None) -> str:
+    """What ``code`` prints in a new interpreter, run in ``cwd``, that finds this package first."""
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, encoding="utf-8",
-        check=True,
+        [sys.executable, "-c", code], env=_package_env(), cwd=cwd, capture_output=True,
+        encoding="utf-8", check=True,
     )
     return proc.stdout.strip()
 
@@ -1014,6 +1116,22 @@ def test_cli_import_leaves_process_pool_and_http_client_unloaded():
         "print([m for m in ('concurrent.futures.process', 'urllib.request') if m in sys.modules])"
     )
     assert _fresh_python(code) == "[]"
+
+
+def test_cli_import_leaves_dataclasses_argparse_and_evaluation_unloaded():
+    # No stage but evaluate runs them, and importing them took about a third
+    # of each command's start-up. The baseline is taken in the new
+    # interpreter, since site may load any module.
+    code = (
+        "import sys; before = set(sys.modules); import softmentions.cli; "
+        "new = set(sys.modules) - before; "
+        "print(sorted(new & {'dataclasses', 'argparse', 'softmentions.evaluation'})); "
+        "from softmentions import synonym_prf, fleiss_kappa; "
+        "print(synonym_prf.__module__, fleiss_kappa.__module__)"
+    )
+    assert _fresh_python(code).splitlines() == [
+        "[]", "softmentions.evaluation softmentions.evaluation"
+    ]
 
 
 def test_package_imports_and_runs_on_the_standard_library_only(fixture_copy):
@@ -1426,7 +1544,6 @@ FUZZ_FILES = {
     "snapshots/codehost/Bowtie.json": "link",
     "out/clusters.tsv": "link",
 }
-STAGES = ("ingest", "synonyms", "cluster", "link")
 # A bit flip, an inserted byte, a line deleted, duplicated or swapped with another, truncation.
 EDITS = ("flip", b"\t", b"\r", b"\xe9", b"\x00", "delete", "duplicate", "swap", "truncate")
 

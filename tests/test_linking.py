@@ -6,7 +6,6 @@ import os
 import socket
 import tempfile
 import urllib.parse
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -283,7 +282,7 @@ def test_linked_metadata_fields_are_the_master_header():
 
 def test_schema_covers_every_source_and_targets_record_fields():
     assert set(SCHEMA) == set(LinkSource)
-    names = {f.name for f in fields(LinkedMetadata)}
+    names = set(LinkedMetadata._fields)
     for source, rules in SCHEMA.items():
         for raw_field, targets in rules.items():
             assert set(targets or ()) <= names, (source, raw_field)

@@ -27,7 +27,7 @@ import json
 import logging
 import sys
 from contextlib import contextmanager
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, TypeVar
 
@@ -370,27 +370,29 @@ def build_link_sources(
             record(path)
             details = _read_registry_details(path)
         backends[source] = linking.RegistrySnapshot(source=source, names=entries, details=details)
-    # Each API source: its snapshot directory and, if it can fetch live, its fetcher's factory.
-    kb_fetcher = partial(linking.knowledge_base_fetcher, cfg.kb_api_url) if cfg.kb_api_url else None
     apis = (
-        (LinkSource.KNOWLEDGE_BASE, cfg.kb_snapshots, kb_fetcher),
-        (LinkSource.CODE_HOST, cfg.codehost_snapshots, linking.code_host_fetcher),
+        (LinkSource.KNOWLEDGE_BASE, cfg.kb_snapshots),
+        (LinkSource.CODE_HOST, cfg.codehost_snapshots),
     )
-    for source, directory, fetcher in apis:
+    for source, directory in apis:
         if directory:
-            live = fetcher() if fetcher and not cfg.offline else None
-            backends[source] = linking.ApiSnapshot(source, Path(directory), fetcher=live)
+            backends[source] = linking.ApiSnapshot(source, Path(directory))
     precedence = map(LinkSource, cfg.precedence)
     return {source: backends[source] for source in precedence if source in backends}
 
 
 def stage_link(cfg: PipelineConfig, run: Products | None = None) -> None:
-    """Link every mention and propagate cluster links."""
+    """Online, fetch what the snapshots lack; then link mentions and propagate cluster links."""
     run = run or Products(cfg)
     out = run.out
     mentions, clusters = run.ids[1], run.clusters
     sources = build_link_sources(cfg, run.names, run.used.add)
     soft_errors: list[str] = []
+    if not cfg.offline:
+        fetchers = {LinkSource.CODE_HOST: linking.code_host_fetcher()}
+        if cfg.kb_api_url:
+            fetchers[LinkSource.KNOWLEDGE_BASE] = linking.knowledge_base_fetcher(cfg.kb_api_url)
+        linking.fetch_documents(mentions, sources, fetchers, soft_errors)
     collected: dict[LinkSource, list[dict]] = {}
     links = linking.link_mentions(
         mentions, sources, soft_errors=soft_errors, collect_raw=collected

@@ -1,10 +1,10 @@
 """Exact-match linking of mentions to registry and database records.
 
-Lookups run offline-first against recorded snapshots: newline-delimited
-name lists for the three package indices, and one JSON document per name
-for the two API-backed sources. Live HTTP fetching is opt-in and writes
-through to the same snapshot layout, so a live run leaves a reproducible
-offline snapshot behind.
+Lookups only read recorded snapshots: newline-delimited name lists for
+the three package indices, and one JSON document per name for the two
+API-backed sources. Live HTTP fetching is opt-in: before linking,
+fetch_documents writes into a snapshot directory the documents it lacks,
+so linking reads as offline and an offline rerun reproduces the run.
 
 Raw per-source records are normalized to one schema, the LinkedMetadata
 record. The SCHEMA crosswalk below maps each source's raw field names
@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 from .clustering import Cluster
 from .config import LinkSource
 from .errors import ExternalServiceError
-from .fileio import read_json, write_text, write_tsv
+from .fileio import read_json, remove_temporaries, write_text, write_tsv
 
 logger = logging.getLogger(__name__)
 
@@ -251,9 +251,9 @@ def normalize_metadata(
 def _quote(name: str) -> str:
     """The name URL-quoted as one path segment.
 
-    A name is quoted by each package index that has it and by a live
-    snapshot fetch, all before the next name comes, so remembering the last
-    name quotes each name once.
+    A name is quoted by each package index that has it, and by the fetch
+    pass once for all its snapshots, before the next name comes, so
+    remembering the last name quotes each name once.
     """
     return urllib.parse.quote(name, safe="")
 
@@ -279,29 +279,21 @@ Fetcher = Callable[[str], dict | None]
 
 
 class ApiSnapshot:
-    """Per-name JSON documents, optionally backed by a live fetcher.
+    """Per-name JSON documents, which a lookup only reads.
 
     A name's document is its URL-quoted name plus ``.json``. The directory
     is listed once, when first needed, into a map from each name to its
     document: an entry counts only if unquoting it and quoting the result
     gives the entry back, so ``%2f.json``, ``a b.json`` and ``x.JSON`` answer
     for no name, and on a case-insensitive file system ``spss.json`` does not
-    answer for ``SPSS``. A document another process adds later is not seen.
-    Offline, a name the map lacks is a miss without being quoted.
-
-    Live, such a name is fetched and the response, a miss as null, is
-    written into the directory and added to the map, so a live run leaves
-    the snapshot an offline rerun reads and a live rerun asks only for new
-    names. A failed fetch drops the fetcher, so the run's later names are
-    answered as offline. A name whose document name would exceed the file
-    system's 255-byte limit can have no snapshot, so it is a miss both
-    offline and live.
+    answer for ``SPSS``. A document another process adds later is not seen;
+    one that fetch_documents writes is added to the map. A name the map
+    lacks is a miss without being quoted.
     """
 
-    def __init__(self, source: LinkSource, directory: Path, fetcher: Fetcher | None = None):
+    def __init__(self, source: LinkSource, directory: Path):
         self.source = source
         self.directory = directory
-        self.fetcher = fetcher
 
     @cached_property
     def documents(self) -> dict[str, str]:
@@ -321,28 +313,12 @@ class ApiSnapshot:
 
     def lookup(self, name: str) -> dict | None:
         file_name = self.documents.get(name)
-        if file_name is not None:
-            try:
-                raw = read_json(os.path.join(self.directory, file_name))
-            except (OSError, ValueError) as err:
-                raise ExternalServiceError(self.source.value, f"bad snapshot {file_name}: {err}")
-        elif self.fetcher is None:
+        if file_name is None:
             return None
-        else:
-            file_name = _quote(name) + ".json"
-            if len(file_name) > 255:
-                return None
-            try:
-                raw = self.fetcher(name)
-            except ExternalServiceError:
-                self.fetcher = None  # a failed service is asked no more this run
-                raise
-            text = json.dumps(raw, ensure_ascii=False, sort_keys=True, indent=1)
-            try:
-                write_text(Path(self.directory) / file_name, text)
-            except UnicodeEncodeError as err:
-                raise ExternalServiceError(self.source.value, f"answer for {name!r}: {err}")
-            self.documents[name] = file_name
+        try:
+            raw = read_json(os.path.join(self.directory, file_name))
+        except (OSError, ValueError) as err:
+            raise ExternalServiceError(self.source.value, f"bad snapshot {file_name}: {err}")
         if raw is None:
             return None
         if not isinstance(raw, dict):
@@ -360,6 +336,12 @@ class ApiSnapshot:
 Backends = Mapping[LinkSource, RegistrySnapshot | ApiSnapshot]
 
 
+def _soft_error(message: str, soft_errors: list[str] | None) -> None:
+    logger.warning("lookup failed: %s", message)
+    if soft_errors is not None:
+        soft_errors.append(message)
+
+
 def exact_match_lookup(
     name: str,
     sources: Backends,
@@ -375,25 +357,53 @@ def exact_match_lookup(
         try:
             raw = backend.lookup(name)
         except ExternalServiceError as err:
-            logger.warning("lookup failed: %s", err)
-            if soft_errors is not None:
-                soft_errors.append(str(err))
+            _soft_error(str(err), soft_errors)
             continue
         if raw is not None:
             candidates.append((source, raw))
     return candidates
 
 
-def _answerable(sources: Backends) -> set[str] | None:
-    """Every name some source can answer; None, any name, when some source fetches live."""
+def fetch_documents(
+    mentions: Sequence[str], sources: Backends, fetchers: Mapping[LinkSource, Fetcher],
+    soft_errors: list[str] | None = None,
+) -> None:
+    """Write into the snapshot of each source in ``fetchers`` the documents it lacks.
+
+    Names go in ID order, each to every such source in precedence order.
+    Each answer, a miss as null, is added to the snapshot's documents. A
+    failed fetch is a soft error, and its source is asked nothing more.
+    """
+    live = {source: backend for source, backend in sources.items() if source in fetchers}
+    for snapshot in live.values():
+        remove_temporaries(snapshot.directory)  # left by a killed run
+    for name in mentions:
+        file_name = _quote(name) + ".json"
+        if len(file_name) > 255:
+            continue  # over the file system's 255-byte limit: it can have no snapshot
+        for source in [source for source, snap in live.items() if name not in snap.documents]:
+            try:
+                raw = fetchers[source](name)
+            except ExternalServiceError as err:
+                _soft_error(str(err), soft_errors)
+                del live[source]
+                continue
+            text = json.dumps(raw, ensure_ascii=False, sort_keys=True, indent=1)
+            try:
+                write_text(os.path.join(live[source].directory, file_name), text)
+                live[source].documents[name] = file_name
+            except UnicodeEncodeError as err:
+                _soft_error(f"{source.value}: answer for {name!r}: {err}", soft_errors)
+
+
+def _answerable(sources: Backends) -> set[str]:
+    """Every name some source can answer: a package index's names, a snapshot's documents."""
     names: set[str] = set()
     for backend in sources.values():
         if isinstance(backend, RegistrySnapshot):
             names.update(backend.names)
-        elif backend.fetcher is None:
-            names.update(backend.documents)
         else:
-            return None
+            names.update(backend.documents)
     return names
 
 
@@ -410,13 +420,13 @@ def link_mentions(
     lower-precedence hits stay visible in the final record.
 
     Names are looked up in ID order, each in every source before the next
-    name, so live requests to different services interleave. Offline, a
-    name that no source lists is not looked up at all.
+    name. A name that no source lists is not looked up at all. No lookup
+    fetches or writes: a live run calls fetch_documents first.
     """
     answerable = _answerable(sources)
     linked: dict[int, LinkedMetadata] = {}
     for mention_id, name in enumerate(mentions):
-        if answerable is not None and name not in answerable:
+        if name not in answerable:
             continue
         candidates = exact_match_lookup(name, sources, soft_errors=soft_errors)
         if collect_raw is not None:

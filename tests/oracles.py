@@ -436,6 +436,40 @@ def _snapshot_lookup_reference(snapshot: ApiSnapshot, listing: set[str], name: s
     return raw
 
 
+def fetch_documents_reference(mentions, live, present, answers):
+    """A fetch pass over in-memory snapshots: its requests, written documents and soft errors.
+
+    ``live`` lists the live sources in precedence order, ``present`` maps
+    each to the names its directory already has a document for, and
+    ``answers`` maps each (source, name) to the fetcher's record, None or
+    ExternalServiceError. A name goes to each source that lacks it and has
+    not failed, all before the next name; a name quoted to more than 250
+    characters is asked of none. A record that cannot be written as UTF-8
+    is not written.
+    """
+    requests, written, errors = [], {source: {} for source in live}, 0
+    failed = set()
+    for name in mentions:
+        if len(urllib.parse.quote(name, safe="")) > 250:
+            continue
+        for source in live:
+            if source in failed or name in present[source] or name in written[source]:
+                continue
+            requests.append((source, name))
+            answer = answers[source, name]
+            if isinstance(answer, ExternalServiceError):
+                failed.add(source)
+                errors += 1
+                continue
+            try:
+                json.dumps(answer, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
+                errors += 1
+                continue
+            written[source][name] = answer
+    return requests, written, errors
+
+
 def link_mentions_reference(mentions, sources, soft_errors, collect_raw):
     """Offline linking that asks every source about every mention.
 

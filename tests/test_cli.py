@@ -1370,6 +1370,47 @@ def test_online_link_asks_an_unreachable_service_once(fixture_copy, monkeypatch,
     assert metadata.read_bytes() == offline
 
 
+def test_live_link_removes_a_killed_runs_temporary_file_and_offline_link_writes_nothing(
+    fixture_copy, monkeypatch, clock
+):
+    requests, _, kb = serve_live_lookups(fixture_copy, monkeypatch, clock)
+    assert run_stage(fixture_copy, "run-all", *kb) == 0
+    # What a live run killed at a snapshot write leaves behind.
+    temporary = fixture_copy / "kb_live" / ".4242.tmp"
+    temporary.write_text('{"da', encoding="utf-8")
+    snapshots = (fixture_copy / "kb_live", fixture_copy / "snapshots")
+    before = [output_files(directory) for directory in snapshots]
+    assert run_stage(fixture_copy, "link", "--offline", *kb) == 0
+    assert requests == []
+    assert [output_files(directory) for directory in snapshots] == before
+    assert run_stage(fixture_copy, "link", "--online", *kb) == 0
+    assert requests and not temporary.exists()
+
+
+def test_live_link_looks_up_what_an_offline_rerun_over_its_snapshot_does(
+    fixture_copy, monkeypatch, clock
+):
+    from softmentions import linking
+
+    requests, _, kb = serve_live_lookups(fixture_copy, monkeypatch, clock)
+    assert run_stage(fixture_copy, "run-all", *kb) == 0
+    asked = []
+    for cls in (linking.RegistrySnapshot, linking.ApiSnapshot):
+        def lookup(self, name, original=cls.lookup):
+            asked.append((self.source, name))
+            return original(self, name)
+
+        monkeypatch.setattr(cls, "lookup", lookup)
+    runs = {}
+    for mode in ("--online", "--offline"):
+        asked.clear()
+        assert run_stage(fixture_copy, "link", mode, *kb) == 0
+        runs[mode] = (list(asked), (fixture_copy / "out" / "metadata.tsv").read_bytes())
+    assert requests
+    assert LinkSource.KNOWLEDGE_BASE in {source for source, _ in runs["--online"][0]}
+    assert runs["--online"] == runs["--offline"]
+
+
 def test_link_sources_follow_configured_precedence(fixture_dir, monkeypatch):
     monkeypatch.chdir(fixture_dir)
     cfg = load_config("config.cfg")

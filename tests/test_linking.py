@@ -22,6 +22,7 @@ from softmentions.linking import (
     LinkSource,
     RegistrySnapshot,
     exact_match_lookup,
+    fetch_documents,
     knowledge_base_fetcher,
     link_mentions,
     link_report,
@@ -37,6 +38,7 @@ from softmentions.linking import (
 
 from conftest import DATA_DIR
 from oracles import (
+    fetch_documents_reference,
     link_mentions_reference,
     link_report_reference,
     normalize_reference,
@@ -119,17 +121,18 @@ def test_api_snapshot_live_fetch_writes_through(tmp_path):
             return None
         return {"software_name": name, "Resource ID": "SCR_1", "Resource ID Link": "u"}
 
-    snap = ApiSnapshot(
-        source=LinkSource.KNOWLEDGE_BASE, directory=tmp_path / "kb", fetcher=fetcher
-    )
-    assert snap.lookup("Fiji")["Resource ID"] == "SCR_1"
+    snap = ApiSnapshot(source=LinkSource.KNOWLEDGE_BASE, directory=tmp_path / "kb")
+    sources, fetchers = {LinkSource.KNOWLEDGE_BASE: snap}, {LinkSource.KNOWLEDGE_BASE: fetcher}
+    fetch_documents(["Fiji"], sources, fetchers)
     assert calls == ["Fiji"]
-    # second lookup reads the written snapshot, no new fetch
     assert snap.lookup("Fiji")["Resource ID"] == "SCR_1"
+    # A second pass finds the written document: no new fetch.
+    fetch_documents(["Fiji"], sources, fetchers)
     assert calls == ["Fiji"]
     assert (tmp_path / "kb" / "Fiji.json").exists()
     # A miss is written as null: neither a live nor an offline rerun asks again.
-    assert snap.lookup("absent") is None
+    fetch_documents(["absent"], sources, fetchers)
+    fetch_documents(["absent"], sources, fetchers)
     assert snap.lookup("absent") is None
     assert calls == ["Fiji", "absent"]
     assert (tmp_path / "kb" / "absent.json").read_text(encoding="utf-8") == "null"
@@ -139,20 +142,30 @@ def test_api_snapshot_live_fetch_writes_through(tmp_path):
 
 def test_api_snapshot_live_answer_utf8_cannot_encode_is_a_soft_error(tmp_path):
     answer = {"software_name": "Fiji", "Description": "bad \ud800 text", "Resource ID Link": "u"}
-    snap = ApiSnapshot(LinkSource.KNOWLEDGE_BASE, tmp_path / "kb", fetcher=lambda name: answer)
+    calls = []
+    snap = ApiSnapshot(LinkSource.KNOWLEDGE_BASE, tmp_path / "kb")
+    sources = {LinkSource.KNOWLEDGE_BASE: snap}
     soft = []
-    assert exact_match_lookup("Fiji", {LinkSource.KNOWLEDGE_BASE: snap}, soft_errors=soft) == []
-    assert len(soft) == 1 and "answer for 'Fiji'" in soft[0]
+    fetchers = {LinkSource.KNOWLEDGE_BASE: lambda name: calls.append(name) or answer}
+    fetch_documents(["Fiji", "ImageJ"], sources, fetchers, soft_errors=soft)
+    assert exact_match_lookup("Fiji", sources, soft_errors=soft) == []
+    assert len(soft) == 2 and "answer for 'Fiji'" in soft[0]
     assert list((tmp_path / "kb").iterdir()) == []
+    # The error is the answer's, not the service's: the next name is still asked.
+    assert calls == ["Fiji", "ImageJ"]
 
 
 def test_api_snapshot_overlong_name_is_a_miss(tmp_path):
     calls = []
-    snap = ApiSnapshot(
-        source=LinkSource.KNOWLEDGE_BASE, directory=tmp_path / "kb",
-        fetcher=lambda name: calls.append(name) or {"Resource ID Link": "u"},
-    )
-    for name in ("x" * 251, "\u00e9" * 50):
+
+    def fetcher(name):
+        calls.append(name)
+        return {"Resource ID Link": "u"}
+
+    snap = ApiSnapshot(source=LinkSource.KNOWLEDGE_BASE, directory=tmp_path / "kb")
+    names = ("x" * 251, "\u00e9" * 50)
+    fetch_documents(names, {LinkSource.KNOWLEDGE_BASE: snap}, {LinkSource.KNOWLEDGE_BASE: fetcher})
+    for name in names:
         assert snap.lookup(name) is None
     assert calls == []
     assert not (tmp_path / "kb").exists()
@@ -163,7 +176,9 @@ def test_api_snapshot_live_fetch_writes_a_name_up_to_the_limit(tmp_path, length)
     # The document name is the name plus ".json": 255 bytes at 250 characters.
     name, hit = "a" * length, length <= 250
     answer = {"software_name": name, "Resource ID Link": "u"}
-    snap = ApiSnapshot(LinkSource.KNOWLEDGE_BASE, tmp_path / "kb", fetcher=lambda _: answer)
+    snap = ApiSnapshot(LinkSource.KNOWLEDGE_BASE, tmp_path / "kb")
+    sources = {LinkSource.KNOWLEDGE_BASE: snap}
+    fetch_documents([name], sources, {LinkSource.KNOWLEDGE_BASE: lambda _: answer})
     assert snap.lookup(name) == (answer if hit else None)
     written = sorted(path.name for path in tmp_path.rglob("*"))
     assert written == ([f"{name}.json", "kb"] if hit else [])
@@ -591,10 +606,11 @@ def test_live_lookup_failing_mid_read_is_a_soft_error(tmp_path, monkeypatch, err
     monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout: Response())
     fetcher = knowledge_base_fetcher("https://kb.example/resolve/{name}")
     sources = {
-        LinkSource.KNOWLEDGE_BASE: ApiSnapshot(LinkSource.KNOWLEDGE_BASE, tmp_path, fetcher),
+        LinkSource.KNOWLEDGE_BASE: ApiSnapshot(LinkSource.KNOWLEDGE_BASE, tmp_path),
         LinkSource.PKG_INDEX_PY: py_registry("numpy"),
     }
     soft_errors = []
+    fetch_documents(["numpy"], sources, {LinkSource.KNOWLEDGE_BASE: fetcher}, soft_errors)
     hits = exact_match_lookup("numpy", sources, soft_errors=soft_errors)
     assert [s for s, _ in hits] == [LinkSource.PKG_INDEX_PY]
     assert len(soft_errors) == 1
@@ -764,14 +780,12 @@ def test_live_link_asks_every_mention_in_order_with_sources_interleaved(tmp_path
 
     mentions = ["numpy", "absent", "a/b", "Fiji", "\u00e9" * 50]
     sources = {
-        LinkSource.KNOWLEDGE_BASE: ApiSnapshot(
-            LinkSource.KNOWLEDGE_BASE, tmp_path / "kb", fetcher=fetcher("kb")
-        ),
+        LinkSource.KNOWLEDGE_BASE: ApiSnapshot(LinkSource.KNOWLEDGE_BASE, tmp_path / "kb"),
         LinkSource.PKG_INDEX_PY: py_registry("numpy"),
-        LinkSource.CODE_HOST: ApiSnapshot(
-            LinkSource.CODE_HOST, tmp_path / "ch", fetcher=fetcher("ch")
-        ),
+        LinkSource.CODE_HOST: ApiSnapshot(LinkSource.CODE_HOST, tmp_path / "ch"),
     }
+    fetchers = {LinkSource.CODE_HOST: fetcher("ch"), LinkSource.KNOWLEDGE_BASE: fetcher("kb")}
+    fetch_documents(mentions, sources, fetchers)
     links = link_mentions(mentions, sources)
     # The last name's file name is over 255 bytes: it is never fetched.
     assert calls == [(tag, name) for name in mentions[:4] for tag in ("kb", "ch")]
@@ -798,3 +812,94 @@ def test_offline_link_looks_up_only_names_some_source_lists(tmp_path, monkeypatc
     links = link_mentions(["absent", "numpy", "SPSS", "spss", "SPSS.json"], sources)
     assert sorted(links) == [1, 2]
     assert asked == [(source, name) for name in ("numpy", "SPSS") for source in sources]
+
+
+API_SOURCES = (LinkSource.KNOWLEDGE_BASE, LinkSource.CODE_HOST)
+# Names whose document names hold escapes and a slash, or reach or pass 255 bytes.
+FETCH_POOL = ("Fiji", "a/b", "/", "100%", "caf\u00e9", "a" * 250, "x" * 251, "\u00e9" * 50)
+
+
+@st.composite
+def fetch_worlds(draw):
+    mentions = draw(st.lists(st.one_of(st.sampled_from(FETCH_POOL), mention_names), unique=True))
+    precedence = draw(st.permutations(list(LinkSource)))
+    live = draw(st.sets(st.sampled_from(API_SOURCES)))
+    storable = [name for name in mentions if len(urllib.parse.quote(name, safe="")) <= 250]
+    present = {
+        source: draw(st.sets(st.sampled_from(storable))) if storable else set()
+        for source in API_SOURCES
+    }
+    outcomes = st.sampled_from(["record", "miss", "error", "unwritable"])
+    answers = {}
+    for source in live:
+        for name in mentions:
+            answers[source, name] = {
+                "record": {"software_name": name, "Resource ID Link": f"https://r/{name}"},
+                "miss": None,
+                "error": ExternalServiceError(source.value, f"down at {name!r}"),
+                "unwritable": {"Description": "bad \ud800 text"},
+            }[draw(outcomes)]
+    return {
+        "mentions": mentions,
+        "precedence": precedence,
+        "live": [source for source in precedence if source in live],
+        "present": present,
+        "answers": answers,
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(world=fetch_worlds())
+def test_fetch_documents_matches_the_asking_reference(world):
+    requests = []
+
+    def fetcher(source):
+        def fetch(name):
+            requests.append((source, name))
+            answer = world["answers"][source, name]
+            if isinstance(answer, ExternalServiceError):
+                raise answer
+            return answer
+
+        return fetch
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for source in API_SOURCES:
+            directory = root / source.value
+            directory.mkdir()
+            for name in world["present"][source]:
+                file_name = urllib.parse.quote(name, safe="") + ".json"
+                (directory / file_name).write_text(json.dumps({"kept": name}), encoding="utf-8")
+            (directory / ".4242.tmp").write_text("torn", encoding="utf-8")
+        sources = {
+            source: ApiSnapshot(source, root / source.value) if source in API_SOURCES
+            else RegistrySnapshot(source, set(world["mentions"]))
+            for source in world["precedence"]
+        }
+        # Given in another order than precedence, which the sources alone set.
+        fetchers = {source: fetcher(source) for source in sorted(world["live"], key=str)}
+        soft_errors = []
+        fetch_documents(world["mentions"], sources, fetchers, soft_errors)
+        found, kept_temporary, listed = {}, {}, {}
+        for source in API_SOURCES:
+            directory = root / source.value
+            found[source] = {
+                urllib.parse.unquote(path.stem): json.loads(path.read_text(encoding="utf-8"))
+                for path in directory.glob("*.json")
+            }
+            kept_temporary[source] = (directory / ".4242.tmp").exists()
+            listed[source] = ApiSnapshot(source, directory).documents
+        mapped = {source: sources[source].documents for source in API_SOURCES}
+    expected_requests, written, errors = fetch_documents_reference(
+        world["mentions"], world["live"], world["present"], world["answers"]
+    )
+    assert requests == expected_requests
+    assert found == {
+        source: {name: {"kept": name} for name in world["present"][source]}
+        | written.get(source, {})
+        for source in API_SOURCES
+    }
+    assert mapped == listed
+    assert kept_temporary == {source: source not in world["live"] for source in API_SOURCES}
+    assert len(soft_errors) == errors

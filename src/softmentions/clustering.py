@@ -2,9 +2,10 @@
 
 Two members of a component are neighbours when their stored similarity
 lies within eps of 1 (distance = 1 - similarity); members without a stored
-similarity never are. DBSCAN runs per component over these neighbour lists
-with deterministic tie-breaking, and every cluster is named after its
-member with the highest distinct-paper frequency.
+similarity never are. One pass over the stored edges builds every
+neighbour list; no edge joins two components, so DBSCAN then runs per
+component over these lists with deterministic tie-breaking. Every cluster
+is named after its member with the highest distinct-paper frequency.
 """
 from __future__ import annotations
 
@@ -119,17 +120,18 @@ def cluster_graph(
     """Run DBSCAN on every connected component and name the clusters."""
     if not eps > 0:
         raise ValueError(f"eps must be positive: {eps}")
+    neighbors: dict[int, list[int]] = {}
+    for (i, j), (value, _) in graph.entries.items():
+        near_i, near_j = neighbors.setdefault(i, []), neighbors.setdefault(j, [])
+        # Distances are rounded to 12 decimals so that binary float noise
+        # cannot push an edge at the use threshold past an eps meant to
+        # admit it (1 - 0.97 must compare equal to 0.03).
+        if round(1.0 - value, 12) <= eps:
+            near_i.append(j)
+            near_j.append(i)
     raw_clusters: list[tuple[int, ...]] = []
     noise: list[int] = []
     for members in connected_components(graph):
-        neighbors: dict[int, list[int]] = {p: [] for p in members}
-        for (i, j), value in graph.submatrix(members).items():
-            # Distances are rounded to 12 decimals so that binary float noise
-            # cannot push an edge at the use threshold past an eps meant to
-            # admit it (1 - 0.97 must compare equal to 0.03).
-            if round(1.0 - value, 12) <= eps:
-                neighbors[i].append(j)
-                neighbors[j].append(i)
         found, component_noise = dbscan(neighbors, members, min_pts)
         raw_clusters.extend(found)
         noise.extend(component_noise)

@@ -4,13 +4,14 @@ The matrix stores one value per unordered mention pair: 1.0 for
 knowledge-base pairs, 0.99 for keyword-index pairs not covered by the
 knowledge base, and the string-similarity score for remaining pairs at or
 above the use threshold. Post-processing promotes a few classes of pairs
-to 1.0 and deletes every edge touching a stoplisted broad term.
+to 1.0 and deletes every edge touching a stoplisted broad term. Nothing
+looks edges up by vertex: clustering builds its neighbour lists in one
+pass over all stored edges.
 """
 from __future__ import annotations
 
 import unicodedata
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConsistencyError
 from .fileio import read_lines, write_tsv
@@ -27,14 +28,11 @@ _PRECEDENCE = {
 }
 
 
-class SimilarityGraph:
+class SimilarityGraph(NamedTuple):
     """Stored edges by mention pair; never mutated once built or post-processed."""
 
-    def __init__(
-        self, mentions: Sequence[str], entries: dict[tuple[int, int], tuple[float, SynonymSource]]
-    ):
-        self.mentions = mentions
-        self.entries = entries
+    mentions: Sequence[str]
+    entries: dict[tuple[int, int], tuple[float, SynonymSource]]
 
     def covered_vertices(self) -> set[int]:
         covered: set[int] = set()
@@ -43,26 +41,10 @@ class SimilarityGraph:
             covered.add(j)
         return covered
 
-    @cached_property
-    def _keys_by_first(self) -> dict[int, list[tuple[int, int]]]:
-        """Edge keys grouped by their first (lower) endpoint."""
-        index: dict[int, list[tuple[int, int]]] = {}
-        for key in self.entries:
-            index.setdefault(key[0], []).append(key)
-        return index
-
     def submatrix(self, members: Iterable[int]) -> dict[tuple[int, int], float]:
-        """The stored values between members, in O(their edges) not O(all edges).
-
-        Keys come in member order, not edge order; no clustering result depends on it.
-        """
+        """The stored values between members, in edge order."""
         keep = set(members)
-        return {
-            key: self.entries[key][0]
-            for i in keep
-            for key in self._keys_by_first.get(i, ())
-            if key[1] in keep
-        }
+        return {key: value for key, (value, _) in self.entries.items() if keep.issuperset(key)}
 
 
 def build_matrix(

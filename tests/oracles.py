@@ -16,7 +16,6 @@ from collections import Counter
 from pathlib import Path
 from typing import NamedTuple
 
-from softmentions.clustering import name_clusters
 from softmentions.errors import ExternalServiceError
 from softmentions.fileio import iter_tsv
 from softmentions.ingest import CORPUS_FIELDS, CURATION_LABELS, CorpusRow
@@ -144,18 +143,27 @@ def neighbors_within(
 def cluster_graph_reference(graph, freq, mentions, eps: float, min_pts: int):
     """cluster_graph from its definition, over the oracle's components.
 
-    Each component's stored values become distances rounded to 12 decimals,
-    which dbscan_reference clusters; returns the named clusters and the
-    sorted noise.
+    Every stored value becomes a distance rounded to 12 decimals, which
+    dbscan_reference clusters per component. A cluster is named after its
+    member of highest frequency (0 when absent), then of the smallest
+    mention string, then of the smallest ID. Returns the (sorted members,
+    name ID, name) of each cluster and the sorted noise.
     """
+    distances = {key: round(1.0 - value, 12) for key, (value, _) in graph.entries.items()}
     clusters: list[frozenset[int]] = []
     noise: set[int] = set()
     for members in bfs_components(len(mentions), set(graph.entries)):
-        distances = {key: round(1.0 - value, 12) for key, value in graph.submatrix(members).items()}
         found, component_noise = dbscan_reference(distances, list(members), eps, min_pts)
         clusters.extend(found)
         noise |= component_noise
-    return name_clusters(clusters, freq, mentions), tuple(sorted(noise))
+    named = []
+    for cluster in clusters:
+        top = max(freq.get(m, 0) for m in cluster)
+        tied = sorted(m for m in cluster if freq.get(m, 0) == top)
+        smallest = min(mentions[m] for m in tied)
+        name_id = next(m for m in tied if mentions[m] == smallest)
+        named.append((tuple(sorted(cluster)), name_id, mentions[name_id]))
+    return named, tuple(sorted(noise))
 
 
 def fleiss_reference(matrix: list[list[int]]) -> float | None:

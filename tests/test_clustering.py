@@ -13,7 +13,7 @@ from softmentions.clustering import (
 )
 from softmentions.errors import FormatError
 from softmentions.fileio import open_text, read_lines
-from softmentions.graph import build_matrix, connected_components
+from softmentions.graph import SimilarityGraph, build_matrix, connected_components
 from softmentions.ingest import CURATION_LABELS, assign_ids, parse_mentions
 from softmentions.linking import LinkSource
 from softmentions.synonyms import SynonymPair, SynonymSource, read_kb_dict
@@ -153,16 +153,21 @@ def test_dbscan_core_partition_invariant_under_relabeling():
 
 @st.composite
 def clustering_cases(draw):
-    """A graph built at a drawn use threshold, frequencies, and an eps around 1 - use."""
-    n = draw(st.integers(2, 20))
+    """A graph built at a drawn use threshold, frequencies, and an eps around 1 - use.
+
+    Mentions are mixed-case and in sorted (ID) order, and frequencies tie
+    often, so naming meets case and code-point order disagreeing.
+    """
+    names = st.sets(st.text("abAB", min_size=1, max_size=3), min_size=2, max_size=20)
+    mentions = sorted(draw(names))
+    n = len(mentions)
     use = draw(st.sampled_from([0.9, 0.95, 0.97]))
     score = st.one_of(st.just(use), st.sampled_from([0.98, 0.99, 1.0]), st.floats(use, 1.0))
     ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     edges = draw(st.lists(st.tuples(ends, st.sampled_from([KB, KW, SS]), score), max_size=3 * n))
     pairs = [SynonymPair.of(i, j, value, source) for (i, j), source, value in edges if i != j]
-    mentions = [f"m{i}" for i in range(n)]
     graph = build_matrix(pairs, mentions, use_threshold=use)
-    freq = dict(enumerate(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))))
+    freq = dict(enumerate(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))))
     # At or above the bound every stored edge is a neighbour pair; below it
     # DBSCAN splits and drops.
     bound = round(1.0 - use, 12)
@@ -177,6 +182,25 @@ def test_cluster_graph_matches_reference(case, min_pts):
     assert cluster_graph(graph, freq, mentions, eps, min_pts) == cluster_graph_reference(
         graph, freq, mentions, eps, min_pts
     )
+
+
+def test_cluster_graph_reads_no_submatrix(monkeypatch):
+    # The neighbour lists come from one pass over all edges, not from a
+    # submatrix read per component.
+    def refuse(self, members):
+        raise AssertionError(f"submatrix read for {members}")
+
+    monkeypatch.setattr(SimilarityGraph, "submatrix", refuse)
+    pairs = [
+        SynonymPair.of(0, 1, 1.0, KB), SynonymPair.of(1, 2, 0.97, SS),
+        SynonymPair.of(3, 4, 0.99, KW), SynonymPair.of(5, 6, 0.95, SS),
+    ]
+    mentions = list("abcdefg")
+    graph = build_matrix(pairs, mentions, use_threshold=0.9)
+    freq = {2: 3, 4: 1}
+    clusters, noise = cluster_graph(graph, freq, mentions, eps=0.03, min_pts=2)
+    assert [(c.members, c.name) for c in clusters] == [((0, 1, 2), "c"), ((3, 4), "e")]
+    assert noise == (5, 6)
 
 
 def test_name_clusters_highest_frequency_wins():

@@ -2,10 +2,11 @@
 
 Two members of a component are neighbours when their stored similarity
 lies within eps of 1 (distance = 1 - similarity); members without a stored
-similarity never are. One pass over the stored edges builds every
-neighbour list; no edge joins two components, so DBSCAN then runs per
-component over these lists with deterministic tie-breaking. Every cluster
-is named after its member with the highest distinct-paper frequency.
+similarity never are. One submatrix read over all mentions builds every
+neighbour list in one pass; no edge joins two components, so DBSCAN then
+runs per component over these lists with deterministic tie-breaking.
+Every cluster is named after its member with the highest distinct-paper
+frequency.
 """
 from __future__ import annotations
 
@@ -121,7 +122,9 @@ def cluster_graph(
     if not eps > 0:
         raise ValueError(f"eps must be positive: {eps}")
     neighbors: dict[int, list[int]] = {}
-    for (i, j), (value, _) in graph.entries.items():
+    # One read of every stored value, not one per component; perfbench
+    # times this submatrix call as clustering.submatrix.
+    for (i, j), value in graph.submatrix(range(len(graph.mentions))).items():
         near_i, near_j = neighbors.setdefault(i, []), neighbors.setdefault(j, [])
         # Distances are rounded to 12 decimals so that binary float noise
         # cannot push an edge at the use threshold past an eps meant to

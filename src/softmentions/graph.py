@@ -5,8 +5,8 @@ knowledge-base pairs, 0.99 for keyword-index pairs not covered by the
 knowledge base, and the string-similarity score for remaining pairs at or
 above the use threshold. Post-processing promotes a few classes of pairs
 to 1.0 and deletes every edge touching a stoplisted broad term. Nothing
-looks edges up by vertex: clustering builds its neighbour lists in one
-pass over all stored edges.
+looks edges up by vertex: clustering reads every stored value with one
+``submatrix`` call and builds its neighbour lists in one pass.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ class SimilarityGraph(NamedTuple):
         return covered
 
     def submatrix(self, members: Iterable[int]) -> dict[tuple[int, int], float]:
-        """The stored values between members, in edge order."""
+        """The stored values between members, in edge order; one scan of every edge."""
         keep = set(members)
         return {key: value for key, (value, _) in self.entries.items() if keep.issuperset(key)}
 

@@ -184,13 +184,17 @@ def test_cluster_graph_matches_reference(case, min_pts):
     )
 
 
-def test_cluster_graph_reads_no_submatrix(monkeypatch):
-    # The neighbour lists come from one pass over all edges, not from a
+def test_cluster_graph_reads_submatrix_once(monkeypatch):
+    # The neighbour lists come from one read over all mentions, not from a
     # submatrix read per component.
-    def refuse(self, members):
-        raise AssertionError(f"submatrix read for {members}")
+    reads = []
+    submatrix = SimilarityGraph.submatrix
 
-    monkeypatch.setattr(SimilarityGraph, "submatrix", refuse)
+    def record(self, members):
+        reads.append(tuple(members))
+        return submatrix(self, members)
+
+    monkeypatch.setattr(SimilarityGraph, "submatrix", record)
     pairs = [
         SynonymPair.of(0, 1, 1.0, KB), SynonymPair.of(1, 2, 0.97, SS),
         SynonymPair.of(3, 4, 0.99, KW), SynonymPair.of(5, 6, 0.95, SS),
@@ -201,6 +205,7 @@ def test_cluster_graph_reads_no_submatrix(monkeypatch):
     clusters, noise = cluster_graph(graph, freq, mentions, eps=0.03, min_pts=2)
     assert [(c.members, c.name) for c in clusters] == [((0, 1, 2), "c"), ((3, 4), "e")]
     assert noise == (5, 6)
+    assert reads == [tuple(range(7))]
 
 
 def test_name_clusters_highest_frequency_wins():

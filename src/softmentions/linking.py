@@ -21,7 +21,6 @@ import os
 import time
 import urllib.parse
 from collections import Counter
-from functools import cached_property, lru_cache
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
@@ -247,14 +246,8 @@ def normalize_metadata(
     return meta
 
 
-@lru_cache(maxsize=1)
 def _quote(name: str) -> str:
-    """The name URL-quoted as one path segment.
-
-    A name is quoted by each package index that has it, and by the fetch
-    pass once for all its snapshots, before the next name comes, so
-    remembering the last name quotes each name once.
-    """
+    """The name URL-quoted as one path segment."""
     return urllib.parse.quote(name, safe="")
 
 
@@ -282,37 +275,33 @@ class ApiSnapshot:
     """Per-name JSON documents, which a lookup only reads.
 
     A name's document is its URL-quoted name plus ``.json``. The directory
-    is listed once, when first needed, into a map from each name to its
-    document: an entry counts only if unquoting it and quoting the result
-    gives the entry back, so ``%2f.json``, ``a b.json`` and ``x.JSON`` answer
-    for no name, and on a case-insensitive file system ``spss.json`` does not
-    answer for ``SPSS``. A document another process adds later is not seen;
-    one that fetch_documents writes is added to the map. A name the map
-    lacks is a miss without being quoted.
+    is listed once, when the snapshot is made, into ``names``, a map from
+    each name to its document: an entry counts only if unquoting it and
+    quoting the result gives the entry back, so ``%2f.json``, ``a b.json``
+    and ``x.JSON`` answer for no name, and on a case-insensitive file
+    system ``spss.json`` does not answer for ``SPSS``. A missing directory,
+    or a file in its place, maps no name. A document another process adds
+    later is not seen; one that fetch_documents writes is added to the map.
+    A name the map lacks is a miss without being quoted.
     """
 
     def __init__(self, source: LinkSource, directory: Path):
         self.source = source
         self.directory = directory
-
-    @cached_property
-    def documents(self) -> dict[str, str]:
-        """Each name that has a document in the directory, mapped to the document's file name."""
+        self.names: dict[str, str] = {}
         try:
-            entries = os.listdir(self.directory)
+            entries = os.listdir(directory)
         except (FileNotFoundError, NotADirectoryError):
-            return {}
-        documents = {}
+            return
         for entry in entries:
             # A quoted name is ASCII, so no other entry can be one.
             if entry.endswith(".json") and entry.isascii():
                 name = urllib.parse.unquote(entry[:-5])
                 if _quote(name) == entry[:-5]:
-                    documents[name] = entry
-        return documents
+                    self.names[name] = entry
 
     def lookup(self, name: str) -> dict | None:
-        file_name = self.documents.get(name)
+        file_name = self.names.get(name)
         if file_name is None:
             return None
         try:
@@ -332,7 +321,8 @@ class ApiSnapshot:
 
 
 # The configured lookup backends in precedence order: the first source
-# whose record carries a package URL supplies a mention's link.
+# whose record carries a package URL supplies a mention's link. Each
+# backend's ``names`` holds every name it can answer.
 Backends = Mapping[LinkSource, RegistrySnapshot | ApiSnapshot]
 
 
@@ -371,7 +361,7 @@ def fetch_documents(
     """Write into the snapshot of each source in ``fetchers`` the documents it lacks.
 
     Names go in ID order, each to every such source in precedence order.
-    Each answer, a miss as null, is added to the snapshot's documents. A
+    Each answer, a miss as null, is added to the snapshot's names. A
     failed fetch is a soft error, and its source is asked nothing more.
     """
     live = {source: backend for source, backend in sources.items() if source in fetchers}
@@ -381,7 +371,7 @@ def fetch_documents(
         file_name = _quote(name) + ".json"
         if len(file_name) > 255:
             continue  # over the file system's 255-byte limit: it can have no snapshot
-        for source in [source for source, snap in live.items() if name not in snap.documents]:
+        for source in [source for source, snap in live.items() if name not in snap.names]:
             try:
                 raw = fetchers[source](name)
             except ExternalServiceError as err:
@@ -391,20 +381,9 @@ def fetch_documents(
             text = json.dumps(raw, ensure_ascii=False, sort_keys=True, indent=1)
             try:
                 write_text(os.path.join(live[source].directory, file_name), text)
-                live[source].documents[name] = file_name
+                live[source].names[name] = file_name
             except UnicodeEncodeError as err:
                 _soft_error(f"{source.value}: answer for {name!r}: {err}", soft_errors)
-
-
-def _answerable(sources: Backends) -> set[str]:
-    """Every name some source can answer: a package index's names, a snapshot's documents."""
-    names: set[str] = set()
-    for backend in sources.values():
-        if isinstance(backend, RegistrySnapshot):
-            names.update(backend.names)
-        else:
-            names.update(backend.documents)
-    return names
 
 
 def link_mentions(
@@ -423,7 +402,7 @@ def link_mentions(
     name. A name that no source lists is not looked up at all. No lookup
     fetches or writes: a live run calls fetch_documents first.
     """
-    answerable = _answerable(sources)
+    answerable = set().union(*(backend.names for backend in sources.values()))
     linked: dict[int, LinkedMetadata] = {}
     for mention_id, name in enumerate(mentions):
         if name not in answerable:
@@ -431,7 +410,7 @@ def link_mentions(
         candidates = exact_match_lookup(name, sources, soft_errors=soft_errors)
         if collect_raw is not None:
             for source, raw in candidates:
-                collect_raw.setdefault(source, []).append(dict(raw))
+                collect_raw.setdefault(source, []).append(raw)
         normalized = [
             normalize_metadata(raw, source, mention_id=mention_id, software_mention=name)
             for source, raw in candidates

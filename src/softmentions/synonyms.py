@@ -14,6 +14,7 @@ to the synonyms TSV for audit.
 from __future__ import annotations
 
 import math
+import os
 import re
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -397,10 +398,13 @@ def all_pairs_similarity(
     Every bound carries a slack of 1e-9, so a pair scoring exactly the
     threshold is kept. Survivors are scored with ``jaro_winkler(string of
     the lower ID, string of the higher ID)``. ``workers > 1`` splits the
-    probes over processes; the result does not depend on it.
+    probes over that many processes, at most one per CPU; the result does
+    not depend on it.
     """
     if not 0.0 < record_threshold <= 1.0:
         raise ValueError(f"record_threshold out of range: {record_threshold}")
+    # Each process imports the package and builds the whole index.
+    workers = min(workers, os.cpu_count() or 1)
     items = sorted((idx, mention) for mention, idx in id_table.items())
     shards = [(items, record_threshold, k, workers) for k in range(workers)]
     if workers > 1:

@@ -210,7 +210,10 @@ def test_two_workers_write_the_bytes_one_writes(handoff_base, corpus, extra):
         assert run_stage(tree, "run-all", *extra) == 0
         one = output_files(tree / "out")
         shutil.rmtree(tree / "out")
-        assert run_stage(tree, "run-all", *extra, "--set", "parallelism.workers=2") == 0
+        with pytest.MonkeyPatch.context() as patch:
+            # Two processes even on a one-CPU machine.
+            patch.setattr(os, "cpu_count", lambda: 2)
+            assert run_stage(tree, "run-all", *extra, "--set", "parallelism.workers=2") == 0
         assert output_files_as_one_worker(tree / "out", echoed_workers="2") == one
 
 
@@ -328,6 +331,7 @@ def test_run_all_reproduces_the_pinned_fixture_digests(fixture_copy, monkeypatch
 def test_run_all_with_two_workers_reproduces_the_pinned_digests(fixture_copy, monkeypatch):
     # Only the manifests' echo of the worker count may differ.
     monkeypatch.chdir(fixture_copy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert run_cli("run-all", "--config", "config.cfg", "--set", "parallelism.workers=2") == 0
     assert pinned_digest_mismatches(fixture_copy / "out", echoed_workers="2") == []
 
@@ -1231,10 +1235,11 @@ def test_manifest_digests_stable_and_config_sensitive(fixture_copy):
     assert (fixture_copy / "out" / "manifest_ingest.json").read_bytes() != first
 
 
-def test_workers_flag_does_not_change_synonyms_output(fixture_copy, tmp_path):
+def test_workers_flag_does_not_change_synonyms_output(fixture_copy, monkeypatch):
     assert run_stage(fixture_copy, "ingest") == 0
     assert run_stage(fixture_copy, "synonyms") == 0
     serial = (fixture_copy / "out" / "synonyms.tsv").read_bytes()
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     assert run_stage(fixture_copy, "synonyms", "--workers", "2") == 0
     parallel = (fixture_copy / "out" / "synonyms.tsv").read_bytes()
     assert serial == parallel

@@ -184,13 +184,9 @@ def test_api_snapshot_live_fetch_writes_a_name_up_to_the_limit(tmp_path, length)
     assert written == ([f"{name}.json", "kb"] if hit else [])
 
 
-def test_api_snapshot_lists_its_directory_once(tmp_path, monkeypatch):
+def test_api_snapshot_lists_its_directory_once(tmp_path):
     from softmentions import linking
 
-    snap = _api_snapshot(
-        tmp_path, LinkSource.KNOWLEDGE_BASE, "SPSS",
-        {"software_name": "SPSS", "Resource ID Link": "u"},
-    )
     listed = []
     real_listdir = linking.os.listdir
 
@@ -201,12 +197,19 @@ def test_api_snapshot_lists_its_directory_once(tmp_path, monkeypatch):
     def no_stat(self, *args, **kwargs):
         raise AssertionError(f"per-name stat of {self}")
 
-    monkeypatch.setattr(linking.os, "listdir", listdir)
-    monkeypatch.setattr(linking.Path, "exists", no_stat)
-    for _ in range(3):
-        assert snap.lookup("SPSS")["Resource ID Link"] == "u"
-        for name in ("absent", "SPSS Statistics", "spss", "SPSS.json"):
-            assert snap.lookup(name) is None
+    # Patched only while the snapshot is made and read: pytest itself
+    # lists and stats paths when it reports a failure.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linking.os, "listdir", listdir)
+        snap = _api_snapshot(
+            tmp_path, LinkSource.KNOWLEDGE_BASE, "SPSS",
+            {"software_name": "SPSS", "Resource ID Link": "u"},
+        )
+        patch.setattr(linking.Path, "exists", no_stat)
+        for _ in range(3):
+            assert snap.lookup("SPSS")["Resource ID Link"] == "u"
+            for name in ("absent", "SPSS Statistics", "spss", "SPSS.json"):
+                assert snap.lookup(name) is None
     assert listed == [tmp_path / LinkSource.KNOWLEDGE_BASE.value]
 
 
@@ -748,7 +751,7 @@ def test_api_snapshot_maps_only_exact_quoted_file_names(tmp_path):
     with open(os.path.join(os.fsencode(tmp_path), b"\xff.json"), "wb") as fh:
         fh.write(b"null")
     snap = ApiSnapshot(LinkSource.KNOWLEDGE_BASE, tmp_path)
-    assert snap.documents == {
+    assert snap.names == {
         "a/b": "a%2Fb.json", "caf\u00e9": "caf%C3%A9.json", "SPSS": "SPSS.json"
     }
 
@@ -889,8 +892,8 @@ def test_fetch_documents_matches_the_asking_reference(world):
                 for path in directory.glob("*.json")
             }
             kept_temporary[source] = (directory / ".4242.tmp").exists()
-            listed[source] = ApiSnapshot(source, directory).documents
-        mapped = {source: sources[source].documents for source in API_SOURCES}
+            listed[source] = ApiSnapshot(source, directory).names
+        mapped = {source: sources[source].names for source in API_SOURCES}
     expected_requests, written, errors = fetch_documents_reference(
         world["mentions"], world["live"], world["present"], world["answers"]
     )

@@ -1,4 +1,5 @@
 import math
+import os
 import random
 from collections import Counter
 
@@ -302,12 +303,46 @@ def test_all_pairs_equals_exhaustive_oracle(threshold):
     assert produced == expected
 
 
-def test_all_pairs_parallel_matches_serial():
+def test_all_pairs_parallel_matches_serial(monkeypatch):
     rng = random.Random(99)
     id_table, _ = assign_ids(_random_strings(rng, 120))
     serial = all_pairs_similarity(id_table, 0.9, workers=1)
+    # Two processes even on a one-CPU machine.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     parallel = all_pairs_similarity(id_table, 0.9, workers=2)
     assert serial == parallel
+
+
+def test_all_pairs_pool_is_no_larger_than_the_machine(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class InlinePool:
+        """A process pool that starts no process: map runs each shard here."""
+
+        def __init__(self, max_workers, mp_context):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, shards):
+            shards = list(shards)
+            pools.append(len(shards))
+            return map(fn, shards)
+
+    rng = random.Random(7)
+    id_table, _ = assign_ids(_random_strings(rng, 60))
+    serial = all_pairs_similarity(id_table, 0.7, workers=1)
+    assert serial
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    assert all_pairs_similarity(id_table, 0.7, workers=64) == serial
+    assert pools == [2, 2]  # the pool's size, then the number of shards it ran
 
 
 _JOIN_ALPHABET = "abcé"

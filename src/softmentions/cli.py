@@ -14,8 +14,9 @@ corpus once and reads back no artifact it wrote.
 
 The store records each file a stage uses, loaded or handed on, for its
 manifest. An artifact loaded from out/ is refused (exit 2) when its stage's
-manifest records an input now missing or changed, artifact inputs in turn;
-an input a paths.* setting named is looked for where that setting points now.
+manifest records another value of a setting that STAGES says the artifact
+depends on, or an input now missing or changed, artifact inputs in turn; an
+input a paths.* setting named is looked for where that setting points now.
 
 Exit codes: 0 success, 1 configuration problem, 2 data problem or missing
 artifact.
@@ -29,7 +30,7 @@ import sys
 from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, TypeVar
+from typing import Callable, Iterator, Mapping, NamedTuple, TypeVar
 
 from . import clustering, graph, ingest, linking, synonyms
 from .config import LinkSource, PipelineConfig, Setting, read_config, resolve_config
@@ -104,10 +105,6 @@ def _read_corpus(
     return rows
 
 
-# Each artifact a later stage loads, and the stage whose manifest records how it was made.
-ARTIFACTS = {MENTION2ID: "ingest", FREQUENCIES: "ingest", SYNONYMS: "synonyms", CLUSTERS: "cluster"}
-
-
 class Products:
     """One run's products, each loaded from its artifact on first use.
 
@@ -123,8 +120,8 @@ class Products:
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
         self.out = Path(cfg.out_dir)
-        for directory in (self.out, self.out / NORMALIZED, self.out / RAW):
-            remove_temporaries(directory)
+        for directory in ("", *(name for stage in STAGES.values() for name in stage.directories)):
+            remove_temporaries(self.out / directory)
         self.values: dict[str, object] = {}  # each product by name, loaded or handed on
         # A file's SHA-256, read once per run: no stage rewrites what an earlier one read.
         self.digest: Callable[[Path], str] = cache(_digest)
@@ -143,7 +140,7 @@ class Products:
         return self.use(self.out / name, f"{name} (run {ARTIFACTS[name]} first)")
 
     def check(self, path: Path) -> None:
-        """Refuse an artifact whose stage's manifest, if any, records an input changed since."""
+        """Refuse an artifact whose stage's manifest, if any, records other settings or inputs."""
         stage = ARTIFACTS.get(path.name) if path.parent.resolve() == self.out.resolve() else None
         manifest = self.out / f"manifest_{stage}.json"
         if stage is None or stage in self.checked or not manifest.exists():
@@ -152,13 +149,20 @@ class Products:
         try:
             record = read_json(manifest)
             inputs, then, now = record["inputs"], record.get("config", {}), self.cfg.snapshot()
-            if not inputs or not all(isinstance(digest, str) for digest in inputs.values()):
+            digests = inputs and all(isinstance(digest, str) for digest in inputs.values())
+            if not digests or not isinstance(then, dict):
                 raise TypeError
             # A recorded input that a path setting named is the file that setting names now.
             moved = {str(Path(then[key])): now[key] or f"{key} (unset)"
                      for key in now if key.startswith("paths.") and key in then}
         except (ValueError, TypeError, KeyError, AttributeError):
-            raise FormatError(f"{manifest}: expected an object of input digests") from None
+            raise FormatError(
+                f"{manifest}: expected an object of input digests and a config object") from None
+        for key in STAGES[stage].settings:
+            if then.get(key) != now[key]:
+                made = f"{key} = {then[key]}" if key in then else f"no {key}"
+                raise ConsistencyError(f"{manifest} records {made} for {path}, this run has "
+                                       f"{now[key]} (rerun {stage})")
         for name, digest in inputs.items():
             path = Path(moved.get(name, name))
             if not path.is_file() or self.digest(path) != digest:
@@ -501,14 +505,25 @@ def run_all(cfg: PipelineConfig) -> None:
         stage_evaluate(cfg, run)
 
 
-COMMANDS = {
-    "ingest": stage_ingest,
-    "synonyms": stage_synonyms,
-    "cluster": stage_cluster,
-    "link": stage_link,
-    "evaluate": stage_evaluate,
-    "run-all": run_all,
+class Stage(NamedTuple):
+    """One stage's facts: its command, and what the freshness rule and the sweep read."""
+
+    run: Callable[..., object]
+    artifacts: tuple[str, ...] = ()  # written here, loaded by a later stage
+    settings: tuple[str, ...] = ()  # besides the files its manifest records, what those depend on
+    directories: tuple[str, ...] = ()  # out/ subdirectories it writes, swept of temporaries
+
+
+STAGES = {
+    "ingest": Stage(stage_ingest, (MENTION2ID, FREQUENCIES), ("corpus.kind", "parsing.strict")),
+    "synonyms": Stage(stage_synonyms, (SYNONYMS,), ("thresholds.record",)),
+    "cluster": Stage(stage_cluster, (CLUSTERS,), ("thresholds.use", "dbscan.eps", "dbscan.min_pts")),
+    "link": Stage(stage_link, directories=(NORMALIZED, RAW)),
+    "evaluate": Stage(stage_evaluate),
 }
+# Each artifact a later stage loads, and the stage whose manifest records how it was made.
+ARTIFACTS = {name: stage for stage, line in STAGES.items() for name in line.artifacts}
+COMMANDS = {**{stage: line.run for stage, line in STAGES.items()}, "run-all": run_all}
 
 
 def build_parser() -> argparse.ArgumentParser:

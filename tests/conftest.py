@@ -24,7 +24,7 @@ from oracles import MentionRecord, corpus_row_reference  # noqa: E402
 
 # Ten times the default examples, for CI runs of the join, pair-contract,
 # Jaro-Winkler, link and corpus-parser oracle tests, the mutation fuzz, the
-# stage hand-off, two-workers and killed-run tests
+# stage hand-off, stage rerun, two-workers and killed-run tests
 # (`--hypothesis-profile=ci`); plain runs keep the default. No deadline: a
 # slow example measures the host.
 settings.register_profile("ci", max_examples=1000, deadline=None)

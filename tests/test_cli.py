@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import softmentions
 from softmentions import cli
 from softmentions.cli import build_link_sources, main
-from softmentions.config import PipelineConfig, apply_settings, load_config
+from softmentions.config import _SETTINGS, PipelineConfig, apply_settings, load_config
 from softmentions.errors import ValidationError
 from softmentions.fileio import TEMPORARY_NAME
 from softmentions.linking import LinkSource
@@ -473,7 +473,9 @@ def test_corpus_changed_since_ingest_fails_cluster(fixture_copy, caplog, capsys)
     assert next(line for line in clusters if line.startswith("4\t")).split("\t")[2] == "GraPhPad"
 
 
-@pytest.mark.parametrize("content", ["{", '{"inputs": {}}', "[]"])
+@pytest.mark.parametrize(
+    "content", ["{", '{"inputs": {}}', "[]", '{"inputs": {"x": "0"}, "config": []}']
+)
 @pytest.mark.parametrize(
     "upstream, stage", [("ingest", "cluster"), ("synonyms", "cluster"), ("cluster", "link")]
 )
@@ -611,6 +613,121 @@ def test_manifest_recording_its_own_artifact_is_checked_once(fixture_copy):
     recorded["inputs"][str(ids)] = hashlib.sha256(ids.read_bytes()).hexdigest()
     manifest.write_text(json.dumps(recorded), encoding="utf-8")
     assert run_stage(fixture_copy, "synonyms") == 0
+
+
+# Each case: a stage rerun after run-all under other settings, the later
+# stage that then loads its artifact under the fixture's own, and the setting
+# it is refused on with the rerun's and the fixture's values (None: it runs).
+RERUNS = {
+    "use": ("cluster", ("--set", "thresholds.use=0.99"), "link", ("thresholds.use", "0.99", "0.97")),
+    "record": ("synonyms", ("--set", "thresholds.record=0.98", "--set", "thresholds.use=0.98"),
+               "cluster", ("thresholds.record", "0.98", "0.9")),
+    "eps": ("cluster", ("--set", "dbscan.eps=0.01"), "link", ("dbscan.eps", "0.01", "0.03")),
+    "lenient": ("ingest", ("--lenient",), "synonyms", ("parsing.strict", "false", "true")),
+    # Its triples are sorted, so the worker count changes no byte.
+    "workers": ("synonyms", ("--workers", "2"), "cluster", None),
+    # No stage loads matrix.tsv.
+    "matrix": ("cluster", ("--set", "output.matrix=true"), "link", None),
+}
+
+
+@pytest.mark.parametrize("stage, extra, later, refused", RERUNS.values(), ids=RERUNS)
+def test_artifact_made_under_other_settings_fails_a_later_stage_on_compared_keys_only(
+    fixture_copy, monkeypatch, caplog, capsys, stage, extra, later, refused
+):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two join processes even on one CPU
+    assert run_stage(fixture_copy, "run-all") == 0
+    assert run_stage(fixture_copy, stage, *extra) == 0
+    out = fixture_copy / "out"
+    before = output_files(out)
+    caplog.clear()
+    if refused is None:
+        assert run_stage(fixture_copy, later) == 0
+        return
+    assert run_stage(fixture_copy, later) == 2
+    key, made, now = refused
+    manifest, artifact = out / f"manifest_{stage}.json", out / cli.STAGES[stage].artifacts[0]
+    log = caplog.text + capsys.readouterr().err
+    assert_data_error_names(
+        log, f"{manifest} records {key} = {made} for {artifact}, this run has {now} (rerun {stage})"
+    )
+    assert output_files(out) == before
+
+
+@pytest.mark.parametrize("edit", ["changed", "deleted"])
+@pytest.mark.parametrize("stage, key", [
+    (stage, key) for stage, line in cli.STAGES.items() for key in line.settings
+])
+def test_manifest_setting_edited_fails_the_stage_that_loads_its_artifact(
+    fixture_copy, caplog, capsys, stage, key, edit
+):
+    assert run_stage(fixture_copy, "run-all") == 0
+    out = fixture_copy / "out"
+    manifest = out / f"manifest_{stage}.json"
+    recorded = json.loads(manifest.read_text(encoding="utf-8"))
+    now = recorded["config"][key]
+    if edit == "changed":
+        recorded["config"][key] = "edited"
+    else:
+        del recorded["config"][key]
+    manifest.write_text(json.dumps(recorded), encoding="utf-8")
+    caplog.clear()
+    assert run_stage(fixture_copy, STAGES[STAGES.index(stage) + 1]) == 2
+    made = f"{key} = edited" if edit == "changed" else f"no {key}"
+    artifact = out / cli.STAGES[stage].artifacts[0]
+    log = caplog.text + capsys.readouterr().err
+    assert_data_error_names(
+        log, f"{manifest} records {made} for {artifact}, this run has {now} (rerun {stage})"
+    )
+
+
+# Each dotted key by its PipelineConfig field.
+FIELD_KEYS = {name: key for name, key, _ in _SETTINGS}
+# The settings other than paths that a stage reads but its STAGES line
+# leaves out, because no artifact a later stage loads depends on them.
+UNCOMPARED = {
+    "synonyms": {"parallelism.workers"},  # its triples are sorted
+    "cluster": {
+        "output.matrix",  # it writes only matrix.tsv, which no stage loads
+        # They change only disambiguated.tsv, and are compared through mention2id.tsv.
+        "corpus.kind", "parsing.strict",
+    },
+    "link": {"linking.offline", "linking.precedence"},  # no stage loads its outputs
+}
+
+
+class ReadRecorder(PipelineConfig):
+    """A configuration that records the key of each field read, but not those snapshot() reads."""
+
+    def __getattribute__(self, name):
+        if name in FIELD_KEYS:
+            object.__getattribute__(self, "read").add(FIELD_KEYS[name])
+        return super().__getattribute__(name)
+
+    def snapshot(self) -> dict[str, str]:  # for manifests and the freshness rule
+        return PipelineConfig(*self).snapshot()
+
+
+def test_each_stage_reads_the_settings_its_stages_line_compares(fixture_copy):
+    for stage in STAGES:
+        args = cli.build_parser().parse_args(stage_argv(fixture_copy, stage))
+        cfg = ReadRecorder(*cli.configure(args))
+        cfg.read = set()
+        cli.STAGES[stage].run(cfg)
+        read = {key for key in cfg.read if not key.startswith("paths.")}
+        assert read == {*cli.STAGES[stage].settings, *UNCOMPARED.get(stage, ())}, stage
+
+
+def test_each_stage_writes_its_artifacts_and_only_into_its_directories(fixture_copy):
+    # The killed-run sweep clears out/ and the directories of the STAGES table.
+    out = fixture_copy / "out"
+    for stage in STAGES:
+        before = output_files(out)
+        assert run_stage(fixture_copy, stage, "--set", "output.matrix=true") == 0
+        after = output_files(out)
+        written = {name for name, data in after.items() if before.get(name) != data}
+        assert {str(Path(name).parent) for name in written} <= {".", *cli.STAGES[stage].directories}
+        assert set(cli.STAGES[stage].artifacts) <= written, stage
 
 
 def run_all_writes(tree: Path) -> list[str]:
@@ -1661,3 +1778,76 @@ def test_single_file_edit_exits_0_or_2_naming_the_file(fuzz_base, name, edit, i,
                     named = True
     finally:
         logger.removeHandler(handler)
+
+
+# The settings a rerun changes, one or two at a time. Each value differs from
+# the fixture's config, and each change moves an output or a recorded setting.
+RERUN_CHANGES = (
+    ("thresholds.record=0.98", "thresholds.use=0.98"),
+    ("thresholds.use=0.99",),
+    ("dbscan.eps=0.01",),
+    ("parsing.strict=false",),
+    ("output.matrix=true",),
+)
+
+
+@pytest.fixture(scope="module")
+def rerun_tree(tmp_path_factory) -> Path:
+    """A copy of the fixture after run-all, with a copy of its out/ beside it in clean_out/.
+
+    Every rerun example runs in this one tree, so its manifests record the
+    paths that the clean run-all's record.
+    """
+    tree = tmp_path_factory.mktemp("rerun") / "fixture"
+    shutil.copytree(FIXTURE_DIR, tree)
+    assert run_stage(tree, "run-all") == 0
+    shutil.copytree(tree / "out", tree.parent / "clean_out")
+    return tree
+
+
+def compared(stages) -> set[str]:
+    """The settings that the STAGES lines of ``stages`` compare."""
+    return {key for stage in stages for key in cli.STAGES[stage].settings}
+
+
+# Half the profile's examples keep the default run near 2 s; the ci profile
+# runs until it has tried each of the 75 draws.
+@settings(
+    max_examples=settings.default.max_examples // 2,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    stage=st.sampled_from(STAGES[:3]),
+    changes=st.lists(st.sampled_from(RERUN_CHANGES), min_size=1, max_size=2, unique=True),
+)
+def test_stage_rerun_under_drawn_settings_refuses_or_reproduces(rerun_tree, stage, changes):
+    # After run-all under the fixture's config, the stage runs under the
+    # drawn settings, then each later stage up to link under the fixture's
+    # again. A stage refuses, writing nothing, exactly when an artifact it
+    # loads was made under another value of a compared setting; otherwise
+    # every file but those the drawn run rewrote is the clean run-all's.
+    out = rerun_tree / "out"
+    shutil.rmtree(out)
+    shutil.copytree(rerun_tree.parent / "clean_out", out)
+    clean = output_files(out)
+    drawn = {item.partition("=")[0] for change in changes for item in change}
+    extra = [arg for change in changes for item in change for arg in ("--set", item)]
+    refused = bool(drawn & compared(STAGES[:STAGES.index(stage)]))
+    assert run_stage(rerun_tree, stage, *extra) == (2 if refused else 0)
+    rerun = output_files(out)
+    if refused:
+        assert rerun == clean
+        return
+    later = STAGES[STAGES.index(stage) + 1:]
+    refused = bool(drawn & compared([stage]))
+    assert run_stage(rerun_tree, later[0]) == (2 if refused else 0)
+    if refused:
+        assert output_files(out) == rerun
+        return
+    for next_stage in later[1:]:
+        assert run_stage(rerun_tree, next_stage) == 0
+    rewritten = {name for name in clean.keys() | rerun.keys() if clean.get(name) != rerun.get(name)}
+    final = output_files(out)
+    for name in (clean.keys() | final.keys()) - rewritten:
+        assert final.get(name) == clean.get(name), name
